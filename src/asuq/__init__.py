@@ -24,6 +24,7 @@ from .campaign import (
     CommandEvaluator,
     EvalRequest,
     RunRecord,
+    append_run,
     evaluate_campaign,
     load_campaign,
     load_dataset,

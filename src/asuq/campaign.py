@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import threading
@@ -35,6 +36,7 @@ __all__ = [
     "evaluate_campaign",
     "save_campaign",
     "load_campaign",
+    "append_run",
     "load_dataset",
     "save_dataset",
     "synthetic_ridge",
@@ -153,7 +155,7 @@ def evaluate_campaign(campaign: Campaign,
                       evaluator: Callable[[EvalRequest], float],
                       max_concurrency: int = 1,
                       record_timing: bool = False,
-                      checkpoint: Callable[[Campaign], None] | None = None,
+                      checkpoint: Callable[[RunRecord], None] | None = None,
                       runs: Sequence[RunRecord] | None = None,
                       ) -> Campaign:
     """Run the evaluator on every pending run (or just the given ones).
@@ -161,7 +163,8 @@ def evaluate_campaign(campaign: Campaign,
     Each result depends only on the run's own point, so the final table is
     independent of ``max_concurrency`` and of completion order. Runs that
     raise are marked failed with the diagnostic captured; already-done
-    runs are never touched (resume semantics). Raises
+    runs are never touched (resume semantics). ``checkpoint`` receives
+    each finished record, one call at a time (see :func:`append_run`). Raises
     :class:`EvaluatorError` only if every attempted run fails.
     """
     if max_concurrency < 1:
@@ -191,7 +194,7 @@ def evaluate_campaign(campaign: Campaign,
                 rec.error = str(exc)
                 rec.f = None
                 if checkpoint is not None:
-                    checkpoint(campaign)
+                    checkpoint(rec)
             return
         with lock:
             rec.status = "done"
@@ -200,7 +203,7 @@ def evaluate_campaign(campaign: Campaign,
             if record_timing:
                 rec.wall_time = time.perf_counter() - t0
             if checkpoint is not None:
-                checkpoint(campaign)
+                checkpoint(rec)
 
     if max_concurrency == 1:
         for rec in pending:
@@ -238,18 +241,98 @@ def _record_to_dict(rec: RunRecord) -> dict:
     return d
 
 
+def _record_from_dict(rd: dict) -> RunRecord:
+    try:
+        rec = RunRecord(
+            index=int(rd["index"]),
+            x=np.array(rd["x"], dtype=float),
+            p=np.array(rd["p"], dtype=float),
+            status=str(rd["status"]),
+            f=None if rd.get("f") is None else float(rd["f"]),
+            wall_time=None if rd.get("wall_time") is None else float(rd["wall_time"]),
+            error=rd.get("error"),
+            role=str(rd.get("role", "sample")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad run record: {exc}") from exc
+    if rec.status == "done" and (rec.f is None or not math.isfinite(rec.f)):
+        raise DataError(f"run {rec.index} marked done without a finite result")
+    if rec.status == "running":
+        rec.status = "pending"  # interrupted run: retry on resume
+    return rec
+
+
+def journal_path(path) -> Path:
+    """The run journal that sits next to the campaign manifest at ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".journal")
+
+
+def append_run(path, rec: RunRecord) -> None:
+    """Append one finished run to the journal of the manifest at ``path``.
+
+    One compact JSON line per call, not fsynced: a kill can at worst tear
+    the last line, which :func:`load_campaign` ignores. Callers writing
+    from several threads must serialise the calls (``evaluate_campaign``
+    calls its checkpoint under a lock). After loading a campaign whose
+    journal may end in a torn line, compact it with :func:`save_campaign`
+    before appending again.
+    """
+    with open(journal_path(path), "a") as fh:
+        fh.write(json.dumps(_record_to_dict(rec)) + "\n")
+
+
 def save_campaign(campaign: Campaign, path) -> None:
-    """Write the campaign manifest as JSON (deterministic formatting)."""
+    """Write the campaign manifest as JSON (deterministic formatting).
+
+    The write is atomic: a temp file in the same directory is fsynced and
+    renamed over the manifest. The run journal, now folded into the
+    manifest, is then removed.
+    """
     manifest = {
         "space": campaign.space.to_dict(),
         "seed": campaign.seed,
         "condition": {k: campaign.condition[k] for k in sorted(campaign.condition)},
         "runs": [_record_to_dict(r) for r in campaign.runs],
     }
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    journal_path(path).unlink(missing_ok=True)
+
+
+def _fold_journal(runs: list[RunRecord], path: Path) -> None:
+    """Replace manifest records by their journal lines; the last line wins."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise DataError(f"cannot read journal {path}: {exc}") from exc
+    # The final segment is empty after a clean write and a torn line after
+    # a kill mid-write; either way it carries no finished run.
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        try:
+            rec = _record_from_dict(json.loads(line))
+        except (json.JSONDecodeError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: bad journal line: {exc}") from exc
+        if not 0 <= rec.index < len(runs):
+            raise DataError(
+                f"{path}:{lineno}: run index {rec.index} outside the "
+                f"manifest's {len(runs)} runs"
+            )
+        runs[rec.index] = rec
 
 
 def load_campaign(path) -> Campaign:
+    """Read a campaign manifest and fold in its run journal, if any."""
     try:
         manifest = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -258,27 +341,10 @@ def load_campaign(path) -> Campaign:
         if key not in manifest:
             raise DataError(f"campaign manifest missing '{key}'")
     space = ParameterSpace.from_dict(manifest["space"])
-    runs = []
-    for rd in manifest["runs"]:
-        try:
-            rec = RunRecord(
-                index=int(rd["index"]),
-                x=np.array(rd["x"], dtype=float),
-                p=np.array(rd["p"], dtype=float),
-                status=str(rd["status"]),
-                f=None if rd.get("f") is None else float(rd["f"]),
-                wall_time=None if rd.get("wall_time") is None else float(rd["wall_time"]),
-                error=rd.get("error"),
-                role=str(rd.get("role", "sample")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad run record: {exc}") from exc
-        if rec.status == "done" and (rec.f is None or not math.isfinite(rec.f)):
-            raise DataError(f"run {rec.index} marked done without a finite result")
-        if rec.status == "running":
-            rec.status = "pending"  # interrupted run: retry on resume
-        runs.append(rec)
-    return Campaign(space, manifest["seed"], manifest.get("condition"), runs)
+    campaign = Campaign(space, manifest["seed"], manifest.get("condition"),
+                        [_record_from_dict(rd) for rd in manifest["runs"]])
+    _fold_journal(campaign.runs, journal_path(path))
+    return campaign
 
 
 def load_dataset(path, space: ParameterSpace | None = None) -> Campaign:

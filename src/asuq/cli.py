@@ -27,7 +27,9 @@ from .active_subspace import (
 from .campaign import (
     Campaign,
     CommandEvaluator,
+    append_run,
     evaluate_campaign,
+    journal_path,
     load_campaign,
     new_campaign,
     ridge_direction,
@@ -95,12 +97,6 @@ def _build_evaluator(args, m: int):
     if shutil.which(program) is None and not Path(program).exists():
         raise UsageError(f"evaluator command not found: {program}")
     return evaluator
-
-
-def _checkpointer(path):
-    def _save(campaign):
-        save_campaign(campaign, path)
-    return _save
 
 
 def _fit_pipeline(campaign: Campaign):
@@ -184,6 +180,10 @@ def cmd_sample(args) -> int:
 
 def cmd_run(args) -> int:
     campaign = load_campaign(args.campaign)
+    if journal_path(args.campaign).exists():
+        # Fold the journal into the manifest so that new appends never
+        # follow a torn line left by a killed run.
+        save_campaign(campaign, args.campaign)
     evaluator = _build_evaluator(args, campaign.m)
     if args.retry_failed:
         for rec in campaign.failed_runs():
@@ -198,7 +198,7 @@ def cmd_run(args) -> int:
             campaign, evaluator,
             max_concurrency=args.max_concurrency,
             record_timing=args.record_timing,
-            checkpoint=_checkpointer(args.campaign),
+            checkpoint=lambda rec: append_run(args.campaign, rec),
         )
     finally:
         save_campaign(campaign, args.campaign)

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import DataError, DegeneracyError
 
@@ -72,7 +72,7 @@ class QuadraticSurrogate:
         y = np.asarray(y, dtype=float)
         rows = _design_rows(np.atleast_1d(y))
         leverage = np.einsum("ij,jk,ik->i", rows, self.gram_inverse, rows)
-        tq = float(student_t.ppf(level, self.M - 3))
+        tq = float(stdtrit(self.M - 3, level))
         half = tq * np.sqrt(self.sigma2_hat * leverage)
         return float(half[0]) if np.isscalar(y) or y.ndim == 0 else half
 

@@ -10,6 +10,7 @@ from asuq import (
     DataError,
     EvaluatorError,
     UsageError,
+    append_run,
     evaluate_campaign,
     hyshot_space,
     load_campaign,
@@ -21,7 +22,7 @@ from asuq import (
     synthetic_ridge,
     unit_space,
 )
-from asuq.campaign import EvalRequest, RunRecord
+from asuq.campaign import EvalRequest, RunRecord, journal_path
 
 
 def constant_evaluator(value):
@@ -104,13 +105,15 @@ class TestEvaluate:
 
         path_a = tmp_path / "a.json"
         campaign = new_campaign(unit_space(2), 6, seed=1)
-        checkpoint = lambda c: save_campaign(c, path_a)
+        save_campaign(campaign, path_a)
+        checkpoint = lambda r: append_run(path_a, r)
         with pytest.raises(KeyboardInterrupt):
             evaluate_campaign(campaign, flaky_factory(3), checkpoint=checkpoint)
         resumed = load_campaign(path_a)
         assert len(resumed.done_runs()) == 3
         evaluate_campaign(resumed, lambda req: float(req.x[0]),
-                          checkpoint=lambda c: save_campaign(c, path_a))
+                          checkpoint=lambda r: append_run(path_a, r))
+        save_campaign(resumed, path_a)
 
         fresh = new_campaign(unit_space(2), 6, seed=1)
         evaluate_campaign(fresh, lambda req: float(req.x[0]))
@@ -159,6 +162,87 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError):
             load_campaign(path)
+
+
+class TestJournal:
+    @pytest.fixture
+    def saved(self, tmp_path, small_campaign):
+        path = tmp_path / "c.json"
+        save_campaign(small_campaign, path)
+        return path
+
+    def test_journal_folds_over_manifest(self, saved):
+        campaign = load_campaign(saved)
+        evaluate_campaign(campaign, lambda req: float(req.index),
+                          checkpoint=lambda r: append_run(saved, r))
+        assert len(journal_path(saved).read_text().splitlines()) == 5
+        reloaded = load_campaign(saved)
+        assert [r.f for r in reloaded.runs] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        for a, b in zip(reloaded.runs, campaign.runs):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
+
+    def test_last_line_for_an_index_wins(self, saved):
+        campaign = load_campaign(saved)
+        rec = campaign.runs[1]
+        rec.status, rec.error = "failed", "first try"
+        append_run(saved, rec)
+        rec.status, rec.error, rec.f = "done", None, 7.5
+        append_run(saved, rec)
+        reloaded = load_campaign(saved)
+        assert reloaded.runs[1].status == "done"
+        assert reloaded.runs[1].f == 7.5
+        assert reloaded.runs[1].error is None
+
+    def test_torn_last_line_is_ignored(self, saved):
+        campaign = load_campaign(saved)
+        evaluate_campaign(campaign, constant_evaluator(1.5),
+                          runs=campaign.runs[:3],
+                          checkpoint=lambda r: append_run(saved, r))
+        journal = journal_path(saved)
+        text = journal.read_text()
+        journal.write_text(text[:len(text) - 40])  # kill inside the third line
+        reloaded = load_campaign(saved)
+        assert [r.status for r in reloaded.runs] == \
+            ["done", "done", "pending", "pending", "pending"]
+
+    def test_whole_line_without_newline_is_still_torn(self, saved):
+        campaign = load_campaign(saved)
+        evaluate_campaign(campaign, constant_evaluator(2.0),
+                          runs=campaign.runs[:1],
+                          checkpoint=lambda r: append_run(saved, r))
+        journal = journal_path(saved)
+        journal.write_text(journal.read_text().rstrip("\n"))
+        assert load_campaign(saved).runs[0].status == "pending"
+
+    @pytest.mark.parametrize("line", [
+        '{"index": 0, "x": [0.1',
+        "not json at all",
+        "",
+        '{"index": 0}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "done"}',
+    ])
+    def test_malformed_complete_line_rejected(self, saved, line):
+        journal_path(saved).write_text(line + "\n")
+        with pytest.raises(DataError, match=":1"):
+            load_campaign(saved)
+
+    @pytest.mark.parametrize("index", [5, -1])
+    def test_out_of_range_index_rejected(self, saved, index):
+        rec = RunRecord(index=index, x=np.zeros(2), p=np.zeros(2),
+                        status="done", f=1.0)
+        append_run(saved, rec)
+        with pytest.raises(DataError, match="outside"):
+            load_campaign(saved)
+
+    def test_save_compacts_and_removes_journal(self, saved, tmp_path):
+        campaign = load_campaign(saved)
+        evaluate_campaign(campaign, constant_evaluator(3.0),
+                          checkpoint=lambda r: append_run(saved, r))
+        save_campaign(load_campaign(saved), saved)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        direct = tmp_path / "direct.json"
+        save_campaign(campaign, direct)
+        assert saved.read_bytes() == direct.read_bytes()
 
 
 class TestDataset:

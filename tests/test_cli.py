@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asuq
+import asuq.cli
 from asuq import load_campaign
+from asuq.campaign import journal_path
 from asuq.cli import main
 
 
@@ -135,6 +141,128 @@ class TestRun:
     def test_unknown_campaign_path(self, tmp_path):
         assert run_cli("run", "--campaign", str(tmp_path / "nope.json"),
                        "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+
+
+# Evaluator for the kill-and-resume tests: the first time it sees the run
+# named by argv[1] (guarded by the marker file argv[2]) it SIGKILLs its
+# parent, the `asuq run` process.
+KILLER = """\
+import json, os, signal, sys
+kill_at, marker = int(sys.argv[1]), sys.argv[2]
+req = json.load(sys.stdin)
+if req["index"] == kill_at and not os.path.exists(marker):
+    open(marker, "w").close()
+    os.kill(os.getppid(), signal.SIGKILL)
+    sys.exit(1)
+values = list(req["params"].values())
+print(json.dumps({"qoi": sum((i + 1) * v for i, v in enumerate(values))}))
+"""
+
+
+def leftovers(directory):
+    return sorted(p.name for p in directory.iterdir()
+                  if p.suffix in (".journal", ".tmp"))
+
+
+class TestJournal:
+    RIDGE = ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "3"]
+
+    def uninterrupted(self, tmp_path, *flags):
+        fresh = tmp_path / "fresh.json"
+        assert run_cli("sample", "-M", "12", "--seed", "7",
+                       "--out", str(fresh)) == 0
+        assert run_cli("run", "--campaign", str(fresh), *flags) == 0
+        return fresh.read_bytes()
+
+    def killer_run(self, tmp_path, campaign, kill_at, concurrency="1"):
+        """`asuq run` in a subprocess whose evaluator kills it at run kill_at."""
+        script = tmp_path / "killer.py"
+        script.write_text(KILLER)
+        evaluator = f"{sys.executable} {script} {kill_at} {tmp_path / 'killed'}"
+        argv = [sys.executable, "-m", "asuq.cli", "run", "--campaign",
+                str(campaign), "--evaluator", evaluator,
+                "--max-concurrency", concurrency]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        return proc, evaluator
+
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    def test_kill_and_resume_matches_uninterrupted(self, tmp_path, sampled,
+                                                   concurrency):
+        killed, evaluator = self.killer_run(tmp_path, sampled, 5, concurrency)
+        assert killed.returncode == -9
+        assert journal_path(sampled).exists()
+        partial = load_campaign(sampled)
+        assert 0 < len(partial.done_runs()) < 12
+        assert partial.runs[5].status == "pending"
+
+        resumed, _ = self.killer_run(tmp_path, sampled, 5, concurrency)
+        assert resumed.returncode == 0, resumed.stderr
+        assert leftovers(tmp_path) == []
+        assert sampled.read_bytes() == self.uninterrupted(
+            tmp_path, "--evaluator", evaluator)
+
+    def test_torn_line_run_is_rerun(self, tmp_path, sampled):
+        def same_as_killer(req):
+            return sum((i + 1) * v for i, v in enumerate(req.params.values()))
+
+        campaign = load_campaign(sampled)
+        asuq.evaluate_campaign(campaign, same_as_killer,
+                               runs=campaign.runs[:4],
+                               checkpoint=lambda r: asuq.append_run(sampled, r))
+        journal = journal_path(sampled)
+        text = journal.read_text()
+        journal.write_text(text[:len(text) - 30])
+        assert len(load_campaign(sampled).done_runs()) == 3
+
+        # A second kill must not leave the torn line inside the journal.
+        killed, evaluator = self.killer_run(tmp_path, sampled, 8)
+        assert killed.returncode == -9
+        partial = load_campaign(sampled)
+        assert [r.index for r in partial.done_runs()] == list(range(8))
+
+        resumed, _ = self.killer_run(tmp_path, sampled, 8)
+        assert resumed.returncode == 0, resumed.stderr
+        assert leftovers(tmp_path) == []
+        assert sampled.read_bytes() == self.uninterrupted(
+            tmp_path, "--evaluator", evaluator)
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_malformed_journal_line_exits_2(self, sampled, command, capsys):
+        journal_path(sampled).write_text('{"index": 0, "x": [\n')
+        extra = ["--seed", "1"] if command == "analyze" else []
+        assert run_cli(command, "--campaign", str(sampled), *extra,
+                       *self.RIDGE) == 2
+        assert "journal" in capsys.readouterr().err
+
+    def test_no_journal_or_temp_file_left(self, evaluated, tmp_path):
+        assert leftovers(tmp_path) == []
+        assert run_cli("range", "--campaign", str(evaluated),
+                       "--out", str(tmp_path / "r"), *self.RIDGE) == 0
+        assert leftovers(tmp_path) == []
+        assert run_cli("analyze", "--campaign", str(evaluated),
+                       "--out", str(tmp_path / "a"), "--seed", "2",
+                       "--bootstrap", "5", "--corners", *self.RIDGE) == 0
+        assert leftovers(tmp_path) == []
+
+    def test_run_writes_the_manifest_at_most_twice(self, tmp_path,
+                                                   monkeypatch):
+        campaign = tmp_path / "c.json"
+        assert run_cli("sample", "-M", "60", "--seed", "4",
+                       "--out", str(campaign)) == 0
+        # A killed earlier invocation left two journaled runs behind.
+        partial = load_campaign(campaign)
+        asuq.evaluate_campaign(partial, lambda req: 1.0,
+                               runs=partial.runs[:2],
+                               checkpoint=lambda r: asuq.append_run(campaign, r))
+        calls = []
+        save = asuq.cli.save_campaign
+        monkeypatch.setattr(asuq.cli, "save_campaign",
+                            lambda *a: calls.append(a) or save(*a))
+        assert run_cli("run", "--campaign", str(campaign), *self.RIDGE) == 0
+        assert len(calls) <= 2
+        assert len(load_campaign(campaign).done_runs()) == 60
 
 
 class TestAnalyze:
