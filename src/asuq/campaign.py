@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, EvaluatorError, UsageError
-from .param_space import ParameterSpace, unit_space
+from .param_space import SAMPLER_VERSION, ParameterSpace, unit_space
 
 __all__ = [
     "RunRecord",
@@ -79,13 +79,20 @@ class EvalRequest:
 
 
 class Campaign:
-    """A parameter space plus the ordered run records sampled from it."""
+    """A parameter space plus the ordered run records sampled from it.
+
+    ``sampler`` is the version of :func:`~asuq.param_space.sample_hypercube`
+    that drew the design points (see ``SAMPLER_VERSION``); equal seeds
+    reproduce the points only within one version.
+    """
 
     def __init__(self, space: ParameterSpace, seed: int,
                  condition: Mapping | None = None,
-                 runs: Sequence[RunRecord] | None = None):
+                 runs: Sequence[RunRecord] | None = None,
+                 sampler: int = SAMPLER_VERSION):
         self.space = space
         self.seed = int(seed)
+        self.sampler = int(sampler)
         self.condition = dict(condition or {})
         self.runs = list(runs or [])
         self._check_indices()
@@ -140,13 +147,17 @@ class Campaign:
 
 def new_campaign(space: ParameterSpace, M: int, seed: int,
                  condition: Mapping | None = None) -> Campaign:
-    """Create a campaign with M pending runs sampled uniformly."""
+    """Create a campaign with M pending runs sampled uniformly.
+
+    The manifest records ``sampler`` = ``SAMPLER_VERSION``, the version of
+    the sampler that drew the points.
+    """
     X = space.sample_uniform(M, seed)
     runs = [
         RunRecord(index=j, x=X[j], p=space.denormalize(X[j]))
         for j in range(M)
     ]
-    return Campaign(space, seed, condition, runs)
+    return Campaign(space, seed, condition, runs, sampler=SAMPLER_VERSION)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -292,6 +303,7 @@ def save_campaign(campaign: Campaign, path) -> None:
     manifest = {
         "space": campaign.space.to_dict(),
         "seed": campaign.seed,
+        "sampler": campaign.sampler,
         "condition": {k: campaign.condition[k] for k in sorted(campaign.condition)},
         "runs": [_record_to_dict(r) for r in campaign.runs],
     }
@@ -341,8 +353,14 @@ def load_campaign(path) -> Campaign:
         if key not in manifest:
             raise DataError(f"campaign manifest missing '{key}'")
     space = ParameterSpace.from_dict(manifest["space"])
+    # Manifests written before the sampler was versioned hold version 1
+    # points (one PCG64 stream per row); they keep that label on save.
+    sampler = manifest.get("sampler", 1)
+    if type(sampler) is not int:
+        raise DataError(f"campaign sampler must be an integer, got {sampler!r}")
     campaign = Campaign(space, manifest["seed"], manifest.get("condition"),
-                        [_record_from_dict(rd) for rd in manifest["runs"]])
+                        [_record_from_dict(rd) for rd in manifest["runs"]],
+                        sampler=sampler)
     _fold_journal(campaign.runs, journal_path(path))
     return campaign
 

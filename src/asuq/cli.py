@@ -236,12 +236,15 @@ def cmd_analyze(args) -> int:
     }
     _write_json(out / "results.json", results)
 
-    lines = ["y,f,source"]
-    for yv, fv in zip(summary.y, summary.f):
-        lines.append(f"{float(yv)!r},{float(fv)!r},sample")
-    for yv, fv in summary.bootstrap_cloud:
-        lines.append(f"{float(yv)!r},{float(fv)!r},bootstrap")
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    # Streamed line by line from Python floats: the bootstrap cloud has
+    # N*M rows, and neither NumPy scalars nor a list of lines are built.
+    cloud = summary.bootstrap_cloud
+    with open(out / "summary.csv", "w") as fh:
+        fh.write("y,f,source\n")
+        for yv, fv in zip(summary.y.tolist(), summary.f.tolist()):
+            fh.write(f"{yv!r},{fv!r},sample\n")
+        for yv, fv in zip(cloud[:, 0].tolist(), cloud[:, 1].tolist()):
+            fh.write(f"{yv!r},{fv!r},bootstrap\n")
 
     _print_ranking(ranking)
     print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")

@@ -23,7 +23,13 @@ __all__ = [
     "hyshot_space",
     "unit_space",
     "sample_hypercube",
+    "SAMPLER_VERSION",
 ]
+
+# Version of the sample values that sample_hypercube draws, recorded in
+# campaign manifests: 1 was one PCG64 stream per row, 2 is the Philox
+# counter stream.
+SAMPLER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,10 @@ class ParameterSpace:
     def sample_uniform(self, M: int, seed: int) -> np.ndarray:
         """Draw M points i.i.d. uniform on [-1, 1]^m, shape (M, m).
 
-        Sample j is a pure function of (seed, j), so parallel or resumed
-        generation reproduces the serial sequence.
+        Uses :func:`sample_hypercube`: sample j is a pure function of
+        (seed, j), so parallel or resumed generation reproduces the serial
+        sequence. The values are those of sampler version
+        :data:`SAMPLER_VERSION`.
         """
         if M < 1:
             raise DataError(f"sample count must be >= 1, got {M}")
@@ -173,13 +181,18 @@ def unit_space(m: int) -> ParameterSpace:
 
 
 def sample_hypercube(m: int, n: int, seed: int, start: int = 0) -> np.ndarray:
-    """Uniform samples on [-1, 1]^m with one RNG stream per sample index.
+    """Uniform samples on [-1, 1]^m from a counter-based (Philox) stream.
 
-    Row j uses the stream keyed by (seed, start + j); concurrency and
-    resumption therefore never change the generated set.
+    Philox emits four 64-bit words per counter step, one per double, so
+    row j owns the aligned counter block starting at (start + j) * ceil(m/4)
+    under a key derived once from ``seed``. Row j is therefore a pure
+    function of (seed, start + j): a longer draw extends a shorter one,
+    and concurrency or resumption never changes the generated set. All n
+    rows come from one vectorised draw; the result is C-contiguous with
+    shape (n, m).
     """
-    out = np.empty((n, m), dtype=float)
-    for j in range(n):
-        ss = np.random.SeedSequence(seed, spawn_key=(start + j,))
-        out[j] = np.random.default_rng(ss).uniform(-1.0, 1.0, m)
-    return out
+    words = -(-m // 4)  # counter steps per row
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(key=key, counter=start * words)
+    draws = np.random.Generator(bitgen).uniform(-1.0, 1.0, (n, 4 * words))
+    return np.ascontiguousarray(draws[:, :m])

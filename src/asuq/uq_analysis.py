@@ -285,12 +285,29 @@ class CdfEstimate:
             at_atom = np.abs(q - c) <= 1e-12 * max(1.0, abs(c))
             out = np.where(at_atom, 0.5, np.where(q < c, 0.0, 1.0))
         else:
-            out = ndtr(
-                (np.atleast_1d(q)[:, None] - self._values[None, :]) / self.bandwidth
-            ).mean(axis=1)
-            if q.ndim == 0:
-                out = out[0]
+            out = _kernel_cdf(q.ravel(), self._values, self.bandwidth).reshape(q.shape)
         return float(out) if q.ndim == 0 else np.asarray(out)
+
+
+# Largest number of kernel terms evaluated at once by _kernel_cdf.
+_KERNEL_BLOCK = 1 << 20
+
+
+def _kernel_cdf(q: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian-mixture CDF ``ndtr((q_i - values) / h).mean()`` for each q_i.
+
+    Rows of the len(q) x len(values) kernel matrix are evaluated in blocks
+    of at most _KERNEL_BLOCK elements (8 MiB), or of one row when a row
+    is longer, instead of as one len(q) x len(values) temporary. Each row
+    is still reduced over the same contiguous values, so the result is
+    bit-identical to the dense formula.
+    """
+    out = np.empty(len(q))
+    rows = max(1, _KERNEL_BLOCK // len(values))
+    for i in range(0, len(q), rows):
+        block = q[i:i + rows, None]
+        out[i:i + rows] = ndtr((block - values[None, :]) / h).mean(axis=1)
+    return out
 
 
 def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
@@ -299,18 +316,22 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
                  grid_margin: float = 4.0) -> CdfEstimate:
     """Sample the surrogate over uniform inputs and smooth with a Gaussian KDE.
 
-    Draws n_samples points on [-1, 1]^m (index-keyed streams, so the set
-    is reproducible and parallel-safe), evaluates g(w . x), and smooths
-    with the Silverman bandwidth 1.06 * std * n^(-1/5) unless one is
-    given. The grid spans ``grid_margin`` bandwidths beyond the sample
-    extremes. Constant output degenerates to a step CDF with zero
-    bandwidth.
+    Draws n_samples points on [-1, 1]^m with :func:`sample_hypercube`
+    (counter-based, so the set is reproducible and parallel-safe),
+    evaluates g(w . x), and smooths with the Silverman bandwidth
+    1.06 * std * n^(-1/5) unless one is given. The grid has ``grid_size``
+    points (at least 2) and spans ``grid_margin`` bandwidths beyond the
+    sample extremes. The kernel sum is evaluated in blocks of grid rows,
+    so memory stays bounded as n grows. Constant output degenerates to a
+    step CDF with zero bandwidth.
     """
     w = _check_unit(w)
     if len(w) != m:
         raise DataError(f"direction has {len(w)} components, expected {m}")
     if n_samples < 2:
         raise DataError(f"n_samples must be >= 2, got {n_samples}")
+    if grid_size < 2:
+        raise DataError(f"grid_size must be >= 2, got {grid_size}")
     if bandwidth is not None and bandwidth <= 0:
         raise DataError(f"bandwidth must be positive, got {bandwidth}")
     X = sample_hypercube(m, n_samples, seed)
@@ -329,6 +350,6 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
     h = bandwidth if bandwidth is not None else 1.06 * std * n_samples ** (-0.2)
     grid = np.linspace(g.min() - grid_margin * h, g.max() + grid_margin * h,
                        grid_size)
-    cdf = ndtr((grid[:, None] - g[None, :]) / h).mean(axis=1)
+    cdf = _kernel_cdf(grid, g, h)
     return CdfEstimate(grid=grid, cdf=cdf, n_samples=n_samples, bandwidth=h,
                        degenerate=False, _values=g)

@@ -23,6 +23,7 @@ from asuq import (
     unit_space,
 )
 from asuq.campaign import EvalRequest, RunRecord, journal_path
+from asuq.param_space import SAMPLER_VERSION
 
 
 def constant_evaluator(value):
@@ -147,6 +148,37 @@ class TestPersistence:
         path = tmp_path / "c.json"
         save_campaign(campaign, path)
         assert load_campaign(path).condition == {"P0_H2_bar": 4.8}
+
+    def test_new_campaign_records_current_sampler(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_campaign(new_campaign(unit_space(2), 3, seed=0), path)
+        assert json.loads(path.read_text())["sampler"] == SAMPLER_VERSION == 2
+        assert load_campaign(path).sampler == 2
+
+    def test_unversioned_manifest_keeps_sampler_1(self, tmp_path, small_campaign):
+        # Manifests from before the sampler was versioned have no key; their
+        # points came from the per-row PCG64 streams of sampler 1.
+        path = tmp_path / "c.json"
+        save_campaign(small_campaign, path)
+        manifest = json.loads(path.read_text())
+        del manifest["sampler"]
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+        loaded = load_campaign(path)
+        assert loaded.sampler == 1
+        evaluate_campaign(loaded, constant_evaluator(1.0))
+        save_campaign(loaded, path)
+        assert json.loads(path.read_text())["sampler"] == 1
+        assert load_campaign(path).sampler == 1
+
+    @pytest.mark.parametrize("bad", ["2", 2.0, None, True])
+    def test_non_integer_sampler_rejected(self, tmp_path, small_campaign, bad):
+        path = tmp_path / "c.json"
+        save_campaign(small_campaign, path)
+        manifest = json.loads(path.read_text())
+        manifest["sampler"] = bad
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="sampler"):
+            load_campaign(path)
 
     def test_noncontiguous_indices_rejected(self):
         sp = unit_space(1)

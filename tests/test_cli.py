@@ -383,6 +383,16 @@ class TestStandaloneReports:
         rows = (out / "cdf.csv").read_text().splitlines()
         assert len(rows) == 514
 
+    @pytest.mark.parametrize("grid_size", ["-1", "0", "1"])
+    def test_cdf_too_small_grid_is_data_error(self, evaluated, tmp_path,
+                                              grid_size, capsys):
+        out = tmp_path / "cc"
+        assert run_cli("cdf", "--campaign", str(evaluated), "--n", "300",
+                       "--seed", "9", "--grid-size", grid_size,
+                       "--out", str(out)) == 2
+        assert "grid_size must be >= 2" in capsys.readouterr().err
+        assert not (out / "cdf.csv").exists()
+
 
 class TestScenario:
     def test_shots_fit(self, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from asuq import DataError, ParameterSpace, ParameterSpec, hyshot_space, unit_space
@@ -147,6 +149,32 @@ class TestSampling:
     def test_zero_samples_rejected(self, space):
         with pytest.raises(DataError):
             space.sample_uniform(0, 1)
+
+
+class TestSamplerProperties:
+    # Philox emits four words per counter step, so m that are not a
+    # multiple of 4 exercise the per-row block alignment.
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 9), n=st.integers(0, 40), start=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_offset_draw_is_a_slice_of_the_serial_draw(self, m, n, start, seed):
+        full = sample_hypercube(m, start + n, seed)
+        assert np.array_equal(sample_hypercube(m, n, seed, start),
+                              full[start:start + n])
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 9), n=st.integers(0, 40), start=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shape_dtype_layout_and_range(self, m, n, start, seed):
+        x = sample_hypercube(m, n, seed, start)
+        assert x.shape == (n, m)
+        assert x.dtype == np.float64
+        assert x.flags.c_contiguous
+        assert np.all(x >= -1.0) and np.all(x <= 1.0)
+
+    def test_seeds_give_different_streams(self):
+        assert not np.array_equal(sample_hypercube(3, 5, seed=1),
+                                  sample_hypercube(3, 5, seed=2))
 
 
 class TestPersistence:

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from asuq import (
+    DataError,
     corner_extrema,
     estimate_cdf,
     estimate_range,
@@ -344,7 +346,28 @@ class TestEstimateCdf:
 
     def test_too_few_samples_rejected(self, safe_fixture):
         surr, w, _ = safe_fixture
-        from asuq import DataError
-
         with pytest.raises(DataError):
             estimate_cdf(surr, w, m=3, n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("grid_size", [-1, 0, 1])
+    def test_too_small_grid_rejected(self, safe_fixture, grid_size):
+        surr, w, _ = safe_fixture
+        with pytest.raises(DataError, match="grid_size"):
+            estimate_cdf(surr, w, m=3, n_samples=100, seed=0,
+                         grid_size=grid_size)
+
+    @pytest.mark.parametrize("grid_size", [2, 513, 1000])
+    def test_blocked_kernel_equals_dense_formula(self, safe_fixture, grid_size):
+        # n = 50 000 puts 20 grid rows in a kernel block, so 513 and 1000
+        # points need many blocks and end on a partial one.
+        surr, w, _ = safe_fixture
+        n = 50_000
+        cdf = estimate_cdf(surr, w, m=3, n_samples=n, seed=4,
+                           grid_size=grid_size)
+        g = surr.predict(sample_hypercube(3, n, seed=4) @ w)
+        h = cdf.bandwidth
+        dense = ndtr((cdf.grid[:, None] - g[None, :]) / h).mean(axis=1)
+        assert np.array_equal(cdf.cdf, dense)
+        assert np.array_equal(cdf.evaluate(cdf.grid), dense)
+        q = cdf.grid[grid_size // 2]
+        assert cdf.evaluate(q) == dense[grid_size // 2]
