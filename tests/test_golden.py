@@ -51,9 +51,8 @@ def run_pipeline(work: Path) -> dict[str, str]:
                  "--cdf", "--n", "2000", "--svg", "--out", str(out),
                  *evaluator]) == 0
     files = {"campaign.sampled.json": sampled}
-    for name in GOLDEN:
-        if name != "campaign.sampled.json":
-            files[name] = (out / name).read_bytes()
+    files.update((name, (out / name).read_bytes())
+                 for name in GOLDEN if name not in files)
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in files.items()}
 

@@ -154,19 +154,14 @@ class TestSampling:
 class TestSamplerProperties:
     # Philox emits four words per counter step, so m that are not a
     # multiple of 4 exercise the per-row block alignment.
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(m=st.integers(1, 9), n=st.integers(0, 40), start=st.integers(0, 40),
            seed=st.integers(0, 2**32 - 1))
-    def test_offset_draw_is_a_slice_of_the_serial_draw(self, m, n, start, seed):
-        full = sample_hypercube(m, start + n, seed)
-        assert np.array_equal(sample_hypercube(m, n, seed, start),
-                              full[start:start + n])
-
-    @settings(max_examples=200, deadline=None)
-    @given(m=st.integers(1, 9), n=st.integers(0, 40), start=st.integers(0, 40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_shape_dtype_layout_and_range(self, m, n, start, seed):
+    def test_offset_draw_is_a_well_formed_slice_of_the_serial_draw(
+            self, m, n, start, seed):
         x = sample_hypercube(m, n, seed, start)
+        full = sample_hypercube(m, start + n, seed)
+        assert np.array_equal(x, full[start:start + n])
         assert x.shape == (n, m)
         assert x.dtype == np.float64
         assert x.flags.c_contiguous
