@@ -1,8 +1,10 @@
 """Golden outputs: byte-for-byte pins of the sample -> run -> analyze pipeline.
 
-A fixed small campaign goes through ``sample``, ``run`` (ridge evaluator)
-and ``analyze --bootstrap 50 --threshold --corners --cdf --svg``; the
-sha256 of every deterministic output file is pinned. A refactor that
+A fixed small campaign goes through ``sample``, ``run`` (ridge evaluator),
+the standalone ``range``, ``safeset --threshold 0`` and ``cdf --n 2000
+--grid-size 257`` commands, and ``analyze --bootstrap 50 --threshold 0
+--corners --cdf --svg``; the sha256 of every deterministic output file,
+and of the standalone commands' stdout, is pinned. A refactor that
 claims to change nothing must leave these hashes as they are. A change
 that alters outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves
 the last bits) regenerates them with ``python tests/test_golden.py`` and
@@ -34,6 +36,33 @@ GOLDEN = {
         "542d8da3be853f4c84d9d8b24844fa6f16eaa45023a294b687731b56fc74bfe2",
     "cdf.csv":
         "a92913970d74b78fe04a022767d74b85cb5388281ed80318e2564abd07319b23",
+    "summary.svg":
+        "d3077e5e581163f0c24632b4cc46570608704a7bf851ebd21a517e80e8259cbd",
+    "cdf.svg":
+        "0c7c803adfcb302a9ac50172df2e45f79249d619773d0804b2dfb5490e29bf2c",
+    "campaign.final.json":
+        "b0e12a2fd4b0264ba6c850356fdf87ffb7b2df14b3d0284ae5a4ee7a77f4c4e0",
+    "range/range.json":
+        "a9e8b44aea292a12f8d313545584de2296757a1955618e9b159ed3172c929351",
+    "range.stdout":
+        "2d7d46c5f924faa780fa44c8c7dd0d72cf1b44e65ceec39cd22cc6de70f1dab0",
+    "safeset/safeset.json":
+        "542d8da3be853f4c84d9d8b24844fa6f16eaa45023a294b687731b56fc74bfe2",
+    "safeset.stdout":
+        "12b9522eff3ee87ab02afb8ade623c10bfe1215579f1fed85d1f4a2294f4c029",
+    "cdf/cdf.csv":
+        "bda27263a2ff8c6f6612f605d4d5d6cb2f776c884bb447eb4dda3ea02e4776e8",
+    "cdf.stdout":
+        "b667c01bf7887d9333ee6dd3802184ea194b8bdc2165ec1e3b749c04415b01e2",
+}
+
+# The three standalone commands, run before ``analyze``; each writes one
+# report into its own directory. ``range`` evaluates the corners, which
+# ``analyze --corners`` then reuses.
+STANDALONE = {
+    "range": ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "7"],
+    "safeset": ["--threshold", "0"],
+    "cdf": ["--n", "2000", "--grid-size", "257", "--seed", "5"],
 }
 
 
@@ -44,15 +73,23 @@ def run_pipeline(work: Path) -> dict[str, str]:
     evaluator = ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "7"]
     assert main(["sample", "-M", "40", "--seed", "11",
                  "--out", str(campaign)]) == 0
-    sampled = campaign.read_bytes()
+    files = {"campaign.sampled.json": campaign.read_bytes()}
     assert main(["run", "--campaign", str(campaign), *evaluator]) == 0
+    for command, flags in STANDALONE.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([command, "--campaign", str(campaign), *flags,
+                         "--out", str(work / command)]) == 0
+        files[f"{command}.stdout"] = \
+            stdout.getvalue().replace(str(work), "<work>").encode()
+        for path in (work / command).iterdir():
+            files[f"{command}/{path.name}"] = path.read_bytes()
     assert main(["analyze", "--campaign", str(campaign), "--seed", "5",
                  "--bootstrap", "50", "--threshold", "0", "--corners",
                  "--cdf", "--n", "2000", "--svg", "--out", str(out),
                  *evaluator]) == 0
-    files = {"campaign.sampled.json": sampled}
-    files.update((name, (out / name).read_bytes())
-                 for name in GOLDEN if name not in files)
+    files.update((path.name, path.read_bytes()) for path in out.iterdir())
+    files["campaign.final.json"] = campaign.read_bytes()
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in files.items()}
 
@@ -60,6 +97,10 @@ def run_pipeline(work: Path) -> dict[str, str]:
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("golden"))
+
+
+def test_outputs_all_pinned(digests):
+    assert sorted(digests) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -72,5 +113,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()):
         digests = run_pipeline(Path(tmp))
-    for name, digest in digests.items():
+    for name, digest in sorted(digests.items()):
         print(f'    "{name}":\n        "{digest}",')
