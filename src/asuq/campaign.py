@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import shlex
 import subprocess
 import threading
@@ -25,6 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._fileio import atomic_open
 from .errors import DataError, EvaluatorError, UsageError
 from .param_space import SAMPLER_VERSION, ParameterSpace, unit_space
 
@@ -199,19 +199,12 @@ def evaluate_campaign(campaign: Campaign,
             value = float(evaluator(req))
             if not math.isfinite(value):
                 raise EvaluatorError(f"run {rec.index}: non-finite result {value}")
+            status, error = "done", None
         except Exception as exc:
-            with lock:
-                rec.status = "failed"
-                rec.error = str(exc)
-                rec.f = None
-                if checkpoint is not None:
-                    checkpoint(rec)
-            return
+            value, status, error = None, "failed", str(exc)
         with lock:
-            rec.status = "done"
-            rec.f = value
-            rec.error = None
-            if record_timing:
+            rec.status, rec.f, rec.error = status, value, error
+            if record_timing and status == "done":
                 rec.wall_time = time.perf_counter() - t0
             if checkpoint is not None:
                 checkpoint(rec)
@@ -307,16 +300,8 @@ def save_campaign(campaign: Campaign, path) -> None:
         "condition": {k: campaign.condition[k] for k in sorted(campaign.condition)},
         "runs": [_record_to_dict(r) for r in campaign.runs],
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     journal_path(path).unlink(missing_ok=True)
 
 
@@ -418,7 +403,8 @@ def save_dataset(campaign: Campaign, path) -> None:
     lines = [",".join([f"x{i + 1}" for i in range(m)] + ["f"])]
     for rec in campaign.done_runs():
         lines.append(",".join([repr(float(v)) for v in rec.x] + [repr(float(rec.f))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- built-in synthetic evaluators ------------------------------------------

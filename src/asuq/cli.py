@@ -13,11 +13,13 @@ import json
 import os
 import shutil
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import hyshot
+from ._fileio import atomic_open
 from .active_subspace import (
     bootstrap_direction,
     fit_active_direction,
@@ -25,7 +27,6 @@ from .active_subspace import (
     summary_data,
 )
 from .campaign import (
-    Campaign,
     CommandEvaluator,
     append_run,
     evaluate_campaign,
@@ -62,7 +63,8 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_space(path: str | None) -> ParameterSpace:
@@ -99,51 +101,93 @@ def _build_evaluator(args, m: int):
     return evaluator
 
 
-def _fit_pipeline(campaign: Campaign):
-    X, f = campaign.design_arrays()
-    asub = fit_active_direction(X, f)
-    summary = summary_data(X, f, asub)
-    return X, f, asub, summary
+class _FittedCampaign:
+    """A loaded campaign with its direction, summary data and surrogate.
+
+    Shared by ``analyze``, ``range``, ``safeset`` and ``cdf``; the
+    surrogate is fitted on first use, at most once. Each stage method
+    writes its report into ``out`` and returns its estimate.
+    """
+
+    def __init__(self, args, bootstrap: int | None = None):
+        self.args = args
+        self.out = _out_dir(args)
+        self.campaign = load_campaign(args.campaign)
+        self.X, self.f = self.campaign.design_arrays()
+        self.asub = fit_active_direction(self.X, self.f)
+        self.ensemble = None if bootstrap is None else bootstrap_direction(
+            self.X, self.f, N=bootstrap, seed=args.seed)
+        self.summary = summary_data(self.X, self.f, self.asub, self.ensemble)
+
+    @cached_property
+    def surrogate(self) -> QuadraticSurrogate:
+        l1 = float(np.abs(self.asub.w).sum())
+        return fit_quadratic(self.summary.y, self.summary.f,
+                             y_domain=(-l1, l1))
+
+    def range(self):
+        """Evaluate the two corners; write range.json and the campaign.
+
+        A done corner run is reused; a failed one is evaluated again in place.
+        """
+        campaign = self.campaign
+        evaluator = _build_evaluator(self.args, campaign.m)
+
+        def evaluate_corner(x_corner):
+            same = [r for r in campaign.runs
+                    if r.role == "corner" and np.array_equal(r.x, x_corner)]
+            for rec in same:
+                if rec.status == "done":
+                    return rec.f
+            rec = same[0] if same else campaign.append_point(x_corner,
+                                                             role="corner")
+            rec.status, rec.error = "pending", None
+            evaluate_campaign(campaign, evaluator, runs=[rec],
+                              record_timing=self.args.record_timing)
+            if rec.status != "done":
+                raise RuntimeError(rec.error or "corner evaluation failed")
+            return rec.f
+
+        rng = estimate_range(self.asub.w, evaluate_corner, self.f,
+                             discordant_pairs=self.summary.discordant_pairs)
+        save_campaign(campaign, self.args.campaign)
+        p_min, p_max = (campaign.space.denormalize(x).tolist()
+                        for x in (rng.x_min, rng.x_max))
+        _write_json(self.out / "range.json", {
+            "x_min": rng.x_min.tolist(), "x_max": rng.x_max.tolist(),
+            "p_min": p_min, "p_max": p_max,
+            "f_min": rng.f_min, "f_max": rng.f_max,
+            "validated": rng.validated, "inverted": rng.inverted,
+            "monotone_caveat": rng.monotone_caveat,
+            "corner_errors": rng.corner_errors,
+        })
+        return rng
+
+    def safeset(self):
+        """Invert ``args.threshold`` at ``args.level``; write safeset.json."""
+        safe = invert_safe_set(self.surrogate, self.asub.w, self.args.threshold,
+                               level=self.args.level, space=self.campaign.space)
+        _write_json(self.out / "safeset.json", safe.to_dict())
+        return safe
+
+    def cdf(self, n_samples: int, grid_size: int = 513):
+        """Estimate the output CDF with ``args.seed``; write cdf.csv."""
+        cdf = estimate_cdf(self.surrogate, self.asub.w, self.campaign.m,
+                           n_samples=n_samples, seed=self.args.seed,
+                           grid_size=grid_size)
+        with atomic_open(self.out / "cdf.csv") as fh:
+            fh.write("q,cdf\n")
+            fh.writelines(f"{q!r},{c!r}\n" for q, c in
+                          zip(cdf.grid.tolist(), cdf.cdf.tolist()))
+        return cdf
 
 
-def _fit_surrogate(asub, summary) -> QuadraticSurrogate:
-    l1 = float(np.abs(asub.w).sum())
-    return fit_quadratic(summary.y, summary.f, y_domain=(-l1, l1))
-
-
-def _corner_range(campaign: Campaign, asub, summary, evaluator, args):
-    """Evaluate (or reuse) the two corner runs and build the range report."""
-
-    def evaluate_corner(x_corner):
-        for rec in campaign.runs:
-            if rec.role == "corner" and rec.status == "done" \
-                    and np.array_equal(rec.x, x_corner):
-                return rec.f
-        rec = campaign.append_point(x_corner, role="corner")
-        evaluate_campaign(campaign, evaluator, runs=[rec],
-                          record_timing=args.record_timing)
-        if rec.status != "done":
-            raise RuntimeError(rec.error or "corner evaluation failed")
-        return rec.f
-
-    _, f_samples = campaign.design_arrays()
-    return estimate_range(asub.w, evaluate_corner, f_samples,
-                          discordant_pairs=summary.discordant_pairs)
-
-
-def _range_report(campaign: Campaign, rng) -> dict:
-    return {
-        "x_min": [float(v) for v in rng.x_min],
-        "x_max": [float(v) for v in rng.x_max],
-        "p_min": [float(v) for v in campaign.space.denormalize(rng.x_min)],
-        "p_max": [float(v) for v in campaign.space.denormalize(rng.x_max)],
-        "f_min": rng.f_min,
-        "f_max": rng.f_max,
-        "validated": rng.validated,
-        "inverted": rng.inverted,
-        "monotone_caveat": rng.monotone_caveat,
-        "corner_errors": rng.corner_errors,
-    }
+def _corner_status(rng) -> int:
+    """Exit code after a range stage: 4 when a corner evaluation failed."""
+    if not rng.corner_errors:
+        return 0
+    print(f"corner evaluation failed: {rng.corner_errors}", file=sys.stderr)
+    return 4
 
 
 def _print_ranking(ranking) -> None:
@@ -187,8 +231,7 @@ def cmd_run(args) -> int:
     evaluator = _build_evaluator(args, campaign.m)
     if args.retry_failed:
         for rec in campaign.failed_runs():
-            rec.status = "pending"
-            rec.error = None
+            rec.status, rec.error = "pending", None
     pending = len(campaign.pending_runs())
     if pending == 0:
         print("no pending runs; nothing to do")
@@ -209,37 +252,32 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
-    campaign = load_campaign(args.campaign)
-    X, f, asub, summary = _fit_pipeline(campaign)
-    ensemble = bootstrap_direction(X, f, N=args.bootstrap, seed=args.seed)
-    summary = summary_data(X, f, asub, ensemble)
-    ranking = sensitivity_ranking(asub, names=campaign.space.names)
+    fitted = _FittedCampaign(args, bootstrap=args.bootstrap)
+    asub, summary, ensemble = fitted.asub, fitted.summary, fitted.ensemble
+    ranking = sensitivity_ranking(asub, names=fitted.campaign.space.names)
 
     results = {
         "M": asub.M,
-        "m": campaign.m,
-        "w": [float(v) for v in asub.w],
-        "u_hat": [float(v) for v in asub.fit.u_hat],
+        "m": fitted.campaign.m,
+        "w": asub.w.tolist(),
+        "u_hat": asub.fit.u_hat.tolist(),
         "residual_norm": asub.fit.residual_norm,
         "cond_estimate": asub.fit.cond_estimate,
-        "ranking": [
-            {"name": n, "w": wi, "abs_w": awi} for n, wi, awi in ranking
-        ],
+        "ranking": [{"name": n, "w": wi, "abs_w": awi} for n, wi, awi in ranking],
         "discordant_pairs": summary.discordant_pairs,
         "bootstrap": {
             "N": ensemble.N,
             "seed": ensemble.seed,
             "quantiles": ensemble.component_quantiles(),
-            "replicates": [[float(v) for v in row] for row in ensemble.replicates],
+            "replicates": ensemble.replicates.tolist(),
         },
     }
-    _write_json(out / "results.json", results)
+    _write_json(fitted.out / "results.json", results)
 
     # Streamed line by line from Python floats: the bootstrap cloud has
     # N*M rows, and neither NumPy scalars nor a list of lines are built.
     cloud = summary.bootstrap_cloud
-    with open(out / "summary.csv", "w") as fh:
+    with atomic_open(fitted.out / "summary.csv") as fh:
         fh.write("y,f,source\n")
         for yv, fv in zip(summary.y.tolist(), summary.f.tolist()):
             fh.write(f"{yv!r},{fv!r},sample\n")
@@ -249,94 +287,57 @@ def cmd_analyze(args) -> int:
     _print_ranking(ranking)
     print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")
 
-    surr = None
     if args.threshold is not None or args.cdf or args.svg:
-        surr = _fit_surrogate(asub, summary)
-        _write_json(out / "surrogate.json", surr.to_dict())
+        _write_json(fitted.out / "surrogate.json", fitted.surrogate.to_dict())
 
     exit_code = 0
     if args.corners:
-        evaluator = _build_evaluator(args, campaign.m)
-        rng = _corner_range(campaign, asub, summary, evaluator, args)
-        save_campaign(campaign, args.campaign)
-        _write_json(out / "range.json", _range_report(campaign, rng))
+        rng = fitted.range()
         print(f"range: [{rng.f_min}, {rng.f_max}] validated={rng.validated}")
-        if rng.corner_errors:
-            print(f"corner evaluation failed: {rng.corner_errors}",
-                  file=sys.stderr)
-            exit_code = 4
+        exit_code = _corner_status(rng)
 
     if args.threshold is not None:
-        safe = invert_safe_set(surr, asub.w, args.threshold, level=args.level,
-                               space=campaign.space)
-        _write_json(out / "safeset.json", safe.to_dict())
+        safe = fitted.safeset()
         print(f"safe set: feasible={safe.feasible} y_max={safe.y_max}")
 
-    cdf = None
-    if args.cdf:
-        cdf = estimate_cdf(surr, asub.w, campaign.m, n_samples=args.n_cdf,
-                           seed=args.seed)
-        cdf_lines = ["q,cdf"] + [
-            f"{float(q)!r},{float(c)!r}" for q, c in zip(cdf.grid, cdf.cdf)
-        ]
-        (out / "cdf.csv").write_text("\n".join(cdf_lines) + "\n")
-
+    cdf = fitted.cdf(args.n_cdf) if args.cdf else None
     if args.svg:
-        _render_summary_svg(out / "summary.svg", summary, surr, args)
-        if cdf is not None:
-            _render_cdf_svg(out / "cdf.svg", cdf)
+        _render_svgs(fitted, cdf)
     return exit_code
 
 
-def _render_summary_svg(path, summary, surr, args) -> None:
+def _render_svgs(fitted: _FittedCampaign, cdf) -> None:
+    """Write summary.svg, and cdf.svg when a CDF was estimated."""
+    summary, surr, args = fitted.summary, fitted.surrogate, fitted.args
     plot = SvgPlot(xlabel="active variable y = w . x",
                    ylabel="quantity of interest", title="summary plot")
-    if summary.bootstrap_cloud is not None:
-        plot.scatter(summary.bootstrap_cloud[:, 0], summary.bootstrap_cloud[:, 1],
-                     radius=1.5, color="#999999", opacity=0.35)
-    if surr is not None:
-        ys = np.linspace(surr.y_domain[0], surr.y_domain[1], 200)
-        plot.line(ys, surr.predict(ys), color="#1166cc")
-        if surr.sigma2_hat is not None:
-            plot.line(ys, surr.upper_confidence(ys, args.level),
-                      color="#1166cc", dashed=True)
+    plot.scatter(summary.bootstrap_cloud[:, 0], summary.bootstrap_cloud[:, 1],
+                 radius=1.5, color="#999999", opacity=0.35)
+    ys = np.linspace(surr.y_domain[0], surr.y_domain[1], 200)
+    plot.line(ys, surr.predict(ys), color="#1166cc")
+    if surr.sigma2_hat is not None:
+        plot.line(ys, surr.upper_confidence(ys, args.level),
+                  color="#1166cc", dashed=True)
     plot.scatter(summary.y, summary.f, radius=3.0, color="#111111")
     if args.threshold is not None:
         plot.hline(args.threshold)
-    plot.save(path)
-
-
-def _render_cdf_svg(path, cdf) -> None:
-    plot = SvgPlot(xlabel="quantity of interest", ylabel="CDF",
-                   title="estimated CDF")
-    plot.line(cdf.grid, cdf.cdf, color="#117733")
-    plot.save(path)
+    plot.save(fitted.out / "summary.svg")
+    if cdf is not None:
+        plot = SvgPlot(xlabel="quantity of interest", ylabel="CDF",
+                       title="estimated CDF")
+        plot.line(cdf.grid, cdf.cdf, color="#117733")
+        plot.save(fitted.out / "cdf.svg")
 
 
 def cmd_range(args) -> int:
-    out = _out_dir(args)
-    campaign = load_campaign(args.campaign)
-    _, _, asub, summary = _fit_pipeline(campaign)
-    evaluator = _build_evaluator(args, campaign.m)
-    rng = _corner_range(campaign, asub, summary, evaluator, args)
-    save_campaign(campaign, args.campaign)
-    _write_json(out / "range.json", _range_report(campaign, rng))
+    rng = _FittedCampaign(args).range()
     print(f"range: [{rng.f_min}, {rng.f_max}] validated={rng.validated} "
           f"monotone_caveat={rng.monotone_caveat}")
-    if rng.corner_errors:
-        print(f"corner evaluation failed: {rng.corner_errors}", file=sys.stderr)
-        return 4
-    return 0
+    return _corner_status(rng)
 
 
 def cmd_safeset(args) -> int:
-    out = _out_dir(args)
-    campaign = load_campaign(args.campaign)
-    _, _, asub, summary = _fit_pipeline(campaign)
-    surr = _fit_surrogate(asub, summary)
-    safe = invert_safe_set(surr, asub.w, args.threshold, level=args.level,
-                           space=campaign.space)
-    _write_json(out / "safeset.json", safe.to_dict())
+    safe = _FittedCampaign(args).safeset()
     print(f"threshold {args.threshold} at level {args.level}: "
           f"feasible={safe.feasible} y_max={safe.y_max}")
     for entry in safe.safe_ranges:
@@ -348,16 +349,9 @@ def cmd_safeset(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    out = _out_dir(args)
-    campaign = load_campaign(args.campaign)
-    _, _, asub, summary = _fit_pipeline(campaign)
-    surr = _fit_surrogate(asub, summary)
-    cdf = estimate_cdf(surr, asub.w, campaign.m, n_samples=args.n,
-                       seed=args.seed, grid_size=args.grid_size)
-    lines = ["q,cdf"] + [f"{float(q)!r},{float(c)!r}"
-                         for q, c in zip(cdf.grid, cdf.cdf)]
-    (out / "cdf.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'cdf.csv'}: {len(cdf.grid)} grid points, "
+    fitted = _FittedCampaign(args)
+    cdf = fitted.cdf(args.n, args.grid_size)
+    print(f"wrote {fitted.out / 'cdf.csv'}: {len(cdf.grid)} grid points, "
           f"bandwidth {cdf.bandwidth:.6g}")
     return 0
 

@@ -10,6 +10,7 @@ parsing boundary.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
@@ -320,15 +321,10 @@ HYSHOT_PARAM_NAMES = (
     "Cowl Transition Location",
 )
 
-_t0_fit_cache: tuple[float, float] | None = None
-
-
+@functools.cache
 def default_t0_fit() -> tuple[float, float]:
     """T0-H0 coefficients fitted to the bundled non-excluded shots."""
-    global _t0_fit_cache
-    if _t0_fit_cache is None:
-        _t0_fit_cache = fit_T0_H0(load_shots())
-    return _t0_fit_cache
+    return fit_T0_H0(load_shots())
 
 
 def build_inflow(x, space: ParameterSpace,

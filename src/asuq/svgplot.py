@@ -7,7 +7,8 @@ free convenience for eyeballing summary plots, bands, and CDFs.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+
+from ._fileio import atomic_open
 
 __all__ = ["SvgPlot"]
 
@@ -140,4 +141,5 @@ class SvgPlot:
                     f'y2="{py(v):.2f}" stroke="{color}" stroke-width="1.2"{dash}/>'
                 )
         parts.append("</svg>")
-        Path(path).write_text("\n".join(parts) + "\n")
+        with atomic_open(path) as fh:
+            fh.write("\n".join(parts) + "\n")

@@ -264,6 +264,48 @@ class TestJournal:
         assert len(calls) <= 2
         assert len(load_campaign(campaign).done_runs()) == 60
 
+    def test_analyze_fits_each_stage_once(self, evaluated, tmp_path,
+                                          monkeypatch):
+        calls = []
+        for name in ("summary_data", "fit_quadratic"):
+            def counted(*a, _real=getattr(asuq.cli, name), _name=name, **kw):
+                calls.append(_name)
+                return _real(*a, **kw)
+            monkeypatch.setattr(asuq.cli, name, counted)
+        assert run_cli("analyze", "--campaign", str(evaluated),
+                       "--out", str(tmp_path / "a"), "--seed", "2",
+                       "--bootstrap", "5", "--threshold", "1", "--corners",
+                       "--cdf", "--n", "300", "--svg", *self.RIDGE) == 0
+        assert calls.count("summary_data") == 1
+        assert calls.count("fit_quadratic") <= 1
+
+    REPORTS = ["results.json", "summary.csv", "surrogate.json", "range.json",
+               "safeset.json", "cdf.csv", "summary.svg", "cdf.svg"]
+
+    @pytest.mark.parametrize("target", REPORTS)
+    def test_failed_report_rename_keeps_the_old_report(self, evaluated,
+                                                       tmp_path, monkeypatch,
+                                                       target):
+        out = tmp_path / "out"
+        argv = ["analyze", "--campaign", str(evaluated), "--out", str(out),
+                "--bootstrap", "5", "--threshold", "1", "--corners", "--cdf",
+                "--n", "300", "--svg", *self.RIDGE]
+        assert run_cli(*argv, "--seed", "2") == 0
+        before = {name: (out / name).read_bytes() for name in self.REPORTS}
+
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == target:
+                raise OSError("injected rename failure")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected"):
+            run_cli(*argv, "--seed", "3")
+        assert (out / target).read_bytes() == before[target]
+        assert leftovers(out) == [] and leftovers(tmp_path) == []
+
 
 class TestAnalyze:
     def test_reports_written(self, evaluated, tmp_path, capsys):
@@ -368,6 +410,30 @@ class TestStandaloneReports:
         report = json.loads((out / "range.json").read_text())
         assert report["f_min"] is None and report["f_max"] is None
         assert report["corner_errors"]
+
+    def test_failed_corners_are_retried_in_place(self, evaluated, tmp_path):
+        script = tmp_path / "no_corners.py"
+        script.write_text(
+            "import json, sys\n"
+            "req = json.load(sys.stdin)\n"
+            "sys.exit(1) if req['index'] >= 12 else "
+            "print(json.dumps({'qoi': 1.0}))\n"
+        )
+        failing = ["--evaluator", f"{sys.executable} {script}"]
+        for _ in range(3):
+            assert run_cli("range", "--campaign", str(evaluated),
+                           "--out", str(tmp_path / "rf"), *failing) == 4
+        campaign = load_campaign(evaluated)
+        assert len(campaign.runs) == 12 + 2
+        assert [r.index for r in campaign.failed_runs()] == [12, 13]
+
+        assert run_cli("range", "--campaign", str(evaluated),
+                       "--out", str(tmp_path / "rr"),
+                       "--evaluator", "ridge:cubic-monotone",
+                       "--wtrue-seed", "3") == 0
+        campaign = load_campaign(evaluated)
+        assert len(campaign.runs) == 12 + 2
+        assert [r.role for r in campaign.done_runs()[12:]] == ["corner"] * 2
 
     def test_safeset_command(self, evaluated, tmp_path, capsys):
         out = tmp_path / "ss"
