@@ -56,12 +56,6 @@ class _Parser(argparse.ArgumentParser):
 # -- shared helpers -----------------------------------------------------------
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get("ASUQ_OUTPUT_DIR", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, obj) -> None:
     with atomic_open(path) as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
@@ -111,7 +105,8 @@ class _FittedCampaign:
 
     def __init__(self, args, bootstrap: int | None = None):
         self.args = args
-        self.out = _out_dir(args)
+        self.out = Path(args.out or os.environ.get("ASUQ_OUTPUT_DIR", "."))
+        self.out.mkdir(parents=True, exist_ok=True)
         self.campaign = load_campaign(args.campaign)
         self.X, self.f = self.campaign.design_arrays()
         self.asub = fit_active_direction(self.X, self.f)
@@ -231,7 +226,8 @@ def cmd_run(args) -> int:
     evaluator = _build_evaluator(args, campaign.m)
     if args.retry_failed:
         for rec in campaign.failed_runs():
-            rec.status, rec.error = "pending", None
+            rec.status = "pending"
+            rec.error = None
     pending = len(campaign.pending_runs())
     if pending == 0:
         print("no pending runs; nothing to do")
@@ -259,17 +255,19 @@ def cmd_analyze(args) -> int:
     results = {
         "M": asub.M,
         "m": fitted.campaign.m,
-        "w": asub.w.tolist(),
-        "u_hat": asub.fit.u_hat.tolist(),
+        "w": [float(v) for v in asub.w],
+        "u_hat": [float(v) for v in asub.fit.u_hat],
         "residual_norm": asub.fit.residual_norm,
         "cond_estimate": asub.fit.cond_estimate,
-        "ranking": [{"name": n, "w": wi, "abs_w": awi} for n, wi, awi in ranking],
+        "ranking": [
+            {"name": n, "w": wi, "abs_w": awi} for n, wi, awi in ranking
+        ],
         "discordant_pairs": summary.discordant_pairs,
         "bootstrap": {
             "N": ensemble.N,
             "seed": ensemble.seed,
             "quantiles": ensemble.component_quantiles(),
-            "replicates": ensemble.replicates.tolist(),
+            "replicates": [[float(v) for v in row] for row in ensemble.replicates],
         },
     }
     _write_json(fitted.out / "results.json", results)
