@@ -160,14 +160,17 @@ def fit_active_direction(X, f) -> ActiveSubspace:
     return ActiveSubspace(w=w, fit=fit, M=M)
 
 
-def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
-                        max_retries_per_replicate: int = 100) -> BootstrapEnsemble:
+# Rank-deficient resamples bootstrap_direction redraws per replicate.
+_MAX_RETRIES = 100
+
+
+def bootstrap_direction(X, f, N: int = 100, seed: int = 0) -> BootstrapEnsemble:
     """Row-resampling bootstrap of the active direction.
 
     Replicate k resamples M rows with replacement using the RNG stream
     keyed by (seed, k), refits, and sign-aligns the result to the
     point-estimate direction. Rank-deficient resamples are redrawn within
-    the same stream; exhausting the retry budget raises.
+    the same stream; _MAX_RETRIES of them in a row raise.
     """
     X, f, M, m = _as_design(X, f)
     if N < 1:
@@ -178,7 +181,7 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
     replicates = np.empty((N, m))
     for k in range(N):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        for attempt in range(max_retries_per_replicate):
+        for attempt in range(_MAX_RETRIES):
             idx = rng.integers(0, M, size=M)
             try:
                 w_k, _ = _solve_direction(X[idx], f[idx])
@@ -190,7 +193,7 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
             break
         else:
             raise DegeneracyError(
-                f"bootstrap replicate {k}: {max_retries_per_replicate} resamples "
+                f"bootstrap replicate {k}: {_MAX_RETRIES} resamples "
                 f"in a row were rank-deficient; the sample set is too degenerate "
                 f"to bootstrap"
             )

@@ -243,14 +243,17 @@ def area_mach_ratio(M: float, gamma: float = 1.4) -> float:
     return math.sqrt(core ** ((gamma + 1.0) / (gamma - 1.0)) / (M * M))
 
 
-def mach_from_area_ratio(ratio: float, gamma: float = 1.4,
-                         hi: float = 50.0) -> float:
-    """Supersonic Mach number matching an area ratio (bisection on [1, hi])."""
+# Upper end of the Mach bracket searched by mach_from_area_ratio.
+_MACH_HI = 50.0
+
+
+def mach_from_area_ratio(ratio: float, gamma: float = 1.4) -> float:
+    """Supersonic Mach number matching an area ratio (bisection on [1, 50])."""
     if ratio < 1:
         raise DataError(f"area ratio must be >= 1, got {ratio}")
-    if area_mach_ratio(hi, gamma) < ratio:
-        raise DataError(f"area ratio {ratio} not reachable below Mach {hi}")
-    lo = 1.0
+    if area_mach_ratio(_MACH_HI, gamma) < ratio:
+        raise DataError(f"area ratio {ratio} not reachable below Mach {_MACH_HI}")
+    lo, hi = 1.0, _MACH_HI
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if area_mach_ratio(mid, gamma) < ratio:

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._fileio import atomic_open
 from .errors import DataError
 
 __all__ = [
@@ -163,7 +164,8 @@ class ParameterSpace:
         return cls.from_dict(entries)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def hyshot_space() -> ParameterSpace:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import DataError, DegeneracyError
 
@@ -62,6 +61,10 @@ class QuadraticSurrogate:
         The Student-t quantile comes from the incomplete-beta inversion
         (accurate to well under 1e-8).
         """
+        # Imported here: scipy.special is most of `import asuq.cli`, and
+        # `sample` and `run` never need it.
+        from scipy.special import stdtrit
+
         if self.sigma2_hat is None:
             raise DegeneracyError(
                 "confidence bounds unavailable: exact fit with M = 3 leaves "

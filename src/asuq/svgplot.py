@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ._fileio import atomic_open
 
 __all__ = ["SvgPlot"]
@@ -31,39 +33,37 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
+def _limits(arrays) -> tuple[float, float]:
+    values = np.concatenate([np.empty(0), *arrays])
+    if values.size == 0:
+        values = np.array([0.0, 1.0])
+    return float(values.min()), float(values.max())
+
+
 class SvgPlot:
-    """Accumulates scatter/line layers, then writes one SVG file."""
+    """Accumulates scatter/line layers (float64 arrays), then writes one SVG."""
 
     def __init__(self, xlabel: str = "", ylabel: str = "", title: str = ""):
         self.xlabel, self.ylabel, self.title = xlabel, ylabel, title
         self._layers: list[tuple] = []
-        self._xs: list[float] = []
-        self._ys: list[float] = []
-
-    def _track(self, xs, ys):
-        self._xs.extend(float(v) for v in xs)
-        self._ys.extend(float(v) for v in ys)
 
     def scatter(self, xs, ys, radius: float = 3.0, color: str = "#222222",
                 opacity: float = 1.0):
-        xs, ys = list(xs), list(ys)
-        self._track(xs, ys)
-        self._layers.append(("scatter", xs, ys, radius, color, opacity))
+        self._layers.append(("scatter", np.asarray(xs, dtype=float),
+                             np.asarray(ys, dtype=float), radius, color, opacity))
 
     def line(self, xs, ys, color: str = "#1166cc", width: float = 1.5,
              dashed: bool = False):
-        xs, ys = list(xs), list(ys)
-        self._track(xs, ys)
-        self._layers.append(("line", xs, ys, color, width, dashed))
+        self._layers.append(("line", np.asarray(xs, dtype=float),
+                             np.asarray(ys, dtype=float), color, width, dashed))
 
     def hline(self, y: float, color: str = "#aa3333", dashed: bool = True):
-        self._layers.append(("hline", float(y), color, dashed))
-        self._ys.append(float(y))
+        self._layers.append(("hline", np.empty(0), np.array([float(y)]),
+                             color, dashed))
 
     def save(self, path) -> None:
-        xs, ys = self._xs or [0.0, 1.0], self._ys or [0.0, 1.0]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        x0, x1 = _limits([layer[1] for layer in self._layers])
+        y0, y1 = _limits([layer[2] for layer in self._layers])
         if x1 == x0:
             x0, x1 = x0 - 1, x1 + 1
         if y1 == y0:
@@ -71,6 +71,7 @@ class SvgPlot:
         padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
         x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
+        # Scalars (ticks) and whole layers go through the same operations.
         def px(v):
             return _MARGIN + (v - x0) / (x1 - x0) * (_W - 2 * _MARGIN)
 
@@ -116,29 +117,27 @@ class SvgPlot:
                 f'{self.ylabel}</text>'
             )
 
-        for layer in self._layers:
-            kind = layer[0]
+        for kind, lx, ly, *style in self._layers:
+            cx, cy = px(lx).tolist(), py(ly).tolist()
             if kind == "scatter":
-                _, lx, ly, r, color, opacity = layer
-                for vx, vy in zip(lx, ly):
-                    parts.append(
-                        f'<circle cx="{px(vx):.2f}" cy="{py(vy):.2f}" r="{r}" '
-                        f'fill="{color}" fill-opacity="{opacity}"/>'
-                    )
+                r, color, opacity = style
+                attrs = f' r="{r}" fill="{color}" fill-opacity="{opacity}"/>'
+                parts.extend('<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, attrs)
+                             for vx, vy in zip(cx, cy))
             elif kind == "line":
-                _, lx, ly, color, width, dashed = layer
-                pts = " ".join(f"{px(vx):.2f},{py(vy):.2f}" for vx, vy in zip(lx, ly))
+                color, width, dashed = style
+                pts = " ".join("%.2f,%.2f" % p for p in zip(cx, cy))
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(
                     f'<polyline points="{pts}" fill="none" stroke="{color}" '
                     f'stroke-width="{width}"{dash}/>'
                 )
             elif kind == "hline":
-                _, v, color, dashed = layer
+                color, dashed = style
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(
-                    f'<line x1="{_MARGIN}" y1="{py(v):.2f}" x2="{_W - _MARGIN}" '
-                    f'y2="{py(v):.2f}" stroke="{color}" stroke-width="1.2"{dash}/>'
+                    f'<line x1="{_MARGIN}" y1="{cy[0]:.2f}" x2="{_W - _MARGIN}" '
+                    f'y2="{cy[0]:.2f}" stroke="{color}" stroke-width="1.2"{dash}/>'
                 )
         parts.append("</svg>")
         with atomic_open(path) as fh:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DataError
 from .param_space import ParameterSpace, sample_hypercube
@@ -127,9 +126,10 @@ def inscribed_box(w, y_max: float, x_min) -> InscribedBox:
 
     Maximizes sum(log s_i) subject to sum(|w_i| s_i) <= y_max - w.x_min
     and 0 <= s_i <= 2. The KKT solution is water-filling,
-    s_i = min(2, lam / |w_i|), with the level lam found by bisection until
-    the budget binds; zero-weight coordinates cost nothing and get the
-    full side.
+    s_i = min(2, lam / |w_i|); zero-weight coordinates cost nothing and
+    get the full side. With the k nonzero |w_i| sorted, a_1 <= ... <= a_k,
+    and S_j = a_1 + ... + a_j, the level is exact: the budget B binds at
+    lam = (B - 2 S_j) / (k - j) for the first j with lam <= 2 a_(j+1).
     """
     w = _check_unit(w)
     x_min = np.asarray(x_min, dtype=float).ravel()
@@ -143,19 +143,12 @@ def inscribed_box(w, y_max: float, x_min) -> InscribedBox:
         return InscribedBox(sides=np.full(m, 2.0), empty=False)
 
     active = absw > 0.0
-
-    def spent(lam: float) -> float:
-        s = np.minimum(2.0, lam / absw[active])
-        return float(np.dot(absw[active], s))
-
-    lo, hi = 0.0, 2.0 * float(absw.max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if spent(mid) > budget:
-            hi = mid
-        else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
+    a = np.sort(absw[active])
+    capped = np.concatenate([[0.0], np.cumsum(a[:-1])])
+    levels = (budget - 2.0 * capped) / np.arange(len(a), 0, -1)
+    fits = levels <= 2.0 * a
+    fits[-1] = True  # holds exactly below the full budget; guards rounding
+    lam = levels[np.argmax(fits)]
 
     sides = np.full(m, 2.0)
     sides[active] = np.minimum(2.0, lam / absw[active])
@@ -193,17 +186,23 @@ def _box_normalized_intervals(x_min: np.ndarray, sides: np.ndarray) -> np.ndarra
     return np.column_stack([lo, hi])
 
 
+# Points at which invert_safe_set samples the upper confidence bound.
+_SCAN_POINTS = 2048
+
+
 def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
-                    level: float = 0.99, space: ParameterSpace | None = None,
-                    scan_points: int = 2048) -> SafeSetResult:
+                    level: float = 0.99, space: ParameterSpace | None = None
+                    ) -> SafeSetResult:
     """Find the active-variable cap y_max and the inscribed safe box.
 
-    Scans the upper confidence bound over the active-variable domain
-    [-||w||_1, +||w||_1]; y_max is the supremum of the contiguous feasible
-    interval anchored at the left end, refined by bisection. The bound
-    need not be monotone, so feasibility past the first crossing is
-    ignored. With a space given, the box is reported as physical
-    per-parameter intervals.
+    Scans the upper confidence bound at _SCAN_POINTS points of the
+    active-variable domain [-||w||_1, +||w||_1]; y_max is the supremum of
+    the contiguous feasible interval anchored at the left end, refined by
+    bisection. The bound need not be monotone, so feasibility past the
+    first crossing is ignored. An infeasible gap narrower than one scan
+    step falls between samples unseen, and the reported set then includes
+    unsafe inputs. The box is :func:`inscribed_box`'s closed form. With a
+    space given, it is reported as physical per-parameter intervals.
     """
     w = _check_unit(w)
     if space is not None and space.m != len(w):
@@ -211,7 +210,7 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
     l1 = float(np.abs(w).sum())
     x_min, _ = corner_extrema(w)
 
-    ys = np.linspace(-l1, l1, scan_points)
+    ys = np.linspace(-l1, l1, _SCAN_POINTS)
     ub = surr.upper_confidence(ys, level)
 
     if ub[0] > threshold:
@@ -302,6 +301,8 @@ def _kernel_cdf(q: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
     is still reduced over the same contiguous values, so the result is
     bit-identical to the dense formula.
     """
+    from scipy.special import ndtr  # lazily, as in surrogate.band_halfwidth
+
     out = np.empty(len(q))
     rows = max(1, _KERNEL_BLOCK // len(values))
     for i in range(0, len(q), rows):
@@ -310,20 +311,22 @@ def _kernel_cdf(q: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+# Bandwidths by which the CDF grid extends past the sample extremes.
+_GRID_MARGIN = 4.0
+
+
 def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
-                 seed: int = 0, grid_size: int = 513,
-                 bandwidth: float | None = None,
-                 grid_margin: float = 4.0) -> CdfEstimate:
+                 seed: int = 0, grid_size: int = 513) -> CdfEstimate:
     """Sample the surrogate over uniform inputs and smooth with a Gaussian KDE.
 
     Draws n_samples points on [-1, 1]^m with :func:`sample_hypercube`
     (counter-based, so the set is reproducible and parallel-safe),
     evaluates g(w . x), and smooths with the Silverman bandwidth
-    1.06 * std * n^(-1/5) unless one is given. The grid has ``grid_size``
-    points (at least 2) and spans ``grid_margin`` bandwidths beyond the
-    sample extremes. The kernel sum is evaluated in blocks of grid rows,
-    so memory stays bounded as n grows. Constant output degenerates to a
-    step CDF with zero bandwidth.
+    1.06 * std * n^(-1/5). The grid has ``grid_size`` points (at least 2)
+    and spans _GRID_MARGIN bandwidths beyond the sample extremes. The
+    kernel sum is evaluated in blocks of grid rows, so memory stays
+    bounded as n grows. Constant output degenerates to a step CDF with
+    zero bandwidth.
     """
     w = _check_unit(w)
     if len(w) != m:
@@ -332,8 +335,6 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
         raise DataError(f"n_samples must be >= 2, got {n_samples}")
     if grid_size < 2:
         raise DataError(f"grid_size must be >= 2, got {grid_size}")
-    if bandwidth is not None and bandwidth <= 0:
-        raise DataError(f"bandwidth must be positive, got {bandwidth}")
     X = sample_hypercube(m, n_samples, seed)
     g = np.asarray(surr.predict(X @ w), dtype=float)
 
@@ -347,8 +348,8 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
                            n_samples=n_samples, bandwidth=0.0,
                            degenerate=True, _values=np.array([c]))
 
-    h = bandwidth if bandwidth is not None else 1.06 * std * n_samples ** (-0.2)
-    grid = np.linspace(g.min() - grid_margin * h, g.max() + grid_margin * h,
+    h = 1.06 * std * n_samples ** (-0.2)
+    grid = np.linspace(g.min() - _GRID_MARGIN * h, g.max() + _GRID_MARGIN * h,
                        grid_size)
     cdf = _kernel_cdf(grid, g, h)
     return CdfEstimate(grid=grid, cdf=cdf, n_samples=n_samples, bandwidth=h,

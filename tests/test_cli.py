@@ -525,3 +525,14 @@ class TestEndToEnd:
     def test_no_command_prints_help(self, capsys):
         assert run_cli() == 1
         assert "subcommand" in capsys.readouterr().out.lower() or True
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # `sample` and `run` never need it, and it is most of the import time.
+    code = "import sys, asuq.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -187,6 +187,8 @@ class TestAreaMach:
             area_mach_ratio(2.0, gamma=1.0)
         with pytest.raises(DataError):
             mach_from_area_ratio(0.5)
+        with pytest.raises(DataError, match="not reachable below Mach 50"):
+            mach_from_area_ratio(area_mach_ratio(60.0))
 
 
 class TestEddyGrowth:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -180,6 +181,20 @@ class TestPersistence:
         assert loaded.names == space.names
         np.testing.assert_array_equal(loaded.mins, space.mins)
         np.testing.assert_array_equal(loaded.maxs, space.maxs)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, space,
+                                            monkeypatch):
+        path = tmp_path / "space.json"
+        path.write_text("old\n")
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            space.save(path)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
 
     def test_order_defines_coordinate_index(self, tmp_path):
         path = tmp_path / "s.json"

@@ -282,9 +282,11 @@ class TestInscribedBox:
             w = w / norm
         x_min = corner_extrema(w)[0]
         l1 = float(np.abs(w).sum())
-        # The budget y_max - w.x_min is negative, in [0, 2 l1), or >= 2 l1.
+        # The budget y_max - w.x_min is negative, in (0, 2 l1), or >= 2 l1.
+        # It stays far above the bisection's resolution, 2^-200 max|w_i|,
+        # where the reference itself is wrong.
         budget = {"empty": -1e-3 - fraction,
-                  "partial": 2.0 * l1 * fraction * (1.0 - 1e-12),
+                  "partial": 2.0 * l1 * max(fraction, 1e-12) * (1.0 - 1e-12),
                   "full": 2.0 * l1 + fraction}[regime]
         y_max = float(w @ x_min) + budget
         box = inscribed_box(w, y_max, x_min)
