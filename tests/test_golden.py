@@ -33,7 +33,7 @@ GOLDEN = {
     "range.json":
         "a9e8b44aea292a12f8d313545584de2296757a1955618e9b159ed3172c929351",
     "safeset.json":
-        "542d8da3be853f4c84d9d8b24844fa6f16eaa45023a294b687731b56fc74bfe2",
+        "23735b2b2432c3c2dc562d4a0b58cee839f67e21cf1a288fd2e4654e047b45e9",
     "cdf.csv":
         "a92913970d74b78fe04a022767d74b85cb5388281ed80318e2564abd07319b23",
     "summary.svg":
@@ -47,7 +47,7 @@ GOLDEN = {
     "range.stdout":
         "2d7d46c5f924faa780fa44c8c7dd0d72cf1b44e65ceec39cd22cc6de70f1dab0",
     "safeset/safeset.json":
-        "542d8da3be853f4c84d9d8b24844fa6f16eaa45023a294b687731b56fc74bfe2",
+        "23735b2b2432c3c2dc562d4a0b58cee839f67e21cf1a288fd2e4654e047b45e9",
     "safeset.stdout":
         "12b9522eff3ee87ab02afb8ade623c10bfe1215579f1fed85d1f4a2294f4c029",
     "cdf/cdf.csv":
