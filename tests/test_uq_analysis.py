@@ -21,7 +21,7 @@ from asuq.param_space import sample_hypercube
 
 
 def bisection_box_sides(w, y_max, x_min):
-    """The water-filling level found by 200 bisection steps.
+    """Box sides at the water-filling level found by 200 bisection steps.
 
     Reference for the closed form in ``inscribed_box``: the budget spent
     at level lam, sum(min(2 |w_i|, lam)), is bisected until it binds.
@@ -275,7 +275,7 @@ class TestInscribedBox:
     def test_closed_form_matches_bisection(self, weights, regime, fraction):
         w = np.array(weights)
         norm = np.linalg.norm(w)
-        if not 1e-6 < norm:
+        if norm <= 1e-6:
             w = np.zeros(len(w))
             w[0] = 1.0
         else:
@@ -283,8 +283,8 @@ class TestInscribedBox:
         x_min = corner_extrema(w)[0]
         l1 = float(np.abs(w).sum())
         # The budget y_max - w.x_min is negative, in (0, 2 l1), or >= 2 l1.
-        # It stays far above the bisection's resolution, 2^-200 max|w_i|,
-        # where the reference itself is wrong.
+        # It stays far above the bisection's resolution, 2^-200 max|w_i|;
+        # below that the reference itself is wrong.
         budget = {"empty": -1e-3 - fraction,
                   "partial": 2.0 * l1 * max(fraction, 1e-12) * (1.0 - 1e-12),
                   "full": 2.0 * l1 + fraction}[regime]
@@ -356,7 +356,6 @@ class TestInvertSafeSet:
         surr = fit_quadratic(y, f, y_domain=(-1.4, 1.4))
         threshold = surr.upper_confidence(0.3) - 1e-7
         # The bound exceeds the threshold on y in about [0.29984, 0.30016].
-        assert surr.upper_confidence(0.3) > threshold
         result = invert_safe_set(surr, w, threshold)
         assert result.feasible == "partial"
         assert result.y_max <= 0.29985
