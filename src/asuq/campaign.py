@@ -465,7 +465,7 @@ class CommandEvaluator:
     """Run a user command per point via the JSON stdin/stdout protocol.
 
     The command receives ``{"index": n, "params": {...}, "condition": {...}}``
-    on standard input and must print ``{"qoi": <real>}`` and exit 0.
+    on standard input and must print ``{"qoi": <JSON number>}`` and exit 0.
     """
 
     argv: Sequence[str]
@@ -507,12 +507,10 @@ class CommandEvaluator:
             except json.JSONDecodeError:
                 continue
             if isinstance(obj, dict) and "qoi" in obj:
-                try:
-                    return float(obj["qoi"])
-                except (TypeError, ValueError) as exc:
-                    raise EvaluatorError(
-                        f"run {req.index}: non-numeric qoi {obj['qoi']!r}"
-                    ) from exc
+                qoi = obj["qoi"]
+                if type(qoi) not in (int, float):  # JSON numbers; bool is not one
+                    raise EvaluatorError(f"run {req.index}: non-numeric qoi {qoi!r}")
+                return float(qoi)
         raise EvaluatorError(
             f"run {req.index}: no {{\"qoi\": ...}} object on evaluator stdout"
         )

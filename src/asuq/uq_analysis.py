@@ -186,31 +186,36 @@ def _box_normalized_intervals(x_min: np.ndarray, sides: np.ndarray) -> np.ndarra
     return np.column_stack([lo, hi])
 
 
-# Points at which invert_safe_set samples the upper confidence bound.
-_SCAN_POINTS = 2048
-
-
 def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
                     level: float = 0.99, space: ParameterSpace | None = None
                     ) -> SafeSetResult:
     """Find the active-variable cap y_max and the inscribed safe box.
 
-    Scans the upper confidence bound at _SCAN_POINTS points of the
-    active-variable domain [-||w||_1, +||w||_1]; y_max is the supremum of
-    the contiguous feasible interval anchored at the left end, refined by
-    bisection. The bound need not be monotone, so feasibility past the
-    first crossing is ignored. An infeasible gap narrower than one scan
-    step falls between samples unseen, and the reported set then includes
-    unsafe inputs. The box is :func:`inscribed_box`'s closed form. With a
-    space given, it is reported as physical per-parameter intervals.
+    The upper confidence bound ub = g + b stays <= T exactly where
+    (T - g)^2 >= b^2, and b^2 is a quartic in y, so every crossing of T
+    is a root of one quartic. The bound is tested at the roots' real
+    parts on [-||w||_1, +||w||_1], the two ends and the midpoints
+    between; y_max ends the feasible interval anchored at the left end,
+    refined by bisection so that ub(y_max) <= T. The box is
+    :func:`inscribed_box`'s closed form. With a space given, it is
+    reported as physical per-parameter intervals.
     """
     w = _check_unit(w)
     if space is not None and space.m != len(w):
         raise DataError(f"space has m={space.m}, direction has {len(w)}")
     l1 = float(np.abs(w).sum())
+    if not np.isfinite(threshold):
+        raise DataError(f"threshold must be finite, got {threshold}")
     x_min, _ = corner_extrema(w)
 
-    ys = np.linspace(-l1, l1, _SCAN_POINTS)
+    # b^2 is fixed exactly by five samples. Two close crossings may come
+    # back as a complex pair; its real part still lies between them.
+    nodes = np.linspace(-l1, l1, 5)
+    b2 = np.polyfit(nodes, surr.band_halfwidth(nodes, level) ** 2, 4)
+    h = np.polysub([threshold], surr.coeffs[::-1])  # T - g
+    roots = np.roots(np.polysub(np.polymul(h, h), b2)).real
+    edges = np.sort(np.r_[-l1, l1, np.clip(roots, -l1, l1)])
+    ys = np.sort(np.r_[edges, (edges[:-1] + edges[1:]) / 2])
     ub = surr.upper_confidence(ys, level)
 
     if ub[0] > threshold:

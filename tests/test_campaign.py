@@ -397,6 +397,50 @@ class TestCommandEvaluator:
         with pytest.raises(EvaluatorError):
             ev(req)
 
+    @pytest.mark.parametrize("qoi", ["true", '"2.5"', "null"])
+    def test_non_number_qoi_is_failure(self, tmp_path, qoi):
+        script = tmp_path / "typed.py"
+        script.write_text(f"print('{{\"qoi\": {qoi}}}')\n")
+        ev = CommandEvaluator([sys.executable, str(script)])
+        req = EvalRequest(0, np.zeros(1), {"x1": 0.0}, {})
+        with pytest.raises(EvaluatorError, match="non-numeric qoi"):
+            ev(req)
+
+    def test_nonzero_exit_after_a_qoi_is_failure(self, tmp_path):
+        script = tmp_path / "late_exit.py"
+        script.write_text("import sys\nprint('{\"qoi\": 1.5}')\nsys.exit(3)\n")
+        ev = CommandEvaluator([sys.executable, str(script)])
+        req = EvalRequest(0, np.zeros(1), {"x1": 0.0}, {})
+        with pytest.raises(EvaluatorError, match="exited 3"):
+            ev(req)
+
+    def test_nan_qoi_fails_as_non_finite(self, tmp_path):
+        script = tmp_path / "nan.py"
+        script.write_text(
+            "import json, sys\n"
+            "req = json.load(sys.stdin)\n"
+            "print('{\"qoi\": NaN}' if req['index'] == 1 else '{\"qoi\": 1.0}')\n"
+        )
+        campaign = new_campaign(unit_space(1), 2, seed=4)
+        evaluate_campaign(campaign, CommandEvaluator([sys.executable, str(script)]))
+        assert [r.status for r in campaign.runs] == ["done", "failed"]
+        assert "non-finite" in campaign.runs[1].error
+
+    def test_long_chatter_before_the_qoi(self, tmp_path):
+        script = tmp_path / "chatty.py"
+        script.write_text(
+            "import json, sys\n"
+            "req = json.load(sys.stdin)\n"
+            "for i in range(20000):\n"
+            "    print('solver iteration', i, 'residual', '.' * 80)\n"
+            "print(json.dumps({'qoi': 3.0 * req['params']['x1']}))\n"
+        )
+        campaign = new_campaign(unit_space(1), 1, seed=4)
+        evaluate_campaign(campaign, CommandEvaluator([sys.executable, str(script)]))
+        (rec,) = campaign.runs
+        assert rec.status == "done"
+        assert rec.f == pytest.approx(3.0 * rec.p[0])
+
 
 def test_corner_runs_excluded_from_design():
     sp = hyshot_space()

@@ -138,6 +138,24 @@ class TestRun:
         assert campaign.runs[0].f == 2.0
         assert campaign.runs[1].f == 1.0  # untouched on retry
 
+    def test_timeout_fails_only_the_hanging_run(self, tmp_path, sampled):
+        script = tmp_path / "hang.py"
+        script.write_text(
+            "import json, sys, time\n"
+            "req = json.load(sys.stdin)\n"
+            "if req['index'] == 4:\n"
+            "    time.sleep(30)\n"
+            "print(json.dumps({'qoi': 1.0}))\n"
+        )
+        code = run_cli("run", "--campaign", str(sampled), "--timeout", "0.5",
+                       "--evaluator", f"{sys.executable} {script}")
+        assert code == 5
+        campaign = load_campaign(sampled)
+        (failed,) = campaign.failed_runs()
+        assert failed.index == 4
+        assert "timed out" in failed.error
+        assert len(campaign.done_runs()) == 11
+
     def test_unknown_campaign_path(self, tmp_path):
         assert run_cli("run", "--campaign", str(tmp_path / "nope.json"),
                        "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 from asuq import (
     DataError,
+    ParameterSpace,
     corner_extrema,
     estimate_cdf,
     estimate_range,
@@ -50,6 +51,31 @@ def bisection_box_sides(w, y_max, x_min):
     return sides
 
 
+def scan_safe_set(surr, w, threshold, level=0.99):
+    """(feasible, y_max) from a 2048-point scan of the bound and bisection.
+
+    Reference for the root-based inversion in ``invert_safe_set``; it
+    misses any infeasible gap narrower than one scan step.
+    """
+    l1 = float(np.abs(w).sum())
+    ys = np.linspace(-l1, l1, 2048)
+    ub = surr.upper_confidence(ys, level)
+    if ub[0] > threshold:
+        return "empty", None
+    crossing = np.nonzero(ub > threshold)[0]
+    if len(crossing) == 0:
+        return "full", l1
+    i = int(crossing[0])
+    lo, hi = ys[i - 1], ys[i]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if surr.upper_confidence(mid, level) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return "partial", float(lo)
+
+
 def brute_force_corner(w):
     corners = np.array(list(itertools.product([-1.0, 1.0], repeat=len(w))))
     return corners[np.argmax(corners @ w)]
@@ -84,17 +110,24 @@ def box_product_oracle(w, y_max, x_min, step=1e-3):
     raise NotImplementedError
 
 
-@pytest.fixture
-def safe_fixture():
-    """Surrogate with known coefficients over a 3-parameter direction."""
+@pytest.fixture(scope="module")
+def safe_fixture_data():
+    """Training pairs of known coefficients over a 3-parameter direction."""
     w = np.array([0.8, 0.36, 0.48])
     l1 = float(np.abs(w).sum())
     y = np.linspace(-l1, l1, 50)
     f = 2.0 + 0.5 * y + 0.1 * y ** 2
     rng = np.random.default_rng(17)
     f = f + 0.01 * (f.max() - f.min()) * rng.standard_normal(50)
-    surr = fit_quadratic(y, f, y_domain=(-l1, l1))
-    return surr, w, l1
+    return w, y, f
+
+
+@pytest.fixture
+def safe_fixture(safe_fixture_data):
+    """Surrogate fitted to ``safe_fixture_data``."""
+    w, y, f = safe_fixture_data
+    l1 = float(np.abs(w).sum())
+    return fit_quadratic(y, f, y_domain=(-l1, l1)), w, l1
 
 
 class TestCornerExtrema:
@@ -346,9 +379,6 @@ class TestInvertSafeSet:
             assert entry["min"] == pytest.approx(spec.min, abs=1e-12)
             assert entry["max"] == pytest.approx(spec.max, abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the 2048-point scan steps over an infeasible gap narrower than one "
-        "step (1.4e-3 here, gap 3.2e-4) and reports the whole domain safe"))
     def test_narrow_infeasible_gap_is_found(self):
         w = np.array([0.6, 0.8])
         y = np.linspace(-1.4, 1.4, 60)
@@ -359,6 +389,91 @@ class TestInvertSafeSet:
         result = invert_safe_set(surr, w, threshold)
         assert result.feasible == "partial"
         assert result.y_max <= 0.29985
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, safe_fixture, threshold):
+        surr, w, _ = safe_fixture
+        with pytest.raises(DataError, match="finite"):
+            invert_safe_set(surr, w, threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 7), M=st.integers(4, 79),
+           coeffs=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+           log_noise=st.floats(-12.0, 0.0), seed=st.integers(0, 2**32 - 1),
+           tangent=st.booleans(), u=st.floats(-0.1, 1.1),
+           log_gap=st.floats(-12.0, -3.0))
+    def test_matches_the_scan_and_never_passes_an_unsafe_point(
+            self, m, M, coeffs, log_noise, seed, tangent, u, log_gap):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(m)
+        w /= np.linalg.norm(w)
+        l1 = float(np.abs(w).sum())
+        y = np.linspace(-l1, l1, M)
+        c0, c1, c2 = coeffs
+        f = c0 + c1 * y + c2 * y ** 2 + 10.0 ** log_noise * rng.standard_normal(M)
+        surr = fit_quadratic(y, f, y_domain=(-l1, l1))
+        ub_grid = surr.upper_confidence(np.linspace(-l1, l1, 20001))
+        lo, hi = float(ub_grid.min()), float(ub_grid.max())
+        # Near-tangent thresholds sit just below the bound's maximum.
+        threshold = hi - 10.0 ** log_gap if tangent else lo + u * (hi - lo)
+        # Rounding noise of the computed bound, far below the 1e-12 gaps.
+        noise = 4e-15 * (np.abs(surr.coeffs) @ [1.0, l1, l1 * l1] + 1.0)
+
+        result = invert_safe_set(surr, w, threshold)
+        ref_feasible, ref_y = scan_safe_set(surr, w, threshold)
+        if result.feasible == "empty" or ref_feasible == "empty":
+            assert result.feasible == ref_feasible == "empty"
+            return
+        y_max = result.y_max
+        if result.feasible == "partial":
+            assert surr.upper_confidence(y_max) <= threshold
+        grid = np.linspace(-l1, y_max, 20001)
+        assert not np.any(surr.upper_confidence(grid) > threshold + noise)
+        if abs(y_max - ref_y) > 1e-9:
+            assert y_max < ref_y
+            probe = np.r_[y_max + np.geomspace(1e-12, 1.0, 61),
+                          np.linspace(y_max, ref_y, 2001)]
+            probe = probe[(probe > y_max) & (probe <= ref_y)]
+            assert np.any(surr.upper_confidence(probe) > threshold)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), b=st.floats(-100.0, 100.0),
+           threshold=st.sampled_from([1.0, 2.0, 2.5, 3.0, 100.0]))
+    def test_affine_output_map_keeps_the_safe_set(self, safe_fixture_data,
+                                                  a, b, threshold):
+        w, y, f = safe_fixture_data
+        l1 = float(np.abs(w).sum())
+        base = invert_safe_set(fit_quadratic(y, f, y_domain=(-l1, l1)),
+                               w, threshold)
+        mapped = invert_safe_set(fit_quadratic(y, a * f + b, y_domain=(-l1, l1)),
+                                 w, a * threshold + b)
+        assert mapped.feasible == base.feasible
+        if base.y_max is None:
+            assert mapped.y_max is None
+        else:
+            assert mapped.y_max == pytest.approx(base.y_max, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_permuted_parameters_permute_the_box(self, seed):
+        space = hyshot_space()
+        w = ridge_direction(space.m, seed=seed)
+        l1 = float(np.abs(w).sum())
+        y = np.linspace(-l1, l1, 40)
+        f = 1.0 + y + 0.3 * y ** 2 + 0.01 * np.sin(5.0 * y)
+        # ||w[perm]||_1 may exceed l1 by an ulp; sqrt(7) < 3 covers both.
+        surr = fit_quadratic(y, f, y_domain=(-3.0, 3.0))
+        threshold = float(surr.upper_confidence(0.0))
+        perm = np.random.default_rng(seed).permutation(space.m)
+        permuted = ParameterSpace([space.params[i] for i in perm])
+        base = invert_safe_set(surr, w, threshold, space=space)
+        moved = invert_safe_set(surr, w[perm], threshold, space=permuted)
+        assert base.feasible == moved.feasible == "partial"
+        # Only the summation order of w . x_min and ||w||_1 changes.
+        np.testing.assert_allclose(moved.box_sides, base.box_sides[perm],
+                                   rtol=0, atol=1e-12)
+        for entry, i in zip(moved.safe_ranges, perm):
+            expected = {**base.safe_ranges[i], "index": entry["index"]}
+            assert entry == pytest.approx(expected, abs=1e-12)
 
     def test_restricted_parameters_marked(self, safe_fixture):
         surr, w, _ = safe_fixture
