@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import queue
 import shlex
 import subprocess
-import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +57,7 @@ class RunRecord:
     index: int
     x: np.ndarray
     p: np.ndarray
-    status: str = "pending"  # pending | running | done | failed
+    status: str = "pending"  # pending | done | failed
     f: float | None = None
     wall_time: float | None = None
     error: str | None = None
@@ -169,23 +169,25 @@ def evaluate_campaign(campaign: Campaign,
                       checkpoint: Callable[[RunRecord], None] | None = None,
                       runs: Sequence[RunRecord] | None = None,
                       ) -> Campaign:
-    """Run the evaluator on every pending run (or just the given ones).
+    """Run the evaluator on every pending run, or on the given runs.
 
+    Given ``runs`` are attempted unless already done (resume semantics).
     Each result depends only on the run's own point, so the final table is
-    independent of ``max_concurrency`` and of completion order. Runs that
-    raise are marked failed with the diagnostic captured; already-done
-    runs are never touched (resume semantics). ``checkpoint`` receives
-    each finished record, one call at a time (see :func:`append_run`). Raises
-    :class:`EvaluatorError` only if every attempted run fails.
+    independent of ``max_concurrency`` and of completion order. The
+    evaluator runs on a worker thread at every concurrency; the calling
+    thread alone records each result as it completes (failed, with the
+    diagnostic, if the evaluator raised) and passes it to ``checkpoint``
+    (see :func:`append_run`). After an interrupt it records nothing more,
+    so runs in flight stay as they were, and returns only once their
+    evaluations return. Raises :class:`EvaluatorError` only if every
+    attempted run fails.
     """
     if max_concurrency < 1:
         raise UsageError(f"max_concurrency must be >= 1, got {max_concurrency}")
-    pending = [r for r in (campaign.pending_runs() if runs is None else runs)
-               if r.status == "pending"]
-    if not pending:
+    todo = campaign.pending_runs() if runs is None else \
+        [r for r in runs if r.status != "done"]
+    if not todo:
         return campaign
-
-    lock = threading.Lock()
 
     def _one(rec: RunRecord):
         req = EvalRequest(
@@ -199,29 +201,32 @@ def evaluate_campaign(campaign: Campaign,
             value = float(evaluator(req))
             if not math.isfinite(value):
                 raise EvaluatorError(f"run {rec.index}: non-finite result {value}")
-            status, error = "done", None
         except Exception as exc:
-            value, status, error = None, "failed", str(exc)
-        with lock:
-            rec.status, rec.f, rec.error = status, value, error
-            if record_timing and status == "done":
-                rec.wall_time = time.perf_counter() - t0
+            return None, str(exc), None
+        return value, None, time.perf_counter() - t0
+
+    # Done callbacks queue each future as it completes; as_completed would
+    # yield the futures already finished when it starts in arbitrary order.
+    completed = queue.SimpleQueue()
+    pool = ThreadPoolExecutor(max_workers=max_concurrency)
+    try:
+        for rec in todo:
+            pool.submit(_one, rec).add_done_callback(
+                lambda fut, rec=rec: completed.put((rec, fut)))
+        for _ in todo:
+            rec, fut = completed.get()
+            rec.f, rec.error, wall = fut.result()
+            rec.status = "done" if rec.error is None else "failed"
+            if record_timing:
+                rec.wall_time = wall  # None for a failed run
             if checkpoint is not None:
                 checkpoint(rec)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    if max_concurrency == 1:
-        for rec in pending:
-            _one(rec)
-    else:
-        with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
-            list(pool.map(_one, pending))
-
-    if all(r.status == "failed" for r in pending):
-        first = pending[0]
-        raise EvaluatorError(
-            f"all {len(pending)} attempted runs failed "
-            f"(first diagnostic: {first.error})"
-        )
+    if all(r.status == "failed" for r in todo):
+        raise EvaluatorError(f"all {len(todo)} attempted runs failed "
+                             f"(first diagnostic: {todo[0].error})")
     return campaign
 
 
@@ -259,10 +264,14 @@ def _record_from_dict(rd: dict) -> RunRecord:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad run record: {exc}") from exc
+    if rec.status not in ("pending", "running", "done", "failed"):
+        raise DataError(f"run {rec.index}: unknown status {rec.status!r}")
+    if rec.role not in ("sample", "corner"):
+        raise DataError(f"run {rec.index}: unknown role {rec.role!r}")
     if rec.status == "done" and (rec.f is None or not math.isfinite(rec.f)):
         raise DataError(f"run {rec.index} marked done without a finite result")
     if rec.status == "running":
-        rec.status = "pending"  # interrupted run: retry on resume
+        rec.status = "pending"  # written by older versions: retry on resume
     return rec
 
 
@@ -277,10 +286,10 @@ def append_run(path, rec: RunRecord) -> None:
 
     One compact JSON line per call, not fsynced: a kill can at worst tear
     the last line, which :func:`load_campaign` ignores. Callers writing
-    from several threads must serialise the calls (``evaluate_campaign``
-    calls its checkpoint under a lock). After loading a campaign whose
-    journal may end in a torn line, compact it with :func:`save_campaign`
-    before appending again.
+    from several threads must serialise the calls; ``evaluate_campaign``
+    makes them all from its calling thread. After loading a campaign
+    whose journal may end in a torn line, compact it with
+    :func:`save_campaign` before appending again.
     """
     with open(journal_path(path), "a") as fh:
         fh.write(json.dumps(_record_to_dict(rec)) + "\n")

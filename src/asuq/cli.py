@@ -129,18 +129,11 @@ class _FittedCampaign:
         evaluator = _build_evaluator(self.args, campaign.m)
 
         def evaluate_corner(x_corner):
-            same = [r for r in campaign.runs
-                    if r.role == "corner" and np.array_equal(r.x, x_corner)]
-            for rec in same:
-                if rec.status == "done":
-                    return rec.f
-            rec = same[0] if same else campaign.append_point(x_corner,
-                                                             role="corner")
-            rec.status, rec.error = "pending", None
+            rec = next((r for r in campaign.runs if r.role == "corner"
+                        and np.array_equal(r.x, x_corner)), None)
+            rec = rec or campaign.append_point(x_corner, role="corner")
             evaluate_campaign(campaign, evaluator, runs=[rec],
                               record_timing=self.args.record_timing)
-            if rec.status != "done":
-                raise RuntimeError(rec.error or "corner evaluation failed")
             return rec.f
 
         rng = estimate_range(self.asub.w, evaluate_corner, self.f,
@@ -224,12 +217,9 @@ def cmd_run(args) -> int:
         # follow a torn line left by a killed run.
         save_campaign(campaign, args.campaign)
     evaluator = _build_evaluator(args, campaign.m)
-    if args.retry_failed:
-        for rec in campaign.failed_runs():
-            rec.status = "pending"
-            rec.error = None
-    pending = len(campaign.pending_runs())
-    if pending == 0:
+    wanted = ("pending", "failed") if args.retry_failed else ("pending",)
+    todo = [rec for rec in campaign.runs if rec.status in wanted]
+    if not todo:
         print("no pending runs; nothing to do")
         return 0
     try:
@@ -238,12 +228,13 @@ def cmd_run(args) -> int:
             max_concurrency=args.max_concurrency,
             record_timing=args.record_timing,
             checkpoint=lambda rec: append_run(args.campaign, rec),
+            runs=todo,
         )
     finally:
         save_campaign(campaign, args.campaign)
     done = len(campaign.done_runs())
     failed = len(campaign.failed_runs())
-    print(f"{done} done, {failed} failed ({pending} attempted this invocation)")
+    print(f"{done} done, {failed} failed ({len(todo)} attempted this invocation)")
     return 0 if failed == 0 else EXIT_PARTIAL_FAILURE
 
 
@@ -450,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--campaign", required=True)
     p_run.add_argument("--max-concurrency", type=int, default=1)
     p_run.add_argument("--retry-failed", action="store_true",
-                       help="reset failed runs to pending before dispatch")
+                       help="evaluate failed runs again as well")
     _add_evaluator_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 

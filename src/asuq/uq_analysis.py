@@ -242,6 +242,8 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
             box = inscribed_box(w, y_max, x_min)
 
     intervals = _box_normalized_intervals(x_min, box.sides)
+    if space is not None:
+        p_lo, p_hi = space.denormalize(intervals.T)
     safe_ranges = []
     for i in range(len(w)):
         entry = {
@@ -252,12 +254,11 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
         }
         if space is not None:
             spec = space.params[i]
-            half_span = (spec.max - spec.min) / 2.0
             entry.update({
                 "name": spec.name,
                 "units": spec.units,
-                "min": float(spec.min + (intervals[i, 0] + 1.0) * half_span),
-                "max": float(spec.min + (intervals[i, 1] + 1.0) * half_span),
+                "min": float(p_lo[i]),
+                "max": float(p_hi[i]),
             })
         safe_ranges.append(entry)
 

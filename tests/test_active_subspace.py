@@ -125,6 +125,15 @@ class TestBootstrap:
         assert np.all(lo <= asub.w + 1e-12)
         assert np.all(asub.w - 1e-12 <= hi)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_retry_limit_raises(self, seed):
+        # With M = m + 1 points nearly every resample repeats a point, so
+        # each replicate runs out of retries on a rank-deficient resample.
+        X = sample_hypercube(10, 11, seed=0)
+        f = X @ np.arange(1.0, 11.0)
+        with pytest.raises(DegeneracyError, match="rank-deficient"):
+            bootstrap_direction(X, f, N=5, seed=seed)
+
     def test_deterministic_given_seed(self, ridge_fixture):
         X, f, _ = ridge_fixture
         a = bootstrap_direction(X, f, N=30, seed=9)

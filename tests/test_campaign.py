@@ -122,6 +122,17 @@ class TestEvaluate:
         save_campaign(fresh, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_given_runs_are_attempted_unless_done(self, small_campaign):
+        evaluate_campaign(small_campaign,
+                          lambda req: 1 / 0 if req.index == 2 else 1.0)
+        seen = []
+        evaluate_campaign(small_campaign,
+                          lambda req: seen.append(req.index) or 2.0,
+                          runs=small_campaign.runs)
+        assert seen == [2]
+        assert [r.f for r in small_campaign.runs] == [1.0, 1.0, 2.0, 1.0, 1.0]
+        assert small_campaign.runs[2].error is None
+
     def test_invalid_concurrency(self, small_campaign):
         with pytest.raises(UsageError):
             evaluate_campaign(small_campaign, constant_evaluator(0.0),
@@ -252,6 +263,10 @@ class TestJournal:
         "",
         '{"index": 0}',
         '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "done"}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "Done", "f": 1.0}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "bogus"}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "pending", '
+        '"role": "validation"}',
     ])
     def test_malformed_complete_line_rejected(self, saved, line):
         journal_path(saved).write_text(line + "\n")

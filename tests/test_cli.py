@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -156,21 +157,36 @@ class TestRun:
         assert "timed out" in failed.error
         assert len(campaign.done_runs()) == 11
 
+    @pytest.mark.parametrize("field, value", [("status", "Done"),
+                                              ("role", "bogus")])
+    def test_unknown_status_or_role_exits_2(self, sampled, field, value,
+                                            capsys):
+        manifest = json.loads(sampled.read_text())
+        manifest["runs"][3][field] = value
+        sampled.write_text(json.dumps(manifest))
+        assert run_cli("run", "--campaign", str(sampled),
+                       "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+        assert repr(value) in capsys.readouterr().err
+
     def test_unknown_campaign_path(self, tmp_path):
         assert run_cli("run", "--campaign", str(tmp_path / "nope.json"),
                        "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
 
 
 # Evaluator for the kill-and-resume tests: the first time it sees the run
-# named by argv[1] (guarded by the marker file argv[2]) it SIGKILLs its
-# parent, the `asuq run` process.
+# named by argv[1] (guarded by the marker file argv[2]) it either SIGKILLs
+# its parent, the `asuq run` process, or, like a terminal Ctrl-C, sends
+# SIGINT to the whole process group (argv[3] is "kill" or "sigint").
 KILLER = """\
 import json, os, signal, sys
-kill_at, marker = int(sys.argv[1]), sys.argv[2]
+kill_at, marker, how = int(sys.argv[1]), sys.argv[2], sys.argv[3]
 req = json.load(sys.stdin)
 if req["index"] == kill_at and not os.path.exists(marker):
     open(marker, "w").close()
-    os.kill(os.getppid(), signal.SIGKILL)
+    if how == "sigint":
+        os.killpg(0, signal.SIGINT)
+    else:
+        os.kill(os.getppid(), signal.SIGKILL)
     sys.exit(1)
 values = list(req["params"].values())
 print(json.dumps({"qoi": sum((i + 1) * v for i, v in enumerate(values))}))
@@ -192,17 +208,24 @@ class TestJournal:
         assert run_cli("run", "--campaign", str(fresh), *flags) == 0
         return fresh.read_bytes()
 
-    def killer_run(self, tmp_path, campaign, kill_at, concurrency="1"):
-        """`asuq run` in a subprocess whose evaluator kills it at run kill_at."""
+    def killer_run(self, tmp_path, campaign, kill_at, concurrency="1",
+                   how="kill"):
+        """`asuq run` in a subprocess whose evaluator kills it at run kill_at.
+
+        The subprocess leads its own process group, so a group SIGINT
+        reaches it and its evaluators but not the test runner.
+        """
         script = tmp_path / "killer.py"
         script.write_text(KILLER)
-        evaluator = f"{sys.executable} {script} {kill_at} {tmp_path / 'killed'}"
+        evaluator = (f"{sys.executable} {script} {kill_at} "
+                     f"{tmp_path / 'killed'} {how}")
         argv = [sys.executable, "-m", "asuq.cli", "run", "--campaign",
                 str(campaign), "--evaluator", evaluator,
                 "--max-concurrency", concurrency]
         env = dict(os.environ,
                    PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
-        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120,
+                              start_new_session=True)
         return proc, evaluator
 
     @pytest.mark.parametrize("concurrency", ["1", "2"])
@@ -216,6 +239,23 @@ class TestJournal:
         assert partial.runs[5].status == "pending"
 
         resumed, _ = self.killer_run(tmp_path, sampled, 5, concurrency)
+        assert resumed.returncode == 0, resumed.stderr
+        assert leftovers(tmp_path) == []
+        assert sampled.read_bytes() == self.uninterrupted(
+            tmp_path, "--evaluator", evaluator)
+
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    def test_ctrl_c_leaves_unfinished_runs_pending(self, tmp_path, sampled,
+                                                   concurrency):
+        interrupted, evaluator = self.killer_run(tmp_path, sampled, 5,
+                                                 concurrency, how="sigint")
+        assert interrupted.returncode == -signal.SIGINT
+        partial = load_campaign(sampled)
+        assert partial.failed_runs() == []
+        assert partial.runs[5].status == "pending"
+
+        resumed, _ = self.killer_run(tmp_path, sampled, 5, concurrency,
+                                     how="sigint")
         assert resumed.returncode == 0, resumed.stderr
         assert leftovers(tmp_path) == []
         assert sampled.read_bytes() == self.uninterrupted(
@@ -514,13 +554,14 @@ class TestScenario:
 class TestEndToEnd:
     def test_pipeline_byte_identical(self, tmp_path):
         digests = []
-        for tag in ("one", "two"):
+        for tag, concurrency in (("one", "1"), ("two", "2")):
             work = tmp_path / tag
             work.mkdir()
             campaign = work / "campaign.json"
             assert run_cli("sample", "-M", "10", "--seed", "21",
                            "--out", str(campaign)) == 0
             assert run_cli("run", "--campaign", str(campaign),
+                           "--max-concurrency", concurrency,
                            "--evaluator", "ridge:cubic-monotone",
                            "--wtrue-seed", "6") == 0
             assert run_cli("analyze", "--campaign", str(campaign),
