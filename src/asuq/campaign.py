@@ -15,7 +15,6 @@ import math
 import queue
 import shlex
 import subprocess
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ class RunRecord:
     p: np.ndarray
     status: str = "pending"  # pending | done | failed
     f: float | None = None
-    wall_time: float | None = None
     error: str | None = None
     role: str = "sample"     # sample | corner
 
@@ -165,7 +163,6 @@ def new_campaign(space: ParameterSpace, M: int, seed: int,
 def evaluate_campaign(campaign: Campaign,
                       evaluator: Callable[[EvalRequest], float],
                       max_concurrency: int = 1,
-                      record_timing: bool = False,
                       checkpoint: Callable[[RunRecord], None] | None = None,
                       runs: Sequence[RunRecord] | None = None,
                       ) -> Campaign:
@@ -196,14 +193,13 @@ def evaluate_campaign(campaign: Campaign,
             params={n: float(v) for n, v in zip(campaign.space.names, rec.p)},
             condition=dict(campaign.condition),
         )
-        t0 = time.perf_counter()
         try:
             value = float(evaluator(req))
             if not math.isfinite(value):
                 raise EvaluatorError(f"run {rec.index}: non-finite result {value}")
         except Exception as exc:
-            return None, str(exc), None
-        return value, None, time.perf_counter() - t0
+            return None, str(exc)
+        return value, None
 
     # Done callbacks queue each future as it completes; as_completed would
     # yield the futures already finished when it starts in arbitrary order.
@@ -215,10 +211,8 @@ def evaluate_campaign(campaign: Campaign,
                 lambda fut, rec=rec: completed.put((rec, fut)))
         for _ in todo:
             rec, fut = completed.get()
-            rec.f, rec.error, wall = fut.result()
+            rec.f, rec.error = fut.result()
             rec.status = "done" if rec.error is None else "failed"
-            if record_timing:
-                rec.wall_time = wall  # None for a failed run
             if checkpoint is not None:
                 checkpoint(rec)
     finally:
@@ -241,8 +235,6 @@ def _record_to_dict(rec: RunRecord) -> dict:
     }
     if rec.f is not None:
         d["f"] = float(rec.f)
-    if rec.wall_time is not None:
-        d["wall_time"] = float(rec.wall_time)
     if rec.error is not None:
         d["error"] = rec.error
     if rec.role != "sample":
@@ -251,6 +243,7 @@ def _record_to_dict(rec: RunRecord) -> dict:
 
 
 def _record_from_dict(rd: dict) -> RunRecord:
+    # Unknown keys, such as the run times older versions stored, are ignored.
     try:
         rec = RunRecord(
             index=int(rd["index"]),
@@ -258,7 +251,6 @@ def _record_from_dict(rd: dict) -> RunRecord:
             p=np.array(rd["p"], dtype=float),
             status=str(rd["status"]),
             f=None if rd.get("f") is None else float(rd["f"]),
-            wall_time=None if rd.get("wall_time") is None else float(rd["wall_time"]),
             error=rd.get("error"),
             role=str(rd.get("role", "sample")),
         )

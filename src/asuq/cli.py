@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -132,8 +133,7 @@ class _FittedCampaign:
             rec = next((r for r in campaign.runs if r.role == "corner"
                         and np.array_equal(r.x, x_corner)), None)
             rec = rec or campaign.append_point(x_corner, role="corner")
-            evaluate_campaign(campaign, evaluator, runs=[rec],
-                              record_timing=self.args.record_timing)
+            evaluate_campaign(campaign, evaluator, runs=[rec])
             return rec.f
 
         rng = estimate_range(self.asub.w, evaluate_corner, self.f,
@@ -222,18 +222,27 @@ def cmd_run(args) -> int:
     if not todo:
         print("no pending runs; nothing to do")
         return 0
+    interrupted = False
     try:
         evaluate_campaign(
             campaign, evaluator,
             max_concurrency=args.max_concurrency,
-            record_timing=args.record_timing,
             checkpoint=lambda rec: append_run(args.campaign, rec),
             runs=todo,
         )
+    except KeyboardInterrupt:
+        interrupted = True
     finally:
         save_campaign(campaign, args.campaign)
     done = len(campaign.done_runs())
     failed = len(campaign.failed_runs())
+    if interrupted:
+        print(f"interrupted: {done} done, {failed} failed, "
+              f"{len(campaign.pending_runs())} pending; rerun `asuq run` "
+              f"to evaluate the pending runs", file=sys.stderr, flush=True)
+        # End by SIGINT, as an uncaught Ctrl-C would, so calling scripts stop.
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
     print(f"{done} done, {failed} failed ({len(todo)} attempted this invocation)")
     return 0 if failed == 0 else EXIT_PARTIAL_FAILURE
 
@@ -408,8 +417,6 @@ def _add_evaluator_flags(p) -> None:
                    help="deterministic pseudo-noise amplitude for ridge evaluators")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-evaluation timeout in seconds (external commands)")
-    p.add_argument("--record-timing", action="store_true",
-                   help="persist wall times (breaks byte-identical reruns)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -92,7 +92,6 @@ class TransitionSpec:
 
     x_t0: float
     varphi: float = 0.2
-    criterion_constant: float = 200.0  # Re_theta / M_e at transition
 
     def __post_init__(self):
         if self.x_t0 <= 0:
@@ -291,8 +290,9 @@ def nominal_dissipation_length(test_section_diameter: float = 0.610,
 def transition_range(spec: TransitionSpec) -> tuple[float, float]:
     """Transition-location range from perturbing the onset criterion.
 
-    Perturbing Re_theta/M_e by (1 +/- varphi), with the momentum thickness
-    growing as sqrt(x), moves the location by (1 +/- 2 varphi).
+    Perturbing the criterion Re_theta/M_e = 200 by (1 +/- varphi), with
+    the momentum thickness growing as sqrt(x), moves the location by
+    (1 +/- 2 varphi).
     """
     return spec.x_t0 * (1.0 - 2.0 * spec.varphi), spec.x_t0 * (1.0 + 2.0 * spec.varphi)
 

@@ -182,19 +182,17 @@ def unit_space(m: int) -> ParameterSpace:
     )
 
 
-def sample_hypercube(m: int, n: int, seed: int, start: int = 0) -> np.ndarray:
+def sample_hypercube(m: int, n: int, seed: int) -> np.ndarray:
     """Uniform samples on [-1, 1]^m from a counter-based (Philox) stream.
 
     Philox emits four 64-bit words per counter step, one per double, so
-    row j owns the aligned counter block starting at (start + j) * ceil(m/4)
-    under a key derived once from ``seed``. Row j is therefore a pure
-    function of (seed, start + j): a longer draw extends a shorter one,
-    and concurrency or resumption never changes the generated set. All n
-    rows come from one vectorised draw; the result is C-contiguous with
-    shape (n, m).
+    row j owns the aligned counter block starting at j * ceil(m/4) under
+    a key derived once from ``seed``. Row j is therefore a pure function
+    of (seed, j): a longer draw extends a shorter one. All n rows come
+    from one vectorised draw; the result is C-contiguous with shape (n, m).
     """
     words = -(-m // 4)  # counter steps per row
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key, counter=start * words)
+    bitgen = np.random.Philox(key=key)
     draws = np.random.Generator(bitgen).uniform(-1.0, 1.0, (n, 4 * words))
     return np.ascontiguousarray(draws[:, :m])

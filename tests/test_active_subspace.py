@@ -292,6 +292,28 @@ class TestCMatrixOracle:
         W = est.eigenvectors
         np.testing.assert_allclose(W.T @ W, np.eye(4), atol=1e-10)
 
+    def test_matches_the_sum_of_outer_products(self):
+        # Reference: the per-point accumulation that one product replaced;
+        # only the summation order differs.
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(5, 5))
+
+        def grad(x):
+            return A @ x + x ** 2
+
+        est = estimate_c_gradient_oracle(grad, m=5, n_mc=300, seed=4)
+        C = np.zeros((5, 5))
+        for x in sample_hypercube(5, 300, seed=4):
+            C += np.outer(grad(x), grad(x))
+        C /= 300
+        np.testing.assert_allclose(est.C, (C + C.T) / 2.0, rtol=1e-12,
+                                   atol=1e-12 * np.abs(C).max())
+
+    def test_wrong_gradient_shape_raises(self):
+        with pytest.raises(DataError, match=r"gradient shape \(3,\) != \(2,\)"):
+            estimate_c_gradient_oracle(lambda x: np.zeros(3), m=2, n_mc=10,
+                                       seed=0)
+
     def test_non_finite_gradient_raises(self):
         from asuq import EvaluatorError
 

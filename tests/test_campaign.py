@@ -291,6 +291,28 @@ class TestJournal:
         save_campaign(campaign, direct)
         assert saved.read_bytes() == direct.read_bytes()
 
+    def test_old_wall_time_keys_load_and_vanish_on_save(self, saved, tmp_path,
+                                                        small_campaign):
+        # Older versions could write wall times into the manifest and journal.
+        evaluate_campaign(small_campaign, constant_evaluator(3.0),
+                          runs=small_campaign.runs[:4])
+        save_campaign(small_campaign, saved)
+        manifest = json.loads(saved.read_text())
+        manifest["runs"][0]["wall_time"] = 0.25
+        saved.write_text(json.dumps(manifest, indent=2) + "\n")
+        line = dict(manifest["runs"][4], status="done", f=3.0, wall_time=0.5)
+        journal_path(saved).write_text(json.dumps(line) + "\n")
+
+        loaded = load_campaign(saved)
+        assert [r.status for r in loaded.runs] == ["done"] * 5
+        save_campaign(loaded, saved)
+        assert all("wall_time" not in rd
+                   for rd in json.loads(saved.read_text())["runs"])
+        evaluate_campaign(small_campaign, constant_evaluator(3.0))
+        direct = tmp_path / "direct.json"
+        save_campaign(small_campaign, direct)
+        assert saved.read_bytes() == direct.read_bytes()
+
 
 class TestDataset:
     def test_load_50_row_dataset(self, tmp_path):

@@ -94,6 +94,16 @@ class TestRun:
         assert run_cli("run", "--campaign", str(sampled),
                        "--evaluator", "ridge:linear") == 1
 
+    @pytest.mark.parametrize("command", ["run", "analyze", "range"])
+    def test_record_timing_is_gone(self, evaluated, command, monkeypatch):
+        # Wall times would break byte-identical reruns of the manifest.
+        monkeypatch.chdir(evaluated.parent)
+        seed = ["--seed", "1"] if command == "analyze" else []
+        argv = [command, "--campaign", str(evaluated), *seed,
+                "--evaluator", "ridge:linear", "--wtrue-seed", "3"]
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv, "--record-timing") == 1
+
     def test_partial_failure_exit_code(self, tmp_path, sampled):
         script = tmp_path / "flaky.py"
         script.write_text(
@@ -253,6 +263,10 @@ class TestJournal:
         partial = load_campaign(sampled)
         assert partial.failed_runs() == []
         assert partial.runs[5].status == "pending"
+        done = len(partial.done_runs())
+        assert b"Traceback" not in interrupted.stderr
+        assert f"{done} done, 0 failed, {12 - done} pending".encode() \
+            in interrupted.stderr
 
         resumed, _ = self.killer_run(tmp_path, sampled, 5, concurrency,
                                      how="sigint")
@@ -381,6 +395,16 @@ class TestAnalyze:
         assert sum(1 for ln in lines if ln.endswith(",sample")) == 12
         assert sum(1 for ln in lines if ln.endswith(",bootstrap")) == 20 * 12
         assert "Angle of Attack" in capsys.readouterr().out
+
+    def test_output_dir_from_environment(self, evaluated, tmp_path,
+                                         monkeypatch):
+        out = tmp_path / "from-env"
+        monkeypatch.setenv("ASUQ_OUTPUT_DIR", str(out))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("analyze", "--campaign", str(evaluated),
+                       "--seed", "1", "--bootstrap", "5") == 0
+        assert json.loads((out / "results.json").read_text())["M"] == 12
+        assert not (tmp_path / "results.json").exists()
 
     def test_ranking_matches_direction(self, evaluated, tmp_path):
         out = tmp_path / "r"
