@@ -166,40 +166,103 @@ def fit_active_direction(X, f) -> ActiveSubspace:
 # Rank-deficient resamples bootstrap_direction redraws per replicate.
 _MAX_RETRIES = 100
 
+# Replicates solved per batch by bootstrap_direction; bounds the
+# (block, m+1, m+1) Gram stack next to the (M, (m+1)^2) row outer products.
+_BOOTSTRAP_BLOCK = 64
 
-def bootstrap_direction(X, f, N: int = 100, seed: int = 0) -> BootstrapEnsemble:
+# The normal equations lose about cond(G) * eps of relative accuracy, where
+# cond(G) = cond(A_idx)^2. A replicate whose Gram matrix is worse conditioned
+# than this (a singular one, from fewer than m+1 distinct points, included),
+# or whose gradient norm is within _FLOOR_MARGIN of the constant-response
+# floor, is refitted by orthogonal factorization instead.
+_GRAM_COND_MAX = 1e4
+_FLOOR_MARGIN = 1e4
+
+
+def _replicate_rng(seed: int, k: int):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+def _refit_replicate(X: np.ndarray, f: np.ndarray, w: np.ndarray,
+                     seed: int, k: int) -> np.ndarray:
+    """Replicate k by least squares on each resample of its stream in turn.
+
+    Rank-deficient resamples are redrawn; _MAX_RETRIES of them in a row raise.
+    """
+    M = len(f)
+    rng = _replicate_rng(seed, k)
+    for _ in range(_MAX_RETRIES):
+        idx = rng.integers(0, M, size=M)
+        try:
+            w_k, _ = _solve_direction(X[idx], f[idx])
+        except DegeneracyError:
+            continue
+        return -w_k if np.dot(w_k, w) < 0 else w_k
+    raise DegeneracyError(
+        f"bootstrap replicate {k}: {_MAX_RETRIES} resamples "
+        f"in a row were rank-deficient; the sample set is too degenerate "
+        f"to bootstrap"
+    )
+
+
+def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
+                        asub: ActiveSubspace | None = None) -> BootstrapEnsemble:
     """Row-resampling bootstrap of the active direction.
 
     Replicate k resamples M rows with replacement using the RNG stream
     keyed by (seed, k), refits, and sign-aligns the result to the
-    point-estimate direction. Rank-deficient resamples are redrawn within
-    the same stream; _MAX_RETRIES of them in a row raise.
+    point-estimate direction ``asub.w`` (fitted here when not given).
+
+    The fit on rows idx_k is the fit weighted by the resample counts
+    c_k = bincount(idx_k), so each block of replicates is one batched
+    solve of A' diag(c_k) A u = A' diag(c_k) f with A = [1 | X]. A
+    replicate with an ill-conditioned or singular Gram matrix, or with a
+    gradient near the constant-response floor, goes back to
+    least squares on its stream from the start, redrawing rank-deficient
+    resamples; _MAX_RETRIES of them in a row raise.
     """
     X, f, M, m = _as_design(X, f)
     if N < 1:
         raise DataError(f"replicate count must be >= 1, got {N}")
-    base = fit_active_direction(X, f)
-    w = base.w
+    if asub is None:
+        asub = fit_active_direction(X, f)
+    elif len(asub.w) != m:
+        raise DataError(f"direction has {len(asub.w)} components, samples have {m}")
+    w = asub.w
 
+    p = m + 1
+    A = np.column_stack([np.ones(M), X])
+    outer = (A[:, :, None] * A[:, None, :]).reshape(M, p * p)
+    # Centering f moves only the intercept, and keeps a large mean response
+    # from inflating the rounding error of the batched gradient.
+    Af = A * (f - f.mean())[:, None]
+    f_abs = np.abs(f)
     replicates = np.empty((N, m))
-    for k in range(N):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        for attempt in range(_MAX_RETRIES):
-            idx = rng.integers(0, M, size=M)
-            try:
-                w_k, _ = _solve_direction(X[idx], f[idx])
-            except DegeneracyError:
-                continue
-            if np.dot(w_k, w) < 0:
-                w_k = -w_k
-            replicates[k] = w_k
-            break
-        else:
-            raise DegeneracyError(
-                f"bootstrap replicate {k}: {_MAX_RETRIES} resamples "
-                f"in a row were rank-deficient; the sample set is too degenerate "
-                f"to bootstrap"
-            )
+    for start in range(0, N, _BOOTSTRAP_BLOCK):
+        ks = range(start, min(N, start + _BOOTSTRAP_BLOCK))
+        B = len(ks)
+        idx = np.stack([_replicate_rng(seed, k).integers(0, M, size=M) for k in ks])
+        counts = np.bincount((idx + M * np.arange(B)[:, None]).ravel(),
+                             minlength=B * M).reshape(B, M).astype(float)
+        gram = (counts @ outer).reshape(B, p, p)
+        # lam[:, -1] >= M > 0, so this also rejects lam[:, 0] <= 0.
+        lam = np.linalg.eigvalsh(gram)
+        ok = lam[:, -1] <= _GRAM_COND_MAX * lam[:, 0]
+        gram[~ok] = np.eye(p)
+        grad = np.linalg.solve(gram, (counts @ Af)[:, :, None])[:, 1:, 0]
+        norm = np.linalg.norm(grad, axis=1)
+        f_scale = np.max(np.where(counts > 0, f_abs, 0.0), axis=1)
+        f_scale[f_scale == 0] = 1.0
+        ok &= norm >= _FLOOR_MARGIN * 1e-14 * f_scale
+
+        w_b = grad[ok] / norm[ok, None]
+        # Aligned to w; on an exact tie, _solve_direction's sign convention.
+        dots = w_b @ w
+        lead = w_b[np.arange(len(w_b)), np.argmax(np.abs(w_b), axis=1)]
+        flip = np.where(dots == 0, lead < 0, dots < 0)
+        replicates[start + np.flatnonzero(ok)] = np.where(flip[:, None], -w_b, w_b)
+        for k in start + np.flatnonzero(~ok):
+            replicates[k] = _refit_replicate(X, f, w, seed, k)
     return BootstrapEnsemble(replicates=replicates, N=N, seed=seed)
 
 

@@ -112,7 +112,7 @@ class _FittedCampaign:
         self.X, self.f = self.campaign.design_arrays()
         self.asub = fit_active_direction(self.X, self.f)
         self.ensemble = None if bootstrap is None else bootstrap_direction(
-            self.X, self.f, N=bootstrap, seed=args.seed)
+            self.X, self.f, N=bootstrap, seed=args.seed, asub=self.asub)
         self.summary = summary_data(self.X, self.f, self.asub, self.ensemble)
 
     @cached_property

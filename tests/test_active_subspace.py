@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asuq import (
     DataError,
@@ -11,6 +13,7 @@ from asuq import (
     sensitivity_ranking,
     summary_data,
 )
+from asuq.active_subspace import _solve_direction
 from asuq.param_space import sample_hypercube
 
 W_TABLE_NAMES = [
@@ -107,6 +110,45 @@ class TestFit:
         np.testing.assert_allclose(w0, w1, atol=1e-12)
 
 
+def first_draw(M, seed, k):
+    """Replicate k's first resample, drawn as bootstrap_direction draws it."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    return rng.integers(0, M, size=M)
+
+
+def loop_bootstrap(X, f, N, seed):
+    """Reference: one least-squares refit per replicate, redrawing resamples
+    of the replicate's stream until one has full rank (100 tries)."""
+    M = len(f)
+    w = fit_active_direction(X, f).w
+    replicates = np.empty((N, X.shape[1]))
+    for k in range(N):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        for _ in range(100):
+            idx = rng.integers(0, M, size=M)
+            try:
+                w_k, _ = _solve_direction(X[idx], f[idx])
+            except DegeneracyError:
+                continue
+            replicates[k] = -w_k if np.dot(w_k, w) < 0 else w_k
+            break
+        else:
+            raise DegeneracyError(f"bootstrap replicate {k}: 100 resamples")
+    return replicates
+
+
+def noisy_ridge(m, M, noise, seed):
+    rng = np.random.default_rng(seed)
+    w_true = ridge_direction(m, seed=seed)
+    X = sample_hypercube(m, M, seed=seed + 1)
+    y = X @ w_true
+    return X, y + y ** 3 + noise * rng.standard_normal(M), w_true
+
+
+def angles(V, w):
+    return np.arccos(np.clip(np.abs(V @ w), 0.0, 1.0))
+
+
 class TestBootstrap:
     def test_noiseless_linear_replicates_identical(self):
         X, f = linear_fixture(M=12)
@@ -147,6 +189,88 @@ class TestBootstrap:
         norms = np.linalg.norm(ens.replicates, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert np.all(ens.replicates @ asub.w >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 8), extra=st.integers(1, 30),
+           log_noise=st.floats(-8.0, 0.5), seed=st.integers(0, 2**20))
+    def test_matches_the_least_squares_loop(self, m, extra, log_noise, seed):
+        X, f, _ = noisy_ridge(m, m + 1 + extra, 10.0 ** log_noise, seed)
+        try:
+            ref = loop_bootstrap(X, f, 20, seed)
+        except DegeneracyError as exc:
+            # The first replicate out of retries raises in both.
+            with pytest.raises(DegeneracyError, match=str(exc)):
+                bootstrap_direction(X, f, N=20, seed=seed)
+            return
+        got = bootstrap_direction(X, f, N=20, seed=seed).replicates
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_degenerate_resamples_equal_the_loop_bit_for_bit(self, copies):
+        # M = m + 2 points, each present `copies` times: many first draws
+        # hold fewer than m + 1 distinct points and must take the
+        # per-replicate path; with copies=2 some of them have m + 1
+        # distinct rows but a singular Gram matrix.
+        m, N, seed = 4, 200, 3
+        X, f, _ = noisy_ridge(m, m + 2, 0.1, 11)
+        X, f = np.repeat(X, copies, axis=0), np.repeat(f, copies)
+        ref = loop_bootstrap(X, f, N, seed)
+        got = bootstrap_direction(X, f, N=N, seed=seed).replicates
+        short = [k for k in range(N)
+                 if len(np.unique(X[first_draw(len(f), seed, k)], axis=0)) <= m]
+        assert 0 < len(short) < N
+        assert np.array_equal(got[short], ref[short])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_ill_conditioned_resamples_equal_the_loop(self):
+        # The third point lies 1e-3 off the line through the first two, so
+        # resamples of those three alone have cond(G) near 1e7, where the
+        # normal equations would miss the loop by about 2e-12.
+        X = np.array([[-0.8, -0.6], [0.7, 0.5], [-0.05, -0.049], [0.9, -0.9]])
+        f = X @ np.array([1.0, 0.5]) + np.array([0.1, -0.2, 0.05, 0.3])
+        got = bootstrap_direction(X, f, N=200, seed=1).replicates
+        np.testing.assert_allclose(got, loop_bootstrap(X, f, 200, 1),
+                                   rtol=0, atol=1e-12)
+
+    def test_near_constant_response_equals_the_loop_bit_for_bit(self):
+        # A gradient about 200 times the constant-response floor is mostly
+        # rounding noise; such replicates take the per-replicate path.
+        X = sample_hypercube(3, 30, seed=4)
+        f = 3.0 + 3e-12 * (X @ np.array([1.0, -2.0, 0.5]))
+        got = bootstrap_direction(X, f, N=40, seed=6).replicates
+        assert np.array_equal(got, loop_bootstrap(X, f, 40, 6))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_mean_response_leaves_replicates_unchanged(self, seed):
+        X, f, _ = noisy_ridge(7, 50, 0.2, seed)
+        a = bootstrap_direction(X, f, N=100, seed=seed).replicates
+        b = bootstrap_direction(X, f + 1e4, N=100, seed=seed).replicates
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_given_direction_is_used_as_is(self, ridge_fixture):
+        X, f, _ = ridge_fixture
+        asub = fit_active_direction(X, f)
+        a = bootstrap_direction(X, f, N=30, seed=9)
+        b = bootstrap_direction(X, f, N=30, seed=9, asub=asub)
+        assert np.array_equal(a.replicates, b.replicates)
+        with pytest.raises(DataError, match="components"):
+            bootstrap_direction(X[:, :6], f, N=3, asub=asub)
+
+    def test_calibrated_on_noisy_ridges(self):
+        # The angle from w to w_true should fall within the bootstrap's
+        # 95 % angle quantile on about 95 % of campaigns; only a loose
+        # floor is asserted.
+        hits, seeds = 0, range(100)
+        for seed in seeds:
+            X, f, w_true = noisy_ridge(7, 50, 0.2, seed)
+            asub = fit_active_direction(X, f)
+            ens = bootstrap_direction(X, f, N=200, seed=seed, asub=asub)
+            q95 = np.quantile(angles(ens.replicates, asub.w), 0.95)
+            hits += angles(asub.w, w_true) <= q95
+        rate = hits / len(seeds)
+        print(f"bootstrap 95 % angle quantile covers w_true on {rate:.2f} "
+              f"of {len(seeds)} noisy ridge campaigns")
+        assert rate >= 0.8
 
     def test_quantiles_shape(self, ridge_fixture):
         X, f, _ = ridge_fixture

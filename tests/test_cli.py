@@ -234,8 +234,13 @@ class TestJournal:
                 "--max-concurrency", concurrency]
         env = dict(os.environ,
                    PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
+        # SIGINT at its default action, so that `asuq run` turns it into
+        # KeyboardInterrupt even when the test runner itself ignores it (a
+        # background job of a non-interactive shell does).
         proc = subprocess.run(argv, env=env, capture_output=True, timeout=120,
-                              start_new_session=True)
+                              start_new_session=True,
+                              preexec_fn=lambda: signal.signal(
+                                  signal.SIGINT, signal.SIG_DFL))
         return proc, evaluator
 
     @pytest.mark.parametrize("concurrency", ["1", "2"])
@@ -339,15 +344,19 @@ class TestJournal:
     def test_analyze_fits_each_stage_once(self, evaluated, tmp_path,
                                           monkeypatch):
         calls = []
-        for name in ("summary_data", "fit_quadratic"):
+        for name in ("fit_active_direction", "summary_data", "fit_quadratic"):
             def counted(*a, _real=getattr(asuq.cli, name), _name=name, **kw):
                 calls.append(_name)
                 return _real(*a, **kw)
             monkeypatch.setattr(asuq.cli, name, counted)
+        # bootstrap_direction would refit through its own module's binding.
+        monkeypatch.setattr(asuq.active_subspace, "fit_active_direction",
+                            asuq.cli.fit_active_direction)
         assert run_cli("analyze", "--campaign", str(evaluated),
                        "--out", str(tmp_path / "a"), "--seed", "2",
                        "--bootstrap", "5", "--threshold", "1", "--corners",
                        "--cdf", "--n", "300", "--svg", *self.RIDGE) == 0
+        assert calls.count("fit_active_direction") == 1
         assert calls.count("summary_data") == 1
         assert calls.count("fit_quadratic") <= 1
 
@@ -607,7 +616,11 @@ class TestEndToEnd:
 
     def test_no_command_prints_help(self, capsys):
         assert run_cli() == 1
-        assert "subcommand" in capsys.readouterr().out.lower() or True
+        out = capsys.readouterr().out
+        assert out.startswith("usage: asuq ")
+        for command in ("space", "sample", "run", "analyze", "range",
+                        "safeset", "cdf", "scenario"):
+            assert f"\n    {command} " in out, command
 
 
 def test_import_leaves_scipy_special_unloaded():
