@@ -25,9 +25,9 @@ GOLDEN = {
     "campaign.sampled.json":
         "2292b889321d6d83b7c2214450bd84eb3d271a7826060864698b1272981ff26b",
     "results.json":
-        "80b162052316f3ed1e4c76bc4b967d41b8f7173c46efe6164e8c9793be8314ce",
+        "62cb398616af6f2b6497e59611509c2e54d5678953bfc43a72dbcbc8eb5e4bdb",
     "summary.csv":
-        "19cd8705c338107d6495e830c6ba9c528aee3378ca62356ebb2a9e16394c1d6a",
+        "a77a12b801dd2d608760175b3328c2c2be81b2806010c4c2c3e9cfce01326f6e",
     "surrogate.json":
         "8704cfe39518489678671db65f1a1c9dae107f8a3cc120cbb5960df4c6f45ff1",
     "range.json":
