@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -19,6 +20,7 @@ from asuq import (
     ridge_direction,
 )
 from asuq.param_space import sample_hypercube
+from asuq.surrogate import QuadraticSurrogate
 
 
 def bisection_box_sides(w, y_max, x_min):
@@ -108,6 +110,158 @@ def box_product_oracle(w, y_max, x_min, step=1e-3):
         prod = np.where(rem >= 0, s1 * s2 * s3, 0.0)
         return float(prod.max())
     raise NotImplementedError
+
+
+def uniform_sum_cdf(w, y):
+    """Exact P(w . x <= y) for x uniform on [-1, 1]^m, m <= 12.
+
+    With b = 2|w|, w . x has the law of S - sum(b)/2 where S = b . u and
+    u is uniform on [0, 1]^m, and by inclusion-exclusion over the 2^m
+    corners eps (Bradley & Gupta, 2002)
+        P(S <= s) = sum_eps (-1)^|eps| (s - eps . b)_+^m / (m! prod b).
+    The law is symmetric, so s above sum(b)/2 is reflected below it; that
+    keeps every term under (sum(b)/2)^m / (m! prod b), which bounds the
+    cancellation when no |w_i| is small next to the others.
+    """
+    b = 2.0 * np.abs(np.asarray(w, dtype=float))
+    m, total = len(b), float(b.sum())
+    eps = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+    shifts = eps @ b
+    keep = shifts <= total / 2
+    shifts, signs = shifts[keep], (-1.0) ** eps[keep].sum(axis=1)
+    s = np.clip(np.asarray(y, dtype=float).ravel() + total / 2, 0.0, total)
+    upper = s > total / 2
+    low = np.where(upper, total - s, s)
+    out = np.empty(len(low))
+    for i in range(0, len(low), 256):
+        terms = np.clip(low[i:i + 256, None] - shifts[None, :], 0.0, None)
+        out[i:i + 256] = terms ** m @ signs
+    out /= math.factorial(m) * np.prod(b)
+    return np.where(upper, 1.0 - out, out).reshape(np.shape(y))
+
+
+def quadratic_cdf(coeffs, w, q):
+    """Exact P(c0 + c1 y + c2 y^2 <= q) for y = w . x, x uniform on [-1, 1]^m.
+
+    The quadratic is at most q between its two roots when c2 > 0 and
+    outside them when c2 < 0, so the CDF is F_Y(y2) - F_Y(y1), or one
+    minus that. The roots use the cancellation-free form.
+    """
+    c0, c1, c2 = coeffs
+    q = np.asarray(q, dtype=float)
+    if c2 == 0.0:
+        below = uniform_sum_cdf(w, (q - c0) / c1)
+        return below if c1 > 0 else 1.0 - below
+    disc = c1 * c1 - 4.0 * c2 * (c0 - q)
+    t = -0.5 * (c1 + math.copysign(1.0, c1) * np.sqrt(np.maximum(disc, 0.0)))
+    t = np.where(t == 0.0, -np.finfo(float).tiny, t)
+    r1, r2 = t / c2, (c0 - q) / t
+    between = uniform_sum_cdf(w, np.maximum(r1, r2)) \
+        - uniform_sum_cdf(w, np.minimum(r1, r2))
+    between = np.where(disc > 0.0, between, 0.0)
+    return between if c2 > 0 else 1.0 - between
+
+
+def smoothed_cdf_bracket(coeffs, w, q, h, cells=2048):
+    """Lower and upper bounds on (F * phi_h)(q) = E[ndtr((q - g(Y)) / h)].
+
+    The support of g(Y) is cut into cells with exact masses p_j from
+    :func:`quadratic_cdf`. On a cell [a, b] the kernel ndtr((q - t) / h)
+    falls from its value at a to its value at b, so the cell contributes
+    between p_j ndtr((q - b) / h) and p_j ndtr((q - a) / h), and the two
+    bounds differ by at most max p_j. The cell edges are equal steps in t
+    merged with steps of about equal mass, found by interpolating F.
+    """
+    c0, c1, c2 = coeffs
+    l1 = float(np.abs(w).sum())
+    ends = [-l1, l1]
+    if c2 != 0.0 and abs(c1 / (2.0 * c2)) < l1:
+        ends.append(-c1 / (2.0 * c2))
+    g = [c0 + c1 * y + c2 * y * y for y in ends]
+    even = np.linspace(min(g), max(g), cells + 1)
+    levels = np.linspace(0.0, 1.0, cells + 1)
+    edges = np.unique(np.r_[even, np.interp(
+        levels, quadratic_cdf(coeffs, w, even), even)])
+    mass = np.diff(quadratic_cdf(coeffs, w, edges))
+    q = np.asarray(q, dtype=float)[:, None]
+    lower = ndtr((q - edges[None, 1:]) / h) @ mass
+    upper = ndtr((q - edges[None, :-1]) / h) @ mass
+    return lower, upper
+
+
+class TestCdfOracle:
+    """The inclusion-exclusion CDF used as the oracle of ``estimate_cdf``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 12])
+    def test_matches_monte_carlo(self, m):
+        rng = np.random.default_rng(m)
+        w = rng.choice([-1.0, 1.0], m) * rng.uniform(0.2, 1.0, m)
+        w /= np.linalg.norm(w)
+        y = sample_hypercube(m, 200_000, seed=m) @ w
+        q = np.quantile(y, [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+        empirical = (y[:, None] <= q[None, :]).mean(axis=0)
+        assert np.max(np.abs(uniform_sum_cdf(w, q) - empirical)) < 5e-3
+
+    def test_closed_forms(self):
+        # m = 1: uniform on [-1, 1]; m = 2, equal weights: a triangle.
+        assert uniform_sum_cdf([1.0], 0.5) == pytest.approx(0.75, abs=1e-15)
+        s = 1.0 / math.sqrt(2.0)
+        y = np.array([-2.0 * s, -s, 0.0, 0.5 * s, 2.0 * s])
+        triangle = np.where(y < 0, (y / s + 2) ** 2 / 8,
+                            1 - (2 - y / s) ** 2 / 8)
+        np.testing.assert_allclose(uniform_sum_cdf([s, -s], y), triangle,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("coeffs", [(0.3, -1.2, 0.0), (0.0, 0.4, 1.5),
+                                        (1.0, 0.2, -0.8)])
+    def test_quadratic_cdf_matches_monte_carlo(self, coeffs):
+        w = np.array([0.6, -0.48, 0.64])
+        c0, c1, c2 = coeffs
+        y = sample_hypercube(3, 200_000, seed=1) @ w
+        g = c0 + c1 * y + c2 * y * y
+        q = np.quantile(g, [0.02, 0.25, 0.5, 0.75, 0.98])
+        empirical = (g[:, None] <= q[None, :]).mean(axis=0)
+        assert np.max(np.abs(quadratic_cdf(coeffs, w, q) - empirical)) < 5e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 12),
+           mags=st.lists(st.floats(0.2, 1.0), min_size=12, max_size=12),
+           signs=st.lists(st.booleans(), min_size=12, max_size=12),
+           coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+           n=st.integers(2, 50_000), seed=st.integers(0, 2**32 - 1),
+           grid_size=st.sampled_from([2, 33, 129, 513]))
+    @example(m=12, mags=[1.0, 0.2] * 6, signs=[False, True] * 6,
+             coeffs=(0.5, 1.0, 1.5), n=50_000, seed=3, grid_size=513)
+    @example(m=1, mags=[1.0] * 12, signs=[False] * 12,
+             coeffs=(0.0, 1.0, 0.0), n=50_000, seed=4, grid_size=33)
+    @example(m=2, mags=[1.0] * 12, signs=[False, True] * 6,
+             coeffs=(0.0, 0.1, -2.0), n=20_000, seed=5, grid_size=2)
+    def test_estimate_within_the_dkw_band(self, m, mags, signs, coeffs, n,
+                                          seed, grid_size):
+        # The estimate is F_n * phi_h, so it is within sup|F_n - F| of
+        # F * phi_h for any bandwidth, also the one computed from the
+        # sample; by the Dvoretzky-Kiefer-Wolfowitz inequality (Massart's
+        # constant) that exceeds sqrt(ln(2/alpha) / (2n)) with probability
+        # at most alpha. Linear binning onto a grid of spacing delta moves
+        # each kernel by at most 0.0303 (delta/h)^2.
+        c0, c1, c2 = coeffs
+        assume(abs(c1) + abs(c2) >= 1e-2)
+        w = np.where(signs[:m], -1.0, 1.0) * np.array(mags[:m])
+        w /= np.linalg.norm(w)
+        l1 = float(np.abs(w).sum())
+        surr = QuadraticSurrogate(
+            coeffs=np.array(coeffs), sigma2_hat=None, gram_inverse=np.eye(3),
+            M=3, r_squared=1.0, y_domain=(-l1, l1))
+        cdf = estimate_cdf(surr, w, m, n_samples=n, seed=seed,
+                           grid_size=grid_size)
+        assume(not cdf.degenerate)
+        h = cdf.bandwidth
+        d = (cdf.grid[-1] - cdf.grid[0]) / (grid_size - 1)
+        delta = d / max(1, math.ceil(16.0 * d / h))
+        tol = math.sqrt(math.log(2 / 1e-6) / (2 * n)) + 0.0303 * (delta / h) ** 2
+        lower, upper = smoothed_cdf_bracket(coeffs, w, cdf.grid, h)
+        assert np.all(cdf.cdf >= lower - tol)
+        assert np.all(cdf.cdf <= upper + tol)
 
 
 @pytest.fixture(scope="module")
