@@ -9,6 +9,7 @@ hyperrectangle), and CDF estimation by sampling the surrogate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -273,48 +274,84 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
 
 @dataclass(frozen=True)
 class CdfEstimate:
-    """Gaussian-kernel CDF of the surrogate output under uniform inputs."""
+    """Gaussian-kernel CDF of the surrogate output under uniform inputs.
+
+    The samples are binned linearly onto a fine grid, so the estimate is
+    the mixture sum_k weights_k ndtr((q - origin - k spacing) / h). A
+    degenerate (constant-output) estimate is a step at ``_origin``.
+    """
 
     grid: np.ndarray
     cdf: np.ndarray
     n_samples: int
     bandwidth: float
     degenerate: bool = False
-    _values: np.ndarray | None = None
+    _origin: float = 0.0
+    _spacing: float = 0.0
+    _weights: np.ndarray | None = None
 
     def evaluate(self, q):
-        """Exact mixture (or step, when degenerate) CDF at arbitrary points."""
+        """The mixture (or step, when degenerate) CDF at arbitrary points."""
         q = np.asarray(q, dtype=float)
         if self.degenerate:
-            c = float(self._values[0])
+            c = self._origin
             at_atom = np.abs(q - c) <= 1e-12 * max(1.0, abs(c))
             out = np.where(at_atom, 0.5, np.where(q < c, 0.0, 1.0))
         else:
-            out = _kernel_cdf(q.ravel(), self._values, self.bandwidth).reshape(q.shape)
+            nodes = self._origin + self._spacing * np.arange(len(self._weights))
+            flat = q.ravel()
+            out = np.empty(len(flat))
+            rows = max(1, _KERNEL_BLOCK // len(nodes))
+            for i in range(0, len(flat), rows):
+                z = (flat[i:i + rows, None] - nodes[None, :]) / self.bandwidth
+                out[i:i + rows] = _ndtr(z) @ self._weights
+            out = out.reshape(q.shape)
         return float(out) if q.ndim == 0 else np.asarray(out)
 
 
-# Largest number of kernel terms evaluated at once by _kernel_cdf.
+# Largest number of kernel terms held at once (8 MiB of float64).
 _KERNEL_BLOCK = 1 << 20
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
-def _kernel_cdf(q: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-mixture CDF ``ndtr((q_i - values) / h).mean()`` for each q_i.
 
-    Rows of the len(q) x len(values) kernel matrix are evaluated in blocks
-    of at most _KERNEL_BLOCK elements (8 MiB), or of one row when a row
-    is longer, instead of as one len(q) x len(values) temporary. Each row
-    is still reduced over the same contiguous values, so the result is
-    bit-identical to the dense formula.
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, from the standard library's erfc."""
+    return 0.5 * _erfc(z * -math.sqrt(0.5)).astype(float)
+
+
+def _binned_kernel_cdf(grid: np.ndarray, g: np.ndarray, h: float
+                       ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Kernel CDF on the uniform ``grid`` from linearly binned samples.
+
+    With output spacing d, the samples are spread linearly over a fine
+    grid of spacing delta = d / r from grid[0], r = max(1, ceil(16 d / h)),
+    with one pair of bincounts. Output point i sits on fine node i r, so
+    F(t_i) = sum_k c_k ndtr((i r - k) delta / h), a correlation with the
+    2N - 1 kernel values on the N fine nodes. Linear interpolation of
+    each sample's kernel moves F by at most max|ndtr''| (delta/h)^2 / 8
+    = 0.0303 (delta/h)^2 <= 1.2e-4. Rows are computed in blocks of at
+    most _KERNEL_BLOCK terms. Returns (cdf, delta, weights).
     """
-    from scipy.special import ndtr  # lazily, as in surrogate.band_halfwidth
-
-    out = np.empty(len(q))
-    rows = max(1, _KERNEL_BLOCK // len(values))
-    for i in range(0, len(q), rows):
-        block = q[i:i + rows, None]
-        out[i:i + rows] = ndtr((block - values[None, :]) / h).mean(axis=1)
-    return out
+    d = (grid[-1] - grid[0]) / (len(grid) - 1)
+    r = max(1, math.ceil(16.0 * d / h))
+    delta = d / r
+    nodes = (len(grid) - 1) * r + 1
+    pos = (g - grid[0]) / delta
+    k = np.clip(np.floor(pos).astype(np.intp), 0, nodes - 2)
+    frac = pos - k
+    weights = (np.bincount(k, 1.0 - frac, nodes)
+               + np.bincount(k + 1, frac, nodes)) / len(g)
+    kernel = _ndtr(np.arange(1 - nodes, nodes) * (delta / h))
+    # windows[i] = kernel[i r : i r + N]; its dot with the reversed
+    # weights is sum_k c_k kernel[i r + N - 1 - k].
+    windows = np.lib.stride_tricks.sliding_window_view(kernel, nodes)[::r]
+    reversed_weights = weights[::-1]
+    cdf = np.empty(len(grid))
+    rows = max(1, _KERNEL_BLOCK // nodes)
+    for i in range(0, len(grid), rows):
+        cdf[i:i + rows] = windows[i:i + rows] @ reversed_weights
+    return cdf, delta, weights
 
 
 # Bandwidths by which the CDF grid extends past the sample extremes.
@@ -330,9 +367,11 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
     evaluates g(w . x), and smooths with the Silverman bandwidth
     1.06 * std * n^(-1/5). The grid has ``grid_size`` points (at least 2)
     and spans _GRID_MARGIN bandwidths beyond the sample extremes. The
-    kernel sum is evaluated in blocks of grid rows, so memory stays
-    bounded as n grows. Constant output degenerates to a step CDF with
-    zero bandwidth.
+    samples are binned linearly onto a fine grid (Silverman, 1982; Wand,
+    1994), which keeps the estimate within 0.0303 (delta/h)^2 <= 1.2e-4
+    of the exact kernel sum and makes its cost independent of n past
+    the binning. Constant output degenerates to a step CDF with zero
+    bandwidth.
     """
     w = _check_unit(w)
     if len(w) != m:
@@ -352,11 +391,12 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
         grid = np.array([c - margin, c, c + margin])
         return CdfEstimate(grid=grid, cdf=np.array([0.0, 0.5, 1.0]),
                            n_samples=n_samples, bandwidth=0.0,
-                           degenerate=True, _values=np.array([c]))
+                           degenerate=True, _origin=c)
 
     h = 1.06 * std * n_samples ** (-0.2)
     grid = np.linspace(g.min() - _GRID_MARGIN * h, g.max() + _GRID_MARGIN * h,
                        grid_size)
-    cdf = _kernel_cdf(grid, g, h)
+    cdf, delta, weights = _binned_kernel_cdf(grid, g, h)
     return CdfEstimate(grid=grid, cdf=cdf, n_samples=n_samples, bandwidth=h,
-                       degenerate=False, _values=g)
+                       degenerate=False, _origin=float(grid[0]),
+                       _spacing=delta, _weights=weights)

@@ -623,12 +623,25 @@ class TestEndToEnd:
             assert f"\n    {command} " in out, command
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # `sample` and `run` never need it, and it is most of the import time.
-    code = "import sys, asuq.cli; print('scipy.special' in sys.modules)"
+def test_analyze_runs_without_scipy(evaluated, tmp_path):
+    # scipy is a test-only reference: a whole analysis, with the safe set,
+    # the corners, the CDF and the plots, never imports it.
+    code = (
+        "import sys; from asuq.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
     env = dict(os.environ,
                PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--campaign", str(evaluated),
+         "--out", str(tmp_path / "out"), "--seed", "3", "--bootstrap", "20",
+         "--threshold", "1.5", "--corners", "--evaluator",
+         "ridge:cubic-monotone", "--wtrue-seed", "3", "--cdf", "--n", "500",
+         "--svg"],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    for name in ("safeset.json", "range.json", "cdf.csv", "cdf.svg"):
+        assert (tmp_path / "out" / name).is_file(), name

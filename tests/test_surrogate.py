@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import stdtrit
 
 from asuq import DataError, DegeneracyError, fit_quadratic
+from asuq.surrogate import _t_quantile
 
 
 def quadratic_data(coeffs=(2.0, 0.5, 0.1), M=10, lo=-2.0, hi=2.0):
@@ -120,6 +126,55 @@ class TestUpperConfidence:
         for bad in (0.5, 1.0, 0.2):
             with pytest.raises(DataError):
                 surr.upper_confidence(0.0, bad)
+
+
+class TestTQuantile:
+    """The Student-t quantile behind the band, against independent values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.integers(1, 5000), p=st.floats(0.6, 1.0 - 1e-6))
+    # Reflecting I_x(a, b) = 1 - I_y(b, a) near the tail would lose 1e-11 here.
+    @example(nu=3520, p=0.9581339069532311)
+    @example(nu=5000, p=0.6)
+    @example(nu=1, p=1.0 - 1e-6)
+    def test_matches_stdtrit(self, nu, p):
+        ref = float(stdtrit(nu, p))
+        assert abs(_t_quantile(nu, p) - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize(
+        "p", [0.5 + 1e-7, 0.5 + 1e-5, 0.5001, 0.51, 0.6, 0.7, 0.75, 0.8,
+              0.9, 0.99, 0.999, 1.0 - 1e-6])
+    def test_closed_forms(self, p):
+        # Near p = 1/2, stdtrit itself is off (4e-4 relative at nu = 4,
+        # p = 0.5 + 1e-7), so the references are the closed forms for
+        # nu = 1 and 2. Near p = 1, tan(pi (p - 1/2)) loses digits to the
+        # pole; 1 / tan(pi (1 - p)) is the same value, exactly argued.
+        cauchy = (math.tan(math.pi * (p - 0.5)) if p < 0.75
+                  else 1.0 / math.tan(math.pi * (1.0 - p)))
+        two = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert abs(_t_quantile(1, p) - cauchy) <= 1e-11 * cauchy
+        assert abs(_t_quantile(2, p) - two) <= 1e-11 * two
+
+    @pytest.mark.parametrize("p", [0.6, 0.99, 1.0 - 1e-6])
+    def test_million_degrees_of_freedom(self, p):
+        t = _t_quantile(10**6, p)
+        ref = float(stdtrit(10**6, p))
+        assert math.isfinite(t)
+        assert abs(t - ref) <= 1e-8 * ref
+
+    def test_band_uses_the_quantile(self, noisy_fixture):
+        surr = fit_quadratic(*noisy_fixture)
+        rows = np.array([1.0, 0.4, 0.16])
+        leverage = rows @ surr.gram_inverse @ rows
+        expected = float(stdtrit(47, 0.95)) * math.sqrt(surr.sigma2_hat * leverage)
+        assert surr.band_halfwidth(0.4, 0.95) == pytest.approx(expected, rel=1e-11)
+
+    def test_one_solve_per_degrees_of_freedom_and_level(self, noisy_fixture):
+        surr = fit_quadratic(*noisy_fixture)
+        _t_quantile.cache_clear()
+        for y in np.linspace(-2.0, 2.0, 102):
+            surr.upper_confidence(y, 0.99)
+        assert _t_quantile.cache_info().misses == 1
 
 
 class TestInvariances:
