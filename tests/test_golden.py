@@ -33,13 +33,13 @@ GOLDEN = {
     "range.json":
         "a9e8b44aea292a12f8d313545584de2296757a1955618e9b159ed3172c929351",
     "safeset.json":
-        "23735b2b2432c3c2dc562d4a0b58cee839f67e21cf1a288fd2e4654e047b45e9",
+        "81a6c377f0327e5a823228bb8c5cb1609dccf59ce03fce95e88e758261e101aa",
     "cdf.csv":
-        "a92913970d74b78fe04a022767d74b85cb5388281ed80318e2564abd07319b23",
+        "ec1bc74a516c8df9e30b043def6c98c725369247320ce9993abda3786b08c81f",
     "summary.svg":
         "d3077e5e581163f0c24632b4cc46570608704a7bf851ebd21a517e80e8259cbd",
     "cdf.svg":
-        "0c7c803adfcb302a9ac50172df2e45f79249d619773d0804b2dfb5490e29bf2c",
+        "3dbc6f6c6157239e2d804419f7649d6dbb7ca5896f58c7e9647eabc234385d87",
     "campaign.final.json":
         "b0e12a2fd4b0264ba6c850356fdf87ffb7b2df14b3d0284ae5a4ee7a77f4c4e0",
     "range/range.json":
@@ -47,11 +47,11 @@ GOLDEN = {
     "range.stdout":
         "2d7d46c5f924faa780fa44c8c7dd0d72cf1b44e65ceec39cd22cc6de70f1dab0",
     "safeset/safeset.json":
-        "23735b2b2432c3c2dc562d4a0b58cee839f67e21cf1a288fd2e4654e047b45e9",
+        "81a6c377f0327e5a823228bb8c5cb1609dccf59ce03fce95e88e758261e101aa",
     "safeset.stdout":
-        "12b9522eff3ee87ab02afb8ade623c10bfe1215579f1fed85d1f4a2294f4c029",
+        "6b04ebfe0de346a1aeb144279365fb583acde48a994b87a2d70eb2a0d9dbb467",
     "cdf/cdf.csv":
-        "bda27263a2ff8c6f6612f605d4d5d6cb2f776c884bb447eb4dda3ea02e4776e8",
+        "720a456cb58de0b96b3340d60e5da785866ceff1e895e531975c84a6417427ec",
     "cdf.stdout":
         "b667c01bf7887d9333ee6dd3802184ea194b8bdc2165ec1e3b749c04415b01e2",
 }
