@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from asuq import (
     DataError,
     ParameterSpace,
+    QuadraticSurrogate,
     corner_extrema,
     estimate_cdf,
     estimate_range,
@@ -20,7 +21,6 @@ from asuq import (
     ridge_direction,
 )
 from asuq.param_space import sample_hypercube
-from asuq.surrogate import QuadraticSurrogate
 
 
 def bisection_box_sides(w, y_max, x_min):
