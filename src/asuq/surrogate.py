@@ -88,8 +88,6 @@ def _t_quantile(nu: int, p: float) -> float:
         else:
             excess = _betainc(0.5, a, s / (nu + s), nu / (nu + s)) - target
             slope = 2.0 * density
-        if excess == 0.0:
-            return t
         if excess * slope < 0.0:
             lo = t
         else:
