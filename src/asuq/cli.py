@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import signal
 import sys
+from collections.abc import Iterator
 from functools import cached_property
 from pathlib import Path
 
@@ -38,11 +40,16 @@ from .campaign import (
     save_campaign,
     synthetic_ridge,
 )
-from .errors import ToolkitError, UsageError
+from .errors import EvaluatorError, ToolkitError, UsageError
 from .param_space import ParameterSpace, hyshot_space
 from .surrogate import QuadraticSurrogate, fit_quadratic
 from .svgplot import SvgPlot
-from .uq_analysis import estimate_cdf, estimate_range, invert_safe_set
+from .uq_analysis import (
+    corner_extrema,
+    estimate_cdf,
+    estimate_range,
+    invert_safe_set,
+)
 
 EXIT_PARTIAL_FAILURE = 5
 
@@ -58,8 +65,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, obj) -> None:
+    # json.dump writes piece by piece; the text of results.json's N*m
+    # replicates is never held whole.
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_space(path: str | None) -> ParameterSpace:
@@ -76,6 +86,10 @@ def _parse_condition(pairs) -> dict:
             cond[key] = float(value)
         except ValueError:
             cond[key] = value
+        else:
+            if not math.isfinite(cond[key]):
+                raise UsageError(f"--condition {key}: a number must be "
+                                 f"finite, got {value!r}")
     return cond
 
 
@@ -124,16 +138,27 @@ class _FittedCampaign:
     def range(self):
         """Evaluate the two corners; write range.json and the campaign.
 
-        A done corner run is reused; a failed one is evaluated again in place.
+        A done corner run is reused; a failed one is evaluated again in
+        place. Both corners are evaluated at once; each failed corner
+        reports the error a lone evaluation of it would raise.
         """
         campaign = self.campaign
         evaluator = _build_evaluator(self.args, campaign.m)
-
-        def evaluate_corner(x_corner):
+        recs = []
+        for x_corner in corner_extrema(self.asub.w):
             rec = next((r for r in campaign.runs if r.role == "corner"
                         and np.array_equal(r.x, x_corner)), None)
-            rec = rec or campaign.append_point(x_corner, role="corner")
-            evaluate_campaign(campaign, evaluator, runs=[rec])
+            recs.append(rec or campaign.append_point(x_corner, role="corner"))
+        try:
+            evaluate_campaign(campaign, evaluator, max_concurrency=2, runs=recs)
+        except EvaluatorError:
+            pass  # each failed corner raises its own diagnostic below
+
+        def evaluate_corner(x_corner):
+            rec = next(r for r in recs if np.array_equal(r.x, x_corner))
+            if rec.status != "done":
+                raise EvaluatorError(f"all 1 attempted runs failed "
+                                     f"(first diagnostic: {rec.error})")
             return rec.f
 
         rng = estimate_range(self.asub.w, evaluate_corner, self.f,
@@ -272,15 +297,11 @@ def cmd_analyze(args) -> int:
     }
     _write_json(fitted.out / "results.json", results)
 
-    # Streamed line by line from Python floats: the bootstrap cloud has
-    # N*M rows, and neither NumPy scalars nor a list of lines are built.
-    cloud = summary.bootstrap_cloud
     with atomic_open(fitted.out / "summary.csv") as fh:
         fh.write("y,f,source\n")
         for yv, fv in zip(summary.y.tolist(), summary.f.tolist()):
             fh.write(f"{yv!r},{fv!r},sample\n")
-        for yv, fv in zip(cloud[:, 0].tolist(), cloud[:, 1].tolist()):
-            fh.write(f"{yv!r},{fv!r},bootstrap\n")
+        fh.writelines(_cloud_rows(summary))
 
     _print_ranking(ranking)
     print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")
@@ -302,6 +323,19 @@ def cmd_analyze(args) -> int:
     if args.svg:
         _render_svgs(fitted, cdf)
     return exit_code
+
+
+def _cloud_rows(summary) -> Iterator[str]:
+    """Yield summary.csv's bootstrap rows, one string per replicate.
+
+    The cloud's rows run through the M samples once per replicate, so
+    each sample's ``,f,bootstrap`` suffix is formatted once and only the
+    N*M projections go through ``repr``.
+    """
+    M = len(summary.f)
+    suffixes = [f",{fv!r},bootstrap\n" for fv in summary.f.tolist()]
+    for ys in summary.bootstrap_cloud[:, 0].reshape(-1, M):
+        yield "".join([y + s for y, s in zip(map(repr, ys.tolist()), suffixes)])
 
 
 def _render_svgs(fitted: _FittedCampaign, cdf) -> None:

@@ -8,6 +8,7 @@ density is uniform (the maximum-entropy choice for range-bounded inputs).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,7 @@ __all__ = [
     "hyshot_space",
     "unit_space",
     "sample_hypercube",
+    "hypercube_blocks",
     "SAMPLER_VERSION",
 ]
 
@@ -46,6 +48,9 @@ class ParameterSpec:
     def __post_init__(self):
         if not self.name:
             raise DataError("parameter name must be non-empty")
+        if not all(map(math.isfinite, (self.min, self.nominal, self.max))):
+            raise DataError(f"{self.name}: min, nominal and max must be "
+                            f"finite, got {self.min}, {self.nominal}, {self.max}")
         if not (self.min < self.max):
             raise DataError(f"{self.name}: min {self.min} must be < max {self.max}")
         if not (self.min <= self.nominal <= self.max):
@@ -182,17 +187,41 @@ def unit_space(m: int) -> ParameterSpace:
     )
 
 
-def sample_hypercube(m: int, n: int, seed: int) -> np.ndarray:
-    """Uniform samples on [-1, 1]^m from a counter-based (Philox) stream.
+# Rows per block of hypercube_blocks. A multiple of 64, so BLAS groups
+# the rows of each block's X @ w as it groups them in one product over
+# all rows, and the projections keep their bits: always on one BLAS
+# thread, and where a threaded product splits rows on a group boundary.
+_SAMPLE_BLOCK = 4096
+
+
+def hypercube_blocks(m: int, n: int, seed: int, rows: int = _SAMPLE_BLOCK):
+    """Yield the rows of :func:`sample_hypercube` in consecutive blocks.
 
     Philox emits four 64-bit words per counter step, one per double, so
     row j owns the aligned counter block starting at j * ceil(m/4) under
     a key derived once from ``seed``. Row j is therefore a pure function
-    of (seed, j): a longer draw extends a shorter one. All n rows come
-    from one vectorised draw; the result is C-contiguous with shape (n, m).
+    of (seed, j), and consecutive draws from one generator continue one
+    stream. Every block has ``rows`` rows except the last, which takes
+    the rest (``rows`` to 2 ``rows`` - 1, or all n when n < 2 ``rows``).
+    So for ``rows`` > 1 only n = 1 gives a lone row, whose product numpy
+    takes as a dot product, not as BLAS's matrix-vector product. Blocks
+    are (k, m) views of the counter steps drawn.
     """
     words = -(-m // 4)  # counter steps per row
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key)
-    draws = np.random.Generator(bitgen).uniform(-1.0, 1.0, (n, 4 * words))
-    return np.ascontiguousarray(draws[:, :m])
+    gen = np.random.Generator(np.random.Philox(key=key))
+    blocks = max(1, n // rows)
+    for b in range(blocks):
+        k = rows if b < blocks - 1 else n - (blocks - 1) * rows
+        yield gen.uniform(-1.0, 1.0, (k, 4 * words))[:, :m]
+
+
+def sample_hypercube(m: int, n: int, seed: int) -> np.ndarray:
+    """Uniform samples on [-1, 1]^m from a counter-based (Philox) stream.
+
+    Row j is a pure function of (seed, j), so a longer draw extends a
+    shorter one (see :func:`hypercube_blocks`, whose single block of all
+    n rows this is). The result is C-contiguous with shape (n, m).
+    """
+    (X,) = hypercube_blocks(m, n, seed, rows=max(n, 1))
+    return np.ascontiguousarray(X)

@@ -34,10 +34,26 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _limits(arrays) -> tuple[float, float]:
-    values = np.concatenate([np.empty(0), *arrays])
-    if values.size == 0:
-        values = np.array([0.0, 1.0])
-    return float(values.min()), float(values.max())
+    # Per-array extrema, so no concatenated copy of every layer is made.
+    arrays = [a for a in arrays if a.size]
+    if not arrays:
+        return 0.0, 1.0
+    return (float(np.min([a.min() for a in arrays])),
+            float(np.max([a.max() for a in arrays])))
+
+
+# Points of a scatter layer formatted per string written.
+_SCATTER_CHUNK = 4096
+
+
+def _circles(xs, ys, px, py, radius, color, opacity):
+    """Yield a scatter layer's circle lines, _SCATTER_CHUNK points a string."""
+    tail = f' r="{radius}" fill="{color}" fill-opacity="{opacity}"/>\n'
+    for i in range(0, len(xs), _SCATTER_CHUNK):
+        cx = px(xs[i:i + _SCATTER_CHUNK]).tolist()
+        cy = py(ys[i:i + _SCATTER_CHUNK]).tolist()
+        yield "".join(['<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, tail)
+                       for vx, vy in zip(cx, cy)])
 
 
 class SvgPlot:
@@ -62,6 +78,12 @@ class SvgPlot:
                              color, dashed))
 
     def save(self, path) -> None:
+        """Write the SVG piece by piece; no copy of the whole text is held."""
+        with atomic_open(path) as fh:
+            fh.writelines(self._chunks())
+
+    def _chunks(self):
+        """Yield the SVG text in order, each piece ending in a newline."""
         x0, x1 = _limits([layer[1] for layer in self._layers])
         y0, y1 = _limits([layer[2] for layer in self._layers])
         if x1 == x0:
@@ -71,74 +93,72 @@ class SvgPlot:
         padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
         x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
-        # Scalars (ticks) and whole layers go through the same operations.
+        # Scalars (ticks), whole layers and slices of them go through the
+        # same elementwise operations, so each pixel is the same.
         def px(v):
             return _MARGIN + (v - x0) / (x1 - x0) * (_W - 2 * _MARGIN)
 
         def py(v):
             return _H - _MARGIN - (v - y0) / (y1 - y0) * (_H - 2 * _MARGIN)
 
-        parts = [
+        yield (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">',
-            f'<rect width="{_W}" height="{_H}" fill="white"/>',
+            f'viewBox="0 0 {_W} {_H}">\n'
+            f'<rect width="{_W}" height="{_H}" fill="white"/>\n'
             f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
-            f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#444" stroke-width="1"/>',
-        ]
+            f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#444" '
+            f'stroke-width="1"/>\n'
+        )
         for t in _ticks(x0, x1):
-            parts.append(
+            yield (
                 f'<line x1="{px(t):.2f}" y1="{_H - _MARGIN}" x2="{px(t):.2f}" '
                 f'y2="{_H - _MARGIN + 5}" stroke="#444"/>'
                 f'<text x="{px(t):.2f}" y="{_H - _MARGIN + 18}" font-size="11" '
-                f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
+                f'text-anchor="middle" font-family="sans-serif">{t:g}</text>\n'
             )
         for t in _ticks(y0, y1):
-            parts.append(
+            yield (
                 f'<line x1="{_MARGIN - 5}" y1="{py(t):.2f}" x2="{_MARGIN}" '
                 f'y2="{py(t):.2f}" stroke="#444"/>'
                 f'<text x="{_MARGIN - 8}" y="{py(t):.2f}" font-size="11" '
                 f'text-anchor="end" dominant-baseline="middle" '
-                f'font-family="sans-serif">{t:g}</text>'
+                f'font-family="sans-serif">{t:g}</text>\n'
             )
         if self.title:
-            parts.append(
+            yield (
                 f'<text x="{_W / 2}" y="{_MARGIN - 16}" font-size="14" '
-                f'text-anchor="middle" font-family="sans-serif">{self.title}</text>'
+                f'text-anchor="middle" font-family="sans-serif">{self.title}</text>\n'
             )
         if self.xlabel:
-            parts.append(
+            yield (
                 f'<text x="{_W / 2}" y="{_H - 12}" font-size="12" '
-                f'text-anchor="middle" font-family="sans-serif">{self.xlabel}</text>'
+                f'text-anchor="middle" font-family="sans-serif">{self.xlabel}</text>\n'
             )
         if self.ylabel:
-            parts.append(
+            yield (
                 f'<text x="14" y="{_H / 2}" font-size="12" text-anchor="middle" '
                 f'font-family="sans-serif" transform="rotate(-90 14 {_H / 2})">'
-                f'{self.ylabel}</text>'
+                f'{self.ylabel}</text>\n'
             )
 
         for kind, lx, ly, *style in self._layers:
-            cx, cy = px(lx).tolist(), py(ly).tolist()
             if kind == "scatter":
-                r, color, opacity = style
-                attrs = f' r="{r}" fill="{color}" fill-opacity="{opacity}"/>'
-                parts.extend('<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, attrs)
-                             for vx, vy in zip(cx, cy))
+                yield from _circles(lx, ly, px, py, *style)
             elif kind == "line":
                 color, width, dashed = style
-                pts = " ".join("%.2f,%.2f" % p for p in zip(cx, cy))
+                pts = " ".join("%.2f,%.2f" % p for p in
+                               zip(px(lx).tolist(), py(ly).tolist()))
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
-                parts.append(
+                yield (
                     f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                    f'stroke-width="{width}"{dash}/>'
+                    f'stroke-width="{width}"{dash}/>\n'
                 )
             elif kind == "hline":
                 color, dashed = style
+                y = float(py(ly[0]))
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
-                parts.append(
-                    f'<line x1="{_MARGIN}" y1="{cy[0]:.2f}" x2="{_W - _MARGIN}" '
-                    f'y2="{cy[0]:.2f}" stroke="{color}" stroke-width="1.2"{dash}/>'
+                yield (
+                    f'<line x1="{_MARGIN}" y1="{y:.2f}" x2="{_W - _MARGIN}" '
+                    f'y2="{y:.2f}" stroke="{color}" stroke-width="1.2"{dash}/>\n'
                 )
-        parts.append("</svg>")
-        with atomic_open(path) as fh:
-            fh.write("\n".join(parts) + "\n")
+        yield "</svg>\n"

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError
-from .param_space import ParameterSpace, sample_hypercube
+from .param_space import ParameterSpace, hypercube_blocks
 from .surrogate import QuadraticSurrogate
 
 __all__ = [
@@ -362,9 +362,11 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
                  seed: int = 0, grid_size: int = 513) -> CdfEstimate:
     """Sample the surrogate over uniform inputs and smooth with a Gaussian KDE.
 
-    Draws n_samples points on [-1, 1]^m with :func:`sample_hypercube`
-    (counter-based, so the set is reproducible and parallel-safe),
-    evaluates g(w . x), and smooths with the Silverman bandwidth
+    Draws n_samples points on [-1, 1]^m, the rows of
+    :func:`~asuq.param_space.sample_hypercube` (counter-based, so the set
+    is reproducible and parallel-safe), in row blocks, each projected
+    onto w as it is drawn, so memory grows with n but not with n m.
+    Evaluates g(w . x), and smooths with the Silverman bandwidth
     1.06 * std * n^(-1/5). The grid has ``grid_size`` points (at least 2)
     and spans _GRID_MARGIN bandwidths beyond the sample extremes. The
     samples are binned linearly onto a fine grid (Silverman, 1982; Wand,
@@ -380,8 +382,8 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
         raise DataError(f"n_samples must be >= 2, got {n_samples}")
     if grid_size < 2:
         raise DataError(f"grid_size must be >= 2, got {grid_size}")
-    X = sample_hypercube(m, n_samples, seed)
-    g = np.asarray(surr.predict(X @ w), dtype=float)
+    y = np.concatenate([X @ w for X in hypercube_blocks(m, n_samples, seed)])
+    g = np.asarray(surr.predict(y), dtype=float)
 
     std = float(np.std(g, ddof=1))
     scale = max(1.0, float(np.max(np.abs(g))))

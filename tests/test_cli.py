@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import asuq
+import asuq.active_subspace
 import asuq.cli
+import asuq.svgplot
 from asuq import load_campaign
-from asuq.campaign import journal_path
+from asuq.campaign import evaluate_campaign, journal_path
 from asuq.cli import main
 
 
@@ -47,6 +49,13 @@ class TestSpace:
         bad.write_text("[]")
         assert run_cli("space", "validate", "--space", str(bad)) == 2
 
+    def test_infinite_range_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('[{"name": "p", "min": -Infinity, "nominal": 0, '
+                       '"max": Infinity}]')
+        assert run_cli("space", "validate", "--space", str(bad)) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSample:
     def test_writes_pending_campaign(self, sampled):
@@ -73,6 +82,15 @@ class TestSample:
         run_cli("sample", "-M", "2", "--seed", "1", "--out", str(c),
                 "--condition", "P0_H2_bar=4.8")
         assert load_campaign(c).condition == {"P0_H2_bar": 4.8}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_condition_is_usage_error(self, tmp_path, capsys, value):
+        # NaN and Infinity are not JSON; every evaluator reads the condition.
+        c = tmp_path / "c.json"
+        assert run_cli("sample", "-M", "2", "--seed", "1", "--out", str(c),
+                       "--condition", "T=300", "--condition", f"P={value}") == 1
+        assert "finite" in capsys.readouterr().err
+        assert not c.exists()
 
 
 class TestRun:
@@ -387,6 +405,38 @@ class TestJournal:
         assert (out / target).read_bytes() == before[target]
         assert leftovers(out) == [] and leftovers(tmp_path) == []
 
+    @pytest.mark.parametrize("module, formatter, target", [
+        (asuq.cli, "_cloud_rows", "summary.csv"),
+        (asuq.svgplot, "_circles", "summary.svg"),
+    ], ids=["csv", "svg"])
+    def test_formatter_failure_mid_write_keeps_the_old_report(
+            self, evaluated, tmp_path, monkeypatch, module, formatter, target):
+        # The streamed reports are formatted inside atomic_open: a formatter
+        # that fails after its first chunk leaves the old file and no .tmp.
+        out = tmp_path / "out"
+        argv = ["analyze", "--campaign", str(evaluated), "--out", str(out),
+                "--bootstrap", "5", "--svg", *self.RIDGE]
+        assert run_cli(*argv, "--seed", "2") == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("summary.csv", "summary.svg")}
+        real = getattr(module, formatter)
+        written = []
+
+        def fails_after_one_chunk(*args, **kwargs):
+            chunks = real(*args, **kwargs)
+            written.append(next(chunks))
+            yield written[-1]
+            raise RuntimeError("injected formatter failure")
+
+        monkeypatch.setattr(module, formatter, fails_after_one_chunk)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_cli(*argv, "--seed", "3")
+        assert written and written[0] not in before[target].decode()
+        assert (out / target).read_bytes() == before[target]
+        if target == "summary.csv":  # the plot comes after the table
+            assert (out / "summary.svg").read_bytes() == before["summary.svg"]
+        assert leftovers(out) == [] and leftovers(tmp_path) == []
+
 
 class TestAnalyze:
     def test_reports_written(self, evaluated, tmp_path, capsys):
@@ -404,6 +454,30 @@ class TestAnalyze:
         assert sum(1 for ln in lines if ln.endswith(",sample")) == 12
         assert sum(1 for ln in lines if ln.endswith(",bootstrap")) == 20 * 12
         assert "Angle of Attack" in capsys.readouterr().out
+
+    def test_summary_csv_equals_the_one_shot_writer(self, evaluated, tmp_path,
+                                                    monkeypatch):
+        # 40 replicates of 12 samples: the replicate-row writer against the
+        # loop over the whole cloud it replaced.
+        captured = []
+
+        def capture(*args, **kwargs):
+            captured.append(asuq.active_subspace.summary_data(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(asuq.cli, "summary_data", capture)
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), "--seed", "4", "--bootstrap", "40") == 0
+        (summary,) = captured
+        cloud = summary.bootstrap_cloud
+        reference = ["y,f,source\n"]
+        for yv, fv in zip(summary.y.tolist(), summary.f.tolist()):
+            reference.append(f"{yv!r},{fv!r},sample\n")
+        for yv, fv in zip(cloud[:, 0].tolist(), cloud[:, 1].tolist()):
+            reference.append(f"{yv!r},{fv!r},bootstrap\n")
+        assert len(cloud) == 40 * 12
+        assert (out / "summary.csv").read_text() == "".join(reference)
 
     def test_output_dir_from_environment(self, evaluated, tmp_path,
                                          monkeypatch):
@@ -501,6 +575,46 @@ class TestStandaloneReports:
         report = json.loads((out / "range.json").read_text())
         assert report["f_min"] is None and report["f_max"] is None
         assert report["corner_errors"]
+
+    @pytest.mark.parametrize("failing, errors", [
+        ([13], {"at_x_max": "run 13"}),
+        ([12, 13], {"at_x_min": "run 12", "at_x_max": "run 13"}),
+    ], ids=["one", "both"])
+    def test_corner_failures_keep_their_own_diagnostic(
+            self, evaluated, tmp_path, monkeypatch, failing, errors):
+        # Both corners (runs 12 and 13) go to the evaluator in one call; each
+        # failed one reports what evaluating it alone reported.
+        script = tmp_path / "corners.py"
+        script.write_text(
+            "import json, sys\n"
+            "req = json.load(sys.stdin)\n"
+            f"if req['index'] in {failing}:\n"
+            "    sys.exit(f\"no qoi for run {req['index']}\")\n"
+            "print(json.dumps({'qoi': 1.0}))\n"
+        )
+        calls = []
+
+        def counted(campaign, evaluator, **kw):
+            calls.append((kw["max_concurrency"], [r.index for r in kw["runs"]]))
+            return evaluate_campaign(campaign, evaluator, **kw)
+
+        monkeypatch.setattr(asuq.cli, "evaluate_campaign", counted)
+        out = tmp_path / "rf"
+        assert run_cli("range", "--campaign", str(evaluated), "--out", str(out),
+                       "--evaluator", f"{sys.executable} {script}") == 4
+        assert calls == [(2, [12, 13])]
+        report = json.loads((out / "range.json").read_text())
+        assert report["corner_errors"] == {
+            key: f"all 1 attempted runs failed (first diagnostic: {run}: "
+                 f"evaluator exited 1: no qoi for {run})"
+            for key, run in errors.items()}
+        assert report["f_min"] == (1.0 if len(failing) == 1 else None)
+        assert report["f_max"] is None
+        assert report["validated"] is False and report["inverted"] is False
+        corners = load_campaign(evaluated).runs[12:]
+        assert [(r.index, r.role, r.status) for r in corners] == [
+            (12, "corner", "failed" if 12 in failing else "done"),
+            (13, "corner", "failed")]
 
     def test_failed_corners_are_retried_in_place(self, evaluated, tmp_path):
         script = tmp_path / "no_corners.py"

@@ -3,12 +3,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from asuq import DataError, ParameterSpace, ParameterSpec, hyshot_space, unit_space
-from asuq.param_space import sample_hypercube
+from asuq.param_space import hypercube_blocks, sample_hypercube
 
 
 @pytest.fixture
@@ -29,6 +29,15 @@ class TestSpecValidation:
         spec = ParameterSpec(name="p", min=0.0, nominal=0.5, max=1.0)
         with pytest.raises(DataError):
             ParameterSpace([spec, spec])
+
+    @pytest.mark.parametrize("bounds", [
+        (-np.inf, 0.0, np.inf), (0.0, 0.5, np.inf), (-np.inf, 0.0, 1.0),
+        (0.0, np.nan, 1.0), (np.nan, 0.0, 1.0),
+    ])
+    def test_non_finite_bounds_rejected(self, bounds):
+        lo, nominal, hi = bounds
+        with pytest.raises(DataError, match="finite"):
+            ParameterSpec(name="p", min=lo, nominal=nominal, max=hi)
 
     def test_empty_space_rejected(self):
         with pytest.raises(DataError):
@@ -161,6 +170,24 @@ class TestSamplerProperties:
         assert x.dtype == np.float64
         assert x.flags.c_contiguous
         assert np.all(x >= -1.0) and np.all(x <= 1.0)
+
+    # Consecutive draws from one generator continue one stream, so the
+    # blocks are the one-shot rows whatever the block size.
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 13), n=st.integers(0, 100), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=5, n=0, rows=1, seed=0)
+    @example(m=5, n=1, rows=1, seed=0)
+    @example(m=5, n=1, rows=7, seed=0)
+    def test_row_blocks_concatenate_to_one_draw(self, m, n, rows, seed):
+        blocks = list(hypercube_blocks(m, n, seed, rows))
+        assert np.array_equal(np.concatenate(blocks), sample_hypercube(m, n, seed))
+        assert all(b.shape[1] == m and b.dtype == np.float64 for b in blocks)
+        # ``rows`` rows a block; the last takes the rest, below 2 * rows.
+        sizes = [len(b) for b in blocks]
+        assert len(sizes) == max(1, n // rows)
+        assert sizes[:-1] == [rows] * (len(sizes) - 1)
+        assert sizes[-1] < 2 * rows
 
     def test_seeds_give_different_streams(self):
         assert not np.array_equal(sample_hypercube(3, 5, seed=1),

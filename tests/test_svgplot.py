@@ -3,15 +3,19 @@
 The golden pipeline pins ``summary.svg`` and ``cdf.svg``; these add a
 plot with no layers, a single point (degenerate x and y ranges, padded by
 one unit each way), a plot with only horizontal lines (x range falls back
-to [0, 1]) and a 10^4-point scatter under a dashed line.
+to [0, 1]) and a 10^4-point scatter under a dashed line. The streamed
+writer is also compared with the whole-text writer it replaced, on
+scatters that cross several chunks.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from asuq.svgplot import SvgPlot
+from asuq import svgplot
+from asuq.svgplot import _H, _MARGIN, _W, SvgPlot, _limits, _ticks
 
 
 def empty_plot():
@@ -63,3 +67,126 @@ def digest(build, tmp_path) -> str:
 @pytest.mark.parametrize("build", list(PINNED), ids=lambda f: f.__name__)
 def test_svg_bytes_pinned(build, tmp_path):
     assert digest(build, tmp_path) == PINNED[build]
+
+
+def reference_svg(plot: SvgPlot) -> bytes:
+    """Test-only reference: every line in one list, joined once."""
+    x0, x1 = _limits([layer[1] for layer in plot._layers])
+    y0, y1 = _limits([layer[2] for layer in plot._layers])
+    if x1 == x0:
+        x0, x1 = x0 - 1, x1 + 1
+    if y1 == y0:
+        y0, y1 = y0 - 1, y1 + 1
+    padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
+    x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+
+    def px(v):
+        return _MARGIN + (v - x0) / (x1 - x0) * (_W - 2 * _MARGIN)
+
+    def py(v):
+        return _H - _MARGIN - (v - y0) / (y1 - y0) * (_H - 2 * _MARGIN)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
+        f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#444" stroke-width="1"/>',
+    ]
+    for t in _ticks(x0, x1):
+        parts.append(
+            f'<line x1="{px(t):.2f}" y1="{_H - _MARGIN}" x2="{px(t):.2f}" '
+            f'y2="{_H - _MARGIN + 5}" stroke="#444"/>'
+            f'<text x="{px(t):.2f}" y="{_H - _MARGIN + 18}" font-size="11" '
+            f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
+        )
+    for t in _ticks(y0, y1):
+        parts.append(
+            f'<line x1="{_MARGIN - 5}" y1="{py(t):.2f}" x2="{_MARGIN}" '
+            f'y2="{py(t):.2f}" stroke="#444"/>'
+            f'<text x="{_MARGIN - 8}" y="{py(t):.2f}" font-size="11" '
+            f'text-anchor="end" dominant-baseline="middle" '
+            f'font-family="sans-serif">{t:g}</text>'
+        )
+    if plot.title:
+        parts.append(
+            f'<text x="{_W / 2}" y="{_MARGIN - 16}" font-size="14" '
+            f'text-anchor="middle" font-family="sans-serif">{plot.title}</text>'
+        )
+    if plot.xlabel:
+        parts.append(
+            f'<text x="{_W / 2}" y="{_H - 12}" font-size="12" '
+            f'text-anchor="middle" font-family="sans-serif">{plot.xlabel}</text>'
+        )
+    if plot.ylabel:
+        parts.append(
+            f'<text x="14" y="{_H / 2}" font-size="12" text-anchor="middle" '
+            f'font-family="sans-serif" transform="rotate(-90 14 {_H / 2})">'
+            f'{plot.ylabel}</text>'
+        )
+    for kind, lx, ly, *style in plot._layers:
+        cx, cy = px(lx).tolist(), py(ly).tolist()
+        if kind == "scatter":
+            r, color, opacity = style
+            attrs = f' r="{r}" fill="{color}" fill-opacity="{opacity}"/>'
+            parts.extend('<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, attrs)
+                         for vx, vy in zip(cx, cy))
+        elif kind == "line":
+            color, width, dashed = style
+            pts = " ".join("%.2f,%.2f" % p for p in zip(cx, cy))
+            dash = ' stroke-dasharray="6 4"' if dashed else ""
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="{width}"{dash}/>'
+            )
+        elif kind == "hline":
+            color, dashed = style
+            dash = ' stroke-dasharray="6 4"' if dashed else ""
+            parts.append(
+                f'<line x1="{_MARGIN}" y1="{cy[0]:.2f}" x2="{_W - _MARGIN}" '
+                f'y2="{cy[0]:.2f}" stroke="{color}" stroke-width="1.2"{dash}/>'
+            )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+def two_clouds():
+    """Two scatter layers of different styles, each across several chunks.
+
+    Each layer must keep its own style: a writer that bound a layer's
+    style late would draw the first cloud in the second one's.
+    """
+    rng = np.random.default_rng(7)
+    n = 3 * svgplot._SCATTER_CHUNK + 17
+    plot = SvgPlot(xlabel="y", ylabel="f", title="clouds")
+    plot.scatter(rng.normal(size=n), rng.normal(size=n), radius=1.5,
+                 color="#999999", opacity=0.35)
+    grid = np.linspace(-3.0, 3.0, 200)
+    plot.line(grid, grid ** 3 / 9, color="#1166cc")
+    plot.scatter(rng.uniform(-2, 2, n + 5), rng.uniform(-1, 1, n + 5))
+    plot.hline(0.25)
+    return plot
+
+
+@pytest.mark.parametrize("build", [*PINNED, two_clouds],
+                         ids=lambda f: f.__name__)
+def test_streamed_writer_equals_the_joined_text(build, tmp_path):
+    plot = build()
+    plot.save(tmp_path / "plot.svg")
+    assert (tmp_path / "plot.svg").read_bytes() == reference_svg(plot)
+
+
+def test_peak_memory_is_a_chunk_not_the_plot(tmp_path):
+    # The joined writer held 200 000 circle strings, their join and its
+    # encoded copy: 65 MiB here. The layer arrays exist before tracing.
+    rng = np.random.default_rng(3)
+    plot = SvgPlot()
+    plot.scatter(rng.normal(size=200_000), rng.normal(size=200_000),
+                 radius=1.5, color="#999999", opacity=0.35)
+    tracemalloc.start()
+    try:
+        plot.save(tmp_path / "cloud.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

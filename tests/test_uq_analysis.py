@@ -1,5 +1,11 @@
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from asuq import (
     invert_safe_set,
     ridge_direction,
 )
+from asuq import param_space, uq_analysis
 from asuq.param_space import sample_hypercube
 
 
@@ -728,3 +735,76 @@ class TestEstimateCdf:
         assert np.max(np.abs(cdf.cdf - dense)) <= 0.0303 * (delta / h) ** 2 + 1e-12
         assert np.max(np.abs(cdf.evaluate(grid) - cdf.cdf)) <= 1e-12
         assert np.all(np.diff(cdf.cdf) >= -1e-15)
+
+
+def one_shot_blocks(m, n, seed):
+    """Test-only reference: the whole CDF sample in one draw."""
+    yield sample_hypercube(m, n, seed)
+
+
+def cubic_ridge(m):
+    """A direction in m parameters and a surrogate fitted along it."""
+    w = ridge_direction(m, m)
+    l1 = float(np.abs(w).sum())
+    y = np.linspace(-l1, l1, 40)
+    return fit_quadratic(y, y + 0.3 * y ** 3, y_domain=(-l1, l1)), w
+
+
+def cdf_bytes(surr, w, m, n, seed) -> bytes:
+    cdf = estimate_cdf(surr, w, m, n_samples=n, seed=seed)
+    return cdf.grid.tobytes() + cdf.cdf.tobytes() + cdf._weights.tobytes()
+
+
+class TestStreamedCdfSample:
+    @pytest.mark.parametrize("m", [1, 7, 13, 40])
+    def test_equals_the_one_shot_draw_across_blocks(self, monkeypatch, m):
+        # 3 blocks of 64 rows + 17. m * n stays small enough that BLAS
+        # computes each product on one thread; a threaded product splits
+        # its rows where n puts them, which can move the one-shot
+        # reference's last bits.
+        surr, w = cubic_ridge(m)
+        n = 3 * 64 + 17
+        monkeypatch.setattr(uq_analysis, "hypercube_blocks", functools.partial(
+            param_space.hypercube_blocks, rows=64))
+        streamed = cdf_bytes(surr, w, m, n, seed=m)
+        monkeypatch.setattr(uq_analysis, "hypercube_blocks", one_shot_blocks)
+        assert streamed == cdf_bytes(surr, w, m, n, seed=m)
+
+    def test_equals_the_one_shot_draw_at_the_block_size(self):
+        # 3 blocks of the module's size + 17 rows, with BLAS held to one
+        # thread in a fresh interpreter.
+        code = (
+            "import sys; from asuq import param_space, uq_analysis; "
+            "import test_uq_analysis as t; "
+            "surr, w = t.cubic_ridge(50); "
+            "n = 3 * param_space._SAMPLE_BLOCK + 17; "
+            "streamed = t.cdf_bytes(surr, w, 50, n, seed=5); "
+            "uq_analysis.hypercube_blocks = t.one_shot_blocks; "
+            "sys.exit(streamed != t.cdf_bytes(surr, w, 50, n, seed=5))"
+        )
+        threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+        src = Path(param_space.__file__).resolve().parents[1]
+        env = dict(os.environ, **threads, PYTHONPATH=os.pathsep.join(
+            [str(src), str(Path(__file__).parent)]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_peak_memory_is_n_vectors_and_one_block(self):
+        # The one-shot draw held the (n, 52) Philox output and its (n, 50)
+        # contiguous copy: 166 MB at n = 200 000.
+        m, n = 50, 200_000
+        surr, w = cubic_ridge(m)
+        tracemalloc.start()
+        try:
+            estimate_cdf(surr, w, m, n_samples=n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # At most ten n-vectors at once (block projections and their join,
+        # g, and the binning's positions, indices and fractions), the last
+        # block (under two blocks of rows) and one kernel block.
+        block = 2 * param_space._SAMPLE_BLOCK * 4 * math.ceil(m / 4) * 8
+        bound = 10 * 8 * n + block + 8 * uq_analysis._KERNEL_BLOCK
+        assert peak < bound < 30 * 2 ** 20
