@@ -85,7 +85,6 @@ class SummaryData:
     y: np.ndarray
     f: np.ndarray
     discordant_pairs: int
-    bootstrap_cloud: np.ndarray | None = None  # (N*M, 2) columns (y, f)
 
 
 @dataclass(frozen=True)
@@ -284,13 +283,8 @@ def sensitivity_ranking(asub: ActiveSubspace,
     return [(str(names[i]), float(w[i]), float(abs(w[i]))) for i in order]
 
 
-def summary_data(X, f, asub: ActiveSubspace,
-                 ensemble: BootstrapEnsemble | None = None) -> SummaryData:
-    """Project samples onto the active variable y = w . x.
-
-    When an ensemble is given, also returns the bootstrap cloud: every
-    sample projected onto every replicate direction (N*M points).
-    """
+def summary_data(X, f, asub: ActiveSubspace) -> SummaryData:
+    """Project samples onto the active variable y = w . x."""
     X, f, M, m = _as_design(X, f)
     if len(asub.w) != m:
         raise DataError(f"direction has {len(asub.w)} components, samples have {m}")
@@ -301,15 +295,7 @@ def summary_data(X, f, asub: ActiveSubspace,
     increasing_breaks = int(np.sum(fs[1:] < fs[:-1]))
     decreasing_breaks = int(np.sum(fs[1:] > fs[:-1]))
     discordant = min(increasing_breaks, decreasing_breaks)
-
-    cloud = None
-    if ensemble is not None:
-        ys = X @ ensemble.replicates.T          # (M, N)
-        cloud = np.column_stack([
-            ys.ravel(order="F"),
-            np.tile(f, ensemble.N),
-        ])
-    return SummaryData(y=y, f=f, discordant_pairs=discordant, bootstrap_cloud=cloud)
+    return SummaryData(y=y, f=f, discordant_pairs=discordant)
 
 
 def estimate_c_gradient_oracle(grad_fn: Callable[[np.ndarray], np.ndarray],

@@ -335,18 +335,27 @@ def load_campaign(path) -> Campaign:
         manifest = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read campaign {path}: {exc}") from exc
+    if type(manifest) is not dict:
+        raise DataError(f"campaign {path} is not a JSON object")
     for key in ("space", "seed", "runs"):
         if key not in manifest:
             raise DataError(f"campaign manifest missing '{key}'")
     space = ParameterSpace.from_dict(manifest["space"])
     # Manifests written before the sampler was versioned hold version 1
     # points (one PCG64 stream per row); they keep that label on save.
-    sampler = manifest.get("sampler", 1)
-    if type(sampler) is not int:
-        raise DataError(f"campaign sampler must be an integer, got {sampler!r}")
-    campaign = Campaign(space, manifest["seed"], manifest.get("condition"),
+    manifest.setdefault("sampler", 1)
+    manifest.setdefault("condition", {})
+    # type(), not isinstance(): a JSON true is a bool, not a seed.
+    for key, kind, what in (("seed", int, "an integer"),
+                            ("sampler", int, "an integer"),
+                            ("condition", dict, "an object"),
+                            ("runs", list, "an array")):
+        if type(manifest[key]) is not kind:
+            raise DataError(
+                f"campaign {key} must be {what}, got {manifest[key]!r}")
+    campaign = Campaign(space, manifest["seed"], manifest["condition"],
                         [_record_from_dict(rd) for rd in manifest["runs"]],
-                        sampler=sampler)
+                        sampler=manifest["sampler"])
     _fold_journal(campaign.runs, journal_path(path))
     return campaign
 
@@ -445,8 +454,8 @@ def synthetic_ridge(w_true: np.ndarray, link: str = "linear",
         raise UsageError(
             f"unknown link {link!r}; choose from {sorted(RIDGE_LINKS)}"
         )
-    if noise < 0:
-        raise UsageError(f"noise must be >= 0, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise UsageError(f"noise must be a finite number >= 0, got {noise}")
     g = RIDGE_LINKS[link]
 
     def evaluator(req: EvalRequest) -> float:
@@ -477,6 +486,10 @@ class CommandEvaluator:
             self.argv = shlex.split(self.argv)
         if not self.argv:
             raise UsageError("empty evaluator command")
+        if self.timeout is not None and not (math.isfinite(self.timeout)
+                                             and self.timeout > 0):
+            raise UsageError(f"timeout must be a finite number of seconds "
+                             f"> 0, got {self.timeout}")
 
     def __call__(self, req: EvalRequest) -> float:
         payload = json.dumps({

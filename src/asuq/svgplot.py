@@ -49,9 +49,9 @@ _SCATTER_CHUNK = 4096
 def _circles(xs, ys, px, py, radius, color, opacity):
     """Yield a scatter layer's circle lines, _SCATTER_CHUNK points a string."""
     tail = f' r="{radius}" fill="{color}" fill-opacity="{opacity}"/>\n'
-    for i in range(0, len(xs), _SCATTER_CHUNK):
-        cx = px(xs[i:i + _SCATTER_CHUNK]).tolist()
-        cy = py(ys[i:i + _SCATTER_CHUNK]).tolist()
+    for i in range(0, xs.size, _SCATTER_CHUNK):
+        cx = px(xs.flat[i:i + _SCATTER_CHUNK]).tolist()
+        cy = py(ys.flat[i:i + _SCATTER_CHUNK]).tolist()
         yield "".join(['<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, tail)
                        for vx, vy in zip(cx, cy)])
 
@@ -65,6 +65,7 @@ class SvgPlot:
 
     def scatter(self, xs, ys, radius: float = 3.0, color: str = "#222222",
                 opacity: float = 1.0):
+        """Add points (xs, ys); arrays of any equal shape, taken in C order."""
         self._layers.append(("scatter", np.asarray(xs, dtype=float),
                              np.asarray(ys, dtype=float), radius, color, opacity))
 

@@ -347,13 +347,6 @@ class TestSummaryData:
         sd = summary_data(X, f, _as_subspace(w))
         assert sd.discordant_pairs == 0
 
-    def test_cloud_cardinality(self, ridge_fixture):
-        X, f, _ = ridge_fixture
-        asub = fit_active_direction(X, f)
-        ens = bootstrap_direction(X, f, N=100, seed=0)
-        sd = summary_data(X, f, asub, ens)
-        assert sd.bootstrap_cloud.shape == (100 * 50, 2)
-
     def test_projection_bounded_by_l1_norm(self, ridge_fixture):
         X, f, _ = ridge_fixture
         asub = fit_active_direction(X, f)

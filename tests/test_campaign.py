@@ -191,6 +191,13 @@ class TestPersistence:
         with pytest.raises(DataError, match="sampler"):
             load_campaign(path)
 
+    @pytest.mark.parametrize("manifest", ["5", "[]"])
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path, manifest):
+        path = tmp_path / "c.json"
+        path.write_text(manifest)
+        with pytest.raises(DataError):
+            load_campaign(path)
+
     def test_noncontiguous_indices_rejected(self):
         sp = unit_space(1)
         recs = [RunRecord(index=1, x=np.zeros(1), p=np.zeros(1))]

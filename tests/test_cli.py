@@ -3,10 +3,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asuq
 import asuq.active_subspace
@@ -21,12 +25,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-@pytest.fixture
-def sampled(tmp_path):
-    campaign = tmp_path / "campaign.json"
+def sample(campaign):
     assert run_cli("sample", "-M", "12", "--seed", "7",
                    "--out", str(campaign)) == 0
     return campaign
+
+
+@pytest.fixture
+def sampled(tmp_path):
+    return sample(tmp_path / "campaign.json")
 
 
 @pytest.fixture
@@ -185,6 +192,38 @@ class TestRun:
         assert "timed out" in failed.error
         assert len(campaign.done_runs()) == 11
 
+    @pytest.mark.parametrize("flags", [
+        ["--evaluator", "ridge:linear", "--wtrue-seed", "1", "--noise", bad]
+        for bad in ("nan", "inf", "-1")
+    ] + [
+        ["--evaluator", f"{sys.executable} -c pass", "--timeout", bad]
+        for bad in ("0", "-1", "nan", "inf")
+    ], ids=["noise-nan", "noise-inf", "noise-neg", "timeout-0", "timeout-neg",
+            "timeout-nan", "timeout-inf"])
+    def test_bad_noise_or_timeout_exits_1_before_any_run(self, sampled, flags,
+                                                         capsys):
+        before = sampled.read_bytes()
+        assert run_cli("run", "--campaign", str(sampled), *flags) == 1
+        assert flags[-2].lstrip("-") in capsys.readouterr().err
+        assert sampled.read_bytes() == before
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "x"), ("seed", None), ("seed", 1.5), ("seed", True),
+        ("condition", [1, 2]), ("condition", None), ("runs", 5),
+        ("runs", {"0": {}}),
+    ], ids=["seed-str", "seed-null", "seed-float", "seed-bool",
+            "condition-array", "condition-null", "runs-int", "runs-object"])
+    def test_malformed_manifest_exits_2_unchanged(self, sampled, field, value,
+                                                  capsys):
+        manifest = json.loads(sampled.read_text())
+        manifest[field] = value
+        sampled.write_text(json.dumps(manifest))
+        before = sampled.read_bytes()
+        assert run_cli("run", "--campaign", str(sampled),
+                       "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+        assert f"campaign {field} must be" in capsys.readouterr().err
+        assert sampled.read_bytes() == before
+
     @pytest.mark.parametrize("field, value", [("status", "Done"),
                                               ("role", "bogus")])
     def test_unknown_status_or_role_exits_2(self, sampled, field, value,
@@ -226,15 +265,24 @@ def leftovers(directory):
                   if p.suffix in (".journal", ".tmp"))
 
 
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The manifest an uninterrupted `asuq run` with KILLER writes.
+
+    No run has index -1, so this evaluator kills nothing.
+    """
+    tmp_path = tmp_path_factory.mktemp("uninterrupted")
+    script = tmp_path / "killer.py"
+    script.write_text(KILLER)
+    fresh = sample(tmp_path / "fresh.json")
+    assert run_cli("run", "--campaign", str(fresh), "--evaluator",
+                   f"{sys.executable} {script} -1 {tmp_path / 'killed'} "
+                   f"kill") == 0
+    return fresh.read_bytes()
+
+
 class TestJournal:
     RIDGE = ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "3"]
-
-    def uninterrupted(self, tmp_path, *flags):
-        fresh = tmp_path / "fresh.json"
-        assert run_cli("sample", "-M", "12", "--seed", "7",
-                       "--out", str(fresh)) == 0
-        assert run_cli("run", "--campaign", str(fresh), *flags) == 0
-        return fresh.read_bytes()
 
     def killer_run(self, tmp_path, campaign, kill_at, concurrency="1",
                    how="kill"):
@@ -255,50 +303,61 @@ class TestJournal:
         # SIGINT at its default action, so that `asuq run` turns it into
         # KeyboardInterrupt even when the test runner itself ignores it (a
         # background job of a non-interactive shell does).
-        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120,
+        return subprocess.run(argv, env=env, capture_output=True, timeout=120,
                               start_new_session=True,
                               preexec_fn=lambda: signal.signal(
                                   signal.SIGINT, signal.SIG_DFL))
-        return proc, evaluator
+
+    # Hypothesis draws the run at which the evaluator kills `asuq run`; both
+    # concurrencies and both signals run on every draw. Each example costs
+    # two `asuq run` processes and up to 24 evaluator processes, about 1.3 s.
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    @settings(max_examples=4, deadline=None)
+    @given(kill_at=st.integers(0, 11))
+    def test_kill_and_resume_matches_uninterrupted(self, uninterrupted,
+                                                   concurrency, kill_at):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            sampled = sample(tmp_path / "campaign.json")
+            killed = self.killer_run(tmp_path, sampled, kill_at, concurrency)
+            assert killed.returncode == -9
+            partial = load_campaign(sampled)
+            done = len(partial.done_runs())
+            assert done < 12 and partial.runs[kill_at].status == "pending"
+            # A kill before the first recorded run leaves no journal.
+            assert journal_path(sampled).exists() == (done > 0)
+
+            resumed = self.killer_run(tmp_path, sampled, kill_at, concurrency)
+            assert resumed.returncode == 0, resumed.stderr
+            assert leftovers(tmp_path) == []
+            assert sampled.read_bytes() == uninterrupted
 
     @pytest.mark.parametrize("concurrency", ["1", "2"])
-    def test_kill_and_resume_matches_uninterrupted(self, tmp_path, sampled,
-                                                   concurrency):
-        killed, evaluator = self.killer_run(tmp_path, sampled, 5, concurrency)
-        assert killed.returncode == -9
-        assert journal_path(sampled).exists()
-        partial = load_campaign(sampled)
-        assert 0 < len(partial.done_runs()) < 12
-        assert partial.runs[5].status == "pending"
+    @settings(max_examples=4, deadline=None)
+    @given(kill_at=st.integers(0, 11))
+    def test_ctrl_c_leaves_unfinished_runs_pending(self, uninterrupted,
+                                                   concurrency, kill_at):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            sampled = sample(tmp_path / "campaign.json")
+            interrupted = self.killer_run(tmp_path, sampled, kill_at,
+                                          concurrency, how="sigint")
+            assert interrupted.returncode == -signal.SIGINT
+            partial = load_campaign(sampled)
+            assert partial.failed_runs() == []
+            assert partial.runs[kill_at].status == "pending"
+            done = len(partial.done_runs())
+            assert b"Traceback" not in interrupted.stderr
+            assert f"{done} done, 0 failed, {12 - done} pending".encode() \
+                in interrupted.stderr
 
-        resumed, _ = self.killer_run(tmp_path, sampled, 5, concurrency)
-        assert resumed.returncode == 0, resumed.stderr
-        assert leftovers(tmp_path) == []
-        assert sampled.read_bytes() == self.uninterrupted(
-            tmp_path, "--evaluator", evaluator)
+            resumed = self.killer_run(tmp_path, sampled, kill_at,
+                                      concurrency, how="sigint")
+            assert resumed.returncode == 0, resumed.stderr
+            assert leftovers(tmp_path) == []
+            assert sampled.read_bytes() == uninterrupted
 
-    @pytest.mark.parametrize("concurrency", ["1", "2"])
-    def test_ctrl_c_leaves_unfinished_runs_pending(self, tmp_path, sampled,
-                                                   concurrency):
-        interrupted, evaluator = self.killer_run(tmp_path, sampled, 5,
-                                                 concurrency, how="sigint")
-        assert interrupted.returncode == -signal.SIGINT
-        partial = load_campaign(sampled)
-        assert partial.failed_runs() == []
-        assert partial.runs[5].status == "pending"
-        done = len(partial.done_runs())
-        assert b"Traceback" not in interrupted.stderr
-        assert f"{done} done, 0 failed, {12 - done} pending".encode() \
-            in interrupted.stderr
-
-        resumed, _ = self.killer_run(tmp_path, sampled, 5, concurrency,
-                                     how="sigint")
-        assert resumed.returncode == 0, resumed.stderr
-        assert leftovers(tmp_path) == []
-        assert sampled.read_bytes() == self.uninterrupted(
-            tmp_path, "--evaluator", evaluator)
-
-    def test_torn_line_run_is_rerun(self, tmp_path, sampled):
+    def test_torn_line_run_is_rerun(self, tmp_path, sampled, uninterrupted):
         def same_as_killer(req):
             return sum((i + 1) * v for i, v in enumerate(req.params.values()))
 
@@ -312,16 +371,15 @@ class TestJournal:
         assert len(load_campaign(sampled).done_runs()) == 3
 
         # A second kill must not leave the torn line inside the journal.
-        killed, evaluator = self.killer_run(tmp_path, sampled, 8)
+        killed = self.killer_run(tmp_path, sampled, 8)
         assert killed.returncode == -9
         partial = load_campaign(sampled)
         assert [r.index for r in partial.done_runs()] == list(range(8))
 
-        resumed, _ = self.killer_run(tmp_path, sampled, 8)
+        resumed = self.killer_run(tmp_path, sampled, 8)
         assert resumed.returncode == 0, resumed.stderr
         assert leftovers(tmp_path) == []
-        assert sampled.read_bytes() == self.uninterrupted(
-            tmp_path, "--evaluator", evaluator)
+        assert sampled.read_bytes() == uninterrupted
 
     @pytest.mark.parametrize("command", ["run", "analyze"])
     def test_malformed_journal_line_exits_2(self, sampled, command, capsys):
@@ -405,12 +463,16 @@ class TestJournal:
         assert (out / target).read_bytes() == before[target]
         assert leftovers(out) == [] and leftovers(tmp_path) == []
 
-    @pytest.mark.parametrize("module, formatter, target", [
-        (asuq.cli, "_cloud_rows", "summary.csv"),
-        (asuq.svgplot, "_circles", "summary.svg"),
+    # The sample rows do not depend on --seed, so the csv writer fails in
+    # its bootstrap rows; the plot's first scatter call is the cloud.
+    @pytest.mark.parametrize("module, formatter, target, fails", [
+        (asuq.cli, "_summary_rows", "summary.csv",
+         lambda ys, f, source: source == "bootstrap"),
+        (asuq.svgplot, "_circles", "summary.svg", lambda *args: True),
     ], ids=["csv", "svg"])
     def test_formatter_failure_mid_write_keeps_the_old_report(
-            self, evaluated, tmp_path, monkeypatch, module, formatter, target):
+            self, evaluated, tmp_path, monkeypatch, module, formatter, target,
+            fails):
         # The streamed reports are formatted inside atomic_open: a formatter
         # that fails after its first chunk leaves the old file and no .tmp.
         out = tmp_path / "out"
@@ -424,6 +486,9 @@ class TestJournal:
 
         def fails_after_one_chunk(*args, **kwargs):
             chunks = real(*args, **kwargs)
+            if not fails(*args, **kwargs):
+                yield from chunks
+                return
             written.append(next(chunks))
             yield written[-1]
             raise RuntimeError("injected formatter failure")
@@ -457,20 +522,24 @@ class TestAnalyze:
 
     def test_summary_csv_equals_the_one_shot_writer(self, evaluated, tmp_path,
                                                     monkeypatch):
-        # 40 replicates of 12 samples: the replicate-row writer against the
-        # loop over the whole cloud it replaced.
+        # 40 replicates of 12 samples: the row writer against the loop over
+        # the whole (N*M, 2) cloud it replaced.
         captured = []
 
         def capture(*args, **kwargs):
-            captured.append(asuq.active_subspace.summary_data(*args, **kwargs))
+            captured.append(asuq.active_subspace.bootstrap_direction(
+                *args, **kwargs))
             return captured[-1]
 
-        monkeypatch.setattr(asuq.cli, "summary_data", capture)
+        monkeypatch.setattr(asuq.cli, "bootstrap_direction", capture)
         out = tmp_path / "out"
         assert run_cli("analyze", "--campaign", str(evaluated), "--out",
                        str(out), "--seed", "4", "--bootstrap", "40") == 0
-        (summary,) = captured
-        cloud = summary.bootstrap_cloud
+        (ensemble,) = captured
+        X, f = load_campaign(evaluated).design_arrays()
+        summary = asuq.summary_data(X, f, asuq.fit_active_direction(X, f))
+        ys = X @ ensemble.replicates.T
+        cloud = np.column_stack([ys.ravel(order="F"), np.tile(f, ensemble.N)])
         reference = ["y,f,source\n"]
         for yv, fv in zip(summary.y.tolist(), summary.f.tolist()):
             reference.append(f"{yv!r},{fv!r},sample\n")
@@ -478,6 +547,21 @@ class TestAnalyze:
             reference.append(f"{yv!r},{fv!r},bootstrap\n")
         assert len(cloud) == 40 * 12
         assert (out / "summary.csv").read_text() == "".join(reference)
+
+    def test_summary_rows_hold_one_row_at_a_time(self):
+        # A (1000, 200) cloud, transposed as cmd_analyze forms it. Its
+        # 200 000 projections as Python floats, a whole-matrix tolist(),
+        # peak at 6.2 MiB; one row's text is about 10 kB.
+        rng = np.random.default_rng(5)
+        ys, f = rng.normal(size=(200, 1000)).T, rng.normal(size=200)
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in asuq.cli._summary_rows(ys, f, "bootstrap"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 1000
+        assert peak < 2 ** 20
 
     def test_output_dir_from_environment(self, evaluated, tmp_path,
                                          monkeypatch):

@@ -5,7 +5,8 @@ plot with no layers, a single point (degenerate x and y ranges, padded by
 one unit each way), a plot with only horizontal lines (x range falls back
 to [0, 1]) and a 10^4-point scatter under a dashed line. The streamed
 writer is also compared with the whole-text writer it replaced, on
-scatters that cross several chunks.
+scatters that cross several chunks, and a 2-D scatter with the raveled
+one it stands for.
 """
 
 import hashlib
@@ -190,3 +191,23 @@ def test_peak_memory_is_a_chunk_not_the_plot(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_two_dimensional_scatter_equals_its_raveled_form(tmp_path):
+    # summary.svg draws the (N, M) bootstrap cloud, one replicate a row,
+    # against f broadcast to (N, M): the points go replicate by replicate,
+    # as in the raveled cloud against np.tile(f, N). The cloud is the
+    # transpose of an (M, N) product, so its memory order is the other one.
+    rng = np.random.default_rng(11)
+    N, M = 40, 250
+    cloud, f = rng.normal(size=(M, N)).T, rng.normal(size=M)
+    svgs = []
+    for xs, ys in ((cloud, np.broadcast_to(f, cloud.shape)),
+                   (cloud.ravel(), np.tile(f, N))):
+        plot = SvgPlot()
+        plot.scatter(xs, ys, radius=1.5, color="#999999", opacity=0.35)
+        plot.scatter(cloud[0], f)
+        plot.save(tmp_path / "plot.svg")
+        svgs.append((tmp_path / "plot.svg").read_bytes())
+    assert N * M > 2 * svgplot._SCATTER_CHUNK
+    assert svgs[0] == svgs[1]
