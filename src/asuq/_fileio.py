@@ -1,5 +1,6 @@
 """Atomic text-file writes for campaign manifests and reports."""
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,3 +23,14 @@ def atomic_open(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` atomically as JSON, indented by 2, with a final newline.
+
+    ``json.dump`` writes piece by piece, so the whole text of a large
+    document (results.json's N*m replicates) is never held at once.
+    """
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")

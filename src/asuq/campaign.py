@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open
+from ._fileio import atomic_open, write_json
 from .errors import DataError, EvaluatorError, UsageError
 from .param_space import SAMPLER_VERSION, ParameterSpace, unit_space
 
@@ -301,8 +301,7 @@ def save_campaign(campaign: Campaign, path) -> None:
         "condition": {k: campaign.condition[k] for k in sorted(campaign.condition)},
         "runs": [_record_to_dict(r) for r in campaign.runs],
     }
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
+    write_json(path, manifest)
     journal_path(path).unlink(missing_ok=True)
 
 
@@ -353,6 +352,11 @@ def load_campaign(path) -> Campaign:
         if type(manifest[key]) is not kind:
             raise DataError(
                 f"campaign {key} must be {what}, got {manifest[key]!r}")
+    try:  # NaN and Infinity are not JSON; every evaluator reads the condition
+        json.dumps(manifest["condition"], allow_nan=False)
+    except ValueError:
+        raise DataError(f"campaign condition must hold finite numbers, got "
+                        f"{manifest['condition']!r}") from None
     campaign = Campaign(space, manifest["seed"], manifest["condition"],
                         [_record_from_dict(rd) for rd in manifest["runs"]],
                         sampler=manifest["sampler"])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hyshot
-from ._fileio import atomic_open
+from ._fileio import atomic_open, write_json
 from .active_subspace import (
     bootstrap_direction,
     fit_active_direction,
@@ -62,14 +62,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- shared helpers -----------------------------------------------------------
-
-
-def _write_json(path: Path, obj) -> None:
-    # json.dump writes piece by piece; the text of results.json's N*m
-    # replicates is never held whole.
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
 
 
 def _load_space(path: str | None) -> ParameterSpace:
@@ -114,8 +106,10 @@ class _FittedCampaign:
     """A loaded campaign with its direction, summary data and surrogate.
 
     Shared by ``analyze``, ``range``, ``safeset`` and ``cdf``; the
-    surrogate is fitted on first use, at most once. Each stage method
-    writes its report into ``out`` and returns its estimate.
+    surrogate is fitted on first use, at most once. Each stage method is
+    the whole stage for both ``analyze`` and the standalone command: it
+    writes its report into ``out``, prints its summary lines and returns
+    its exit status (4 when a corner evaluation failed).
     """
 
     def __init__(self, args):
@@ -133,7 +127,7 @@ class _FittedCampaign:
         return fit_quadratic(self.summary.y, self.summary.f,
                              y_domain=(-l1, l1))
 
-    def range(self):
+    def range(self) -> int:
         """Evaluate the two corners; write range.json and the campaign.
 
         A done corner run is reused; a failed one is evaluated again in
@@ -164,7 +158,7 @@ class _FittedCampaign:
         save_campaign(campaign, self.args.campaign)
         p_min, p_max = (campaign.space.denormalize(x).tolist()
                         for x in (rng.x_min, rng.x_max))
-        _write_json(self.out / "range.json", {
+        write_json(self.out / "range.json", {
             "x_min": rng.x_min.tolist(), "x_max": rng.x_max.tolist(),
             "p_min": p_min, "p_max": p_max,
             "f_min": rng.f_min, "f_max": rng.f_max,
@@ -172,33 +166,46 @@ class _FittedCampaign:
             "monotone_caveat": rng.monotone_caveat,
             "corner_errors": rng.corner_errors,
         })
-        return rng
+        print(f"range: [{rng.f_min}, {rng.f_max}] validated={rng.validated} "
+              f"monotone_caveat={rng.monotone_caveat}")
+        if not rng.corner_errors:
+            return 0
+        print(f"corner evaluation failed: {rng.corner_errors}", file=sys.stderr)
+        return 4
 
-    def safeset(self):
+    def safeset(self) -> int:
         """Invert ``args.threshold`` at ``args.level``; write safeset.json."""
         safe = invert_safe_set(self.surrogate, self.asub.w, self.args.threshold,
                                level=self.args.level, space=self.campaign.space)
-        _write_json(self.out / "safeset.json", safe.to_dict())
-        return safe
+        write_json(self.out / "safeset.json", safe.to_dict())
+        print(f"threshold {self.args.threshold} at level {self.args.level}: "
+              f"feasible={safe.feasible} y_max={safe.y_max}")
+        for entry in safe.safe_ranges:
+            if entry["restricted"]:
+                units = f" {entry['units']}" if entry.get("units") else ""
+                print(f"  {entry['name']}: [{entry['min']:.6g}, "
+                      f"{entry['max']:.6g}]{units}")
+        return 0
 
-    def cdf(self, n_samples: int, grid_size: int = 513):
-        """Estimate the output CDF with ``args.seed``; write cdf.csv."""
+    def cdf(self) -> int:
+        """Estimate the output CDF; write cdf.csv, and cdf.svg with ``--svg``."""
+        args = self.args
         cdf = estimate_cdf(self.surrogate, self.asub.w, self.campaign.m,
-                           n_samples=n_samples, seed=self.args.seed,
-                           grid_size=grid_size)
-        with atomic_open(self.out / "cdf.csv") as fh:
+                           n_samples=args.n, seed=args.seed,
+                           grid_size=args.grid_size)
+        path = self.out / "cdf.csv"
+        with atomic_open(path) as fh:
             fh.write("q,cdf\n")
             fh.writelines(f"{q!r},{c!r}\n" for q, c in
                           zip(cdf.grid.tolist(), cdf.cdf.tolist()))
-        return cdf
-
-
-def _corner_status(rng) -> int:
-    """Exit code after a range stage: 4 when a corner evaluation failed."""
-    if not rng.corner_errors:
+        if args.svg:
+            plot = SvgPlot(xlabel="quantity of interest", ylabel="CDF",
+                           title="estimated CDF")
+            plot.line(cdf.grid, cdf.cdf, color="#117733")
+            plot.save(self.out / "cdf.svg")
+        print(f"wrote {path}: {len(cdf.grid)} grid points, "
+              f"bandwidth {cdf.bandwidth:.6g}")
         return 0
-    print(f"corner evaluation failed: {rng.corner_errors}", file=sys.stderr)
-    return 4
 
 
 def _print_ranking(ranking) -> None:
@@ -270,9 +277,8 @@ def cmd_run(args) -> int:
     return 0 if failed == 0 else EXIT_PARTIAL_FAILURE
 
 
-def cmd_analyze(args) -> int:
-    fitted = _FittedCampaign(args)
-    asub, summary = fitted.asub, fitted.summary
+def cmd_analyze(fitted: _FittedCampaign) -> int:
+    args, asub, summary = fitted.args, fitted.asub, fitted.summary
     ensemble = bootstrap_direction(fitted.X, fitted.f, N=args.bootstrap,
                                    seed=args.seed, asub=asub)
     # Every sample projected onto every replicate direction: row k holds
@@ -300,7 +306,7 @@ def cmd_analyze(args) -> int:
             "replicates": [[float(v) for v in row] for row in ensemble.replicates],
         },
     }
-    _write_json(fitted.out / "results.json", results)
+    write_json(fitted.out / "results.json", results)
 
     with atomic_open(fitted.out / "summary.csv") as fh:
         fh.write("y,f,source\n")
@@ -311,22 +317,15 @@ def cmd_analyze(args) -> int:
     print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")
 
     if args.threshold is not None or args.cdf or args.svg:
-        _write_json(fitted.out / "surrogate.json", fitted.surrogate.to_dict())
+        write_json(fitted.out / "surrogate.json", fitted.surrogate.to_dict())
 
-    exit_code = 0
-    if args.corners:
-        rng = fitted.range()
-        print(f"range: [{rng.f_min}, {rng.f_max}] validated={rng.validated}")
-        exit_code = _corner_status(rng)
-
-    if args.threshold is not None:
-        safe = fitted.safeset()
-        print(f"safe set: feasible={safe.feasible} y_max={safe.y_max}")
-
-    cdf = fitted.cdf(args.n_cdf) if args.cdf else None
+    stages = ((args.corners, fitted.range),
+              (args.threshold is not None, fitted.safeset),
+              (args.cdf, fitted.cdf))
+    codes = [stage() for wanted, stage in stages if wanted]
     if args.svg:
-        _render_svgs(fitted, cloud, cdf)
-    return exit_code
+        _render_summary_svg(fitted, cloud)
+    return max(codes, default=0)
 
 
 def _summary_rows(ys, f, source: str) -> Iterator[str]:
@@ -341,8 +340,8 @@ def _summary_rows(ys, f, source: str) -> Iterator[str]:
         yield "".join([y + s for y, s in zip(map(repr, row.tolist()), suffixes)])
 
 
-def _render_svgs(fitted: _FittedCampaign, cloud, cdf) -> None:
-    """Write summary.svg, and cdf.svg when a CDF was estimated."""
+def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
+    """Write summary.svg: the bootstrap cloud, the samples and the surrogate."""
     summary, surr, args = fitted.summary, fitted.surrogate, fitted.args
     plot = SvgPlot(xlabel="active variable y = w . x",
                    ylabel="quantity of interest", title="summary plot")
@@ -357,38 +356,6 @@ def _render_svgs(fitted: _FittedCampaign, cloud, cdf) -> None:
     if args.threshold is not None:
         plot.hline(args.threshold)
     plot.save(fitted.out / "summary.svg")
-    if cdf is not None:
-        plot = SvgPlot(xlabel="quantity of interest", ylabel="CDF",
-                       title="estimated CDF")
-        plot.line(cdf.grid, cdf.cdf, color="#117733")
-        plot.save(fitted.out / "cdf.svg")
-
-
-def cmd_range(args) -> int:
-    rng = _FittedCampaign(args).range()
-    print(f"range: [{rng.f_min}, {rng.f_max}] validated={rng.validated} "
-          f"monotone_caveat={rng.monotone_caveat}")
-    return _corner_status(rng)
-
-
-def cmd_safeset(args) -> int:
-    safe = _FittedCampaign(args).safeset()
-    print(f"threshold {args.threshold} at level {args.level}: "
-          f"feasible={safe.feasible} y_max={safe.y_max}")
-    for entry in safe.safe_ranges:
-        if entry["restricted"]:
-            units = f" {entry['units']}" if entry.get("units") else ""
-            print(f"  {entry['name']}: [{entry['min']:.6g}, "
-                  f"{entry['max']:.6g}]{units}")
-    return 0
-
-
-def cmd_cdf(args) -> int:
-    fitted = _FittedCampaign(args)
-    cdf = fitted.cdf(args.n, args.grid_size)
-    print(f"wrote {fitted.out / 'cdf.csv'}: {len(cdf.grid)} grid points, "
-          f"bandwidth {cdf.bandwidth:.6g}")
-    return 0
 
 
 def cmd_scenario_shots_fit(args) -> int:
@@ -445,15 +412,51 @@ def cmd_scenario_check(args) -> int:
 # -- parser construction ---------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"a seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_evaluator_flags(p) -> None:
     p.add_argument("--evaluator",
                    help="'ridge:<link>' builtin or an external command string")
-    p.add_argument("--wtrue-seed", type=int, default=None,
+    p.add_argument("--wtrue-seed", type=_seed, default=None,
                    help="seed deriving the true direction of a ridge evaluator")
     p.add_argument("--noise", type=float, default=0.0,
                    help="deterministic pseudo-noise amplitude for ridge evaluators")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-evaluation timeout in seconds (external commands)")
+
+
+def _add_stage(sub, name: str, help: str, run):
+    """A subcommand that fits ``--campaign`` and returns ``run(fitted)``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--campaign", required=True)
+    p.add_argument("--out", help="output directory "
+                   "(default: $ASUQ_OUTPUT_DIR or '.')")
+    p.set_defaults(func=lambda args: run(_FittedCampaign(args)))
+    return p
+
+
+def _add_threshold_flags(p, required: bool) -> None:
+    p.add_argument("--threshold", type=float, required=required,
+                   help="QoI safety threshold to invert")
+    p.add_argument("--level", type=float, default=0.99,
+                   help="confidence level for the upper bound")
+
+
+def _add_sampling_flags(p, *n_aliases: str) -> None:
+    p.add_argument("--seed", type=_seed, required=True,
+                   help="seed of the command's random draws")
+    p.add_argument("--n", *n_aliases, type=int, default=5000,
+                   help="CDF sample count (default 5000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="draw a campaign of uniform samples")
     p_sample.add_argument("--space", help="space JSON (default: bundled HyShot)")
     p_sample.add_argument("-M", type=int, required=True, help="sample count")
-    p_sample.add_argument("--seed", type=int, required=True)
+    p_sample.add_argument("--seed", type=_seed, required=True)
     p_sample.add_argument("--out", dest="campaign", required=True,
                           help="campaign manifest to write")
     p_sample.add_argument("--condition", action="append", metavar="KEY=VALUE",
@@ -489,53 +492,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_evaluator_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_analyze = sub.add_parser("analyze",
-                               help="fit, bootstrap, and export reports")
-    p_analyze.add_argument("--campaign", required=True)
-    p_analyze.add_argument("--out", help="output directory "
-                           "(default: $ASUQ_OUTPUT_DIR or '.')")
-    p_analyze.add_argument("--seed", type=int, required=True,
-                           help="seed for bootstrap and CDF sampling")
+    p_analyze = _add_stage(sub, "analyze", "fit, bootstrap, and export reports",
+                           cmd_analyze)
+    _add_sampling_flags(p_analyze, "--n-cdf")
     p_analyze.add_argument("--bootstrap", type=int, default=100, metavar="N",
                            help="bootstrap replicate count (default 100)")
-    p_analyze.add_argument("--threshold", type=float,
-                           help="QoI safety threshold to invert")
-    p_analyze.add_argument("--level", type=float, default=0.99,
-                           help="confidence level for the upper bound")
+    _add_threshold_flags(p_analyze, required=False)
     p_analyze.add_argument("--corners", action="store_true",
                            help="evaluate the two extremizing corners")
     p_analyze.add_argument("--cdf", action="store_true",
                            help="estimate the output CDF")
-    p_analyze.add_argument("--n", "--n-cdf", type=int, default=5000,
-                           dest="n_cdf", help="CDF sample count (default 5000)")
     p_analyze.add_argument("--svg", action="store_true",
                            help="render summary/CDF SVG plots")
+    p_analyze.set_defaults(grid_size=513)  # the cdf command's --grid-size
     _add_evaluator_flags(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_range = sub.add_parser("range",
-                             help="corner-evaluation output range")
-    p_range.add_argument("--campaign", required=True)
-    p_range.add_argument("--out")
+    p_range = _add_stage(sub, "range", "corner-evaluation output range",
+                         _FittedCampaign.range)
     _add_evaluator_flags(p_range)
-    p_range.set_defaults(func=cmd_range)
 
-    p_safe = sub.add_parser("safeset",
-                            help="invert a threshold into safe input ranges")
-    p_safe.add_argument("--campaign", required=True)
-    p_safe.add_argument("--threshold", type=float, required=True)
-    p_safe.add_argument("--level", type=float, default=0.99)
-    p_safe.add_argument("--out")
-    p_safe.set_defaults(func=cmd_safeset)
+    p_safe = _add_stage(sub, "safeset",
+                        "invert a threshold into safe input ranges",
+                        _FittedCampaign.safeset)
+    _add_threshold_flags(p_safe, required=True)
 
-    p_cdf = sub.add_parser("cdf",
-                           help="estimate the output CDF from the surrogate")
-    p_cdf.add_argument("--campaign", required=True)
-    p_cdf.add_argument("--n", type=int, default=5000)
-    p_cdf.add_argument("--seed", type=int, required=True)
+    p_cdf = _add_stage(sub, "cdf", "estimate the output CDF from the surrogate",
+                       _FittedCampaign.cdf)
+    _add_sampling_flags(p_cdf)
     p_cdf.add_argument("--grid-size", type=int, default=513)
-    p_cdf.add_argument("--out")
-    p_cdf.set_defaults(func=cmd_cdf)
+    p_cdf.set_defaults(svg=False)  # cdf.svg comes with analyze --svg
 
     p_scen = sub.add_parser("scenario",
                             help="HyShot II characterization arithmetic")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open
+from ._fileio import write_json
 from .errors import DataError
 
 __all__ = [
@@ -169,8 +169,7 @@ class ParameterSpace:
         return cls.from_dict(entries)
 
     def save(self, path) -> None:
-        with atomic_open(path) as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_json(path, self.to_dict())
 
 
 def hyshot_space() -> ParameterSpace:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import signal
@@ -223,6 +224,27 @@ class TestRun:
                        "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
         assert f"campaign {field} must be" in capsys.readouterr().err
         assert sampled.read_bytes() == before
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_manifest_condition_exits_2_unchanged(
+            self, sampled, tmp_path, value, capsys):
+        # json.dumps writes float("NaN") as the bare token NaN, which
+        # Python's json reads back; --condition would have refused it.
+        manifest = json.loads(sampled.read_text())
+        manifest["condition"] = {"T": 300.0, "a": float(value)}
+        sampled.write_text(json.dumps(manifest))
+        before = sampled.read_bytes()
+        assert value in before.decode()
+        marker = tmp_path / "evaluated"
+        script = tmp_path / "mark.py"
+        script.write_text(f"open({str(marker)!r}, 'w').close()\n"
+                          "print('{\"qoi\": 1.0}')\n")
+        assert run_cli("run", "--campaign", str(sampled),
+                       "--evaluator", f"{sys.executable} {script}") == 2
+        assert "campaign condition must hold finite numbers" in \
+            capsys.readouterr().err
+        assert sampled.read_bytes() == before
+        assert not marker.exists() and not journal_path(sampled).exists()
 
     @pytest.mark.parametrize("field, value", [("status", "Done"),
                                               ("role", "bogus")])
@@ -660,6 +682,19 @@ class TestStandaloneReports:
         assert report["f_min"] is None and report["f_max"] is None
         assert report["corner_errors"]
 
+    def test_analyze_corner_failure_exits_4_after_every_stage(
+            self, evaluated, tmp_path, capsys):
+        script = tmp_path / "dead.py"
+        script.write_text("import sys\nsys.exit(1)\n")
+        out = tmp_path / "af"
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), "--seed", "2", "--bootstrap", "5",
+                       "--corners", "--evaluator", f"{sys.executable} {script}",
+                       "--threshold", "1.0", "--cdf", "--n", "300") == 4
+        assert "corner evaluation failed" in capsys.readouterr().err
+        for name in ("range.json", "safeset.json", "cdf.csv"):
+            assert (out / name).is_file(), name
+
     @pytest.mark.parametrize("failing, errors", [
         ([13], {"at_x_max": "run 13"}),
         ([12, 13], {"at_x_min": "run 12", "at_x_max": "run 13"}),
@@ -738,6 +773,23 @@ class TestStandaloneReports:
         rows = (out / "cdf.csv").read_text().splitlines()
         assert len(rows) == 514
 
+    def test_analyze_prints_the_standalone_stage_lines(self, evaluated,
+                                                       tmp_path, capsys):
+        # One --out for all, so the cdf line names the same file.
+        common = ["--campaign", str(evaluated), "--out", str(tmp_path / "o")]
+        ridge = ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "3"]
+        standalone = ""
+        for argv in (["range", *ridge], ["safeset", "--threshold", "1.0"],
+                     ["cdf", "--n", "300", "--seed", "9"]):
+            assert run_cli(*argv, *common) == 0
+            standalone += capsys.readouterr().out
+        assert standalone.count("\n") > 3
+        assert run_cli("analyze", *common, "--seed", "9", "--bootstrap", "10",
+                       "--corners", *ridge, "--threshold", "1.0",
+                       "--cdf", "--n", "300") == 0
+        assert capsys.readouterr().out.endswith(
+            "discordant pairs in summary ordering: 0\n" + standalone)
+
     @pytest.mark.parametrize("grid_size", ["-1", "0", "1"])
     def test_cdf_too_small_grid_is_data_error(self, evaluated, tmp_path,
                                               grid_size, capsys):
@@ -811,6 +863,76 @@ class TestEndToEnd:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "-M", "12", "--out", "{tmp}/new.json", "--seed"],
+        ["run", "--campaign", "{campaign}", "--retry-failed",
+         "--evaluator", "ridge:linear", "--wtrue-seed"],
+        ["analyze", "--campaign", "{campaign}", "--out", "{tmp}/out",
+         "--cdf", "--seed"],
+        ["analyze", "--campaign", "{campaign}", "--out", "{tmp}/out",
+         "--seed", "5", "--corners", "--evaluator", "ridge:linear",
+         "--wtrue-seed"],
+        ["range", "--campaign", "{campaign}", "--out", "{tmp}/out",
+         "--evaluator", "ridge:linear", "--wtrue-seed"],
+        ["cdf", "--campaign", "{campaign}", "--out", "{tmp}/out", "--seed"],
+    ], ids=["sample", "run-wtrue", "analyze", "analyze-wtrue", "range-wtrue",
+            "cdf"])
+    def test_negative_seed_is_usage_error(self, evaluated, tmp_path, capsys,
+                                          argv):
+        argv = [a.format(tmp=tmp_path, campaign=evaluated) for a in argv]
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run_cli(*argv, "-1") == 1
+        err = capsys.readouterr().err
+        assert (f"argument {argv[-1]}: a seed must be a non-negative "
+                f"integer, got '-1'") in err
+        assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == files
+
+    def test_every_subcommand_keeps_its_options(self):
+        # Each option as "strings[!][=default]", "!" marking a required one.
+        def subcommands(parser, prefix=""):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield f"{prefix}{name}", sub
+                        yield from subcommands(sub, f"{prefix}{name} ")
+
+        def describe(action):
+            default = action.default
+            return ("/".join(action.option_strings)
+                    + ("!" if action.required else "")
+                    + ("" if default in (None, argparse.SUPPRESS)
+                       else f"={default}"))
+
+        options = {name: sorted(describe(a) for a in sub._actions
+                                if a.option_strings)
+                   for name, sub in subcommands(asuq.cli.build_parser())}
+        evaluator = ["--evaluator", "--noise=0.0", "--timeout", "--wtrue-seed"]
+        assert options == {
+            "space": ["-h/--help"],
+            "space validate": ["--space", "-h/--help"],
+            "sample": ["--condition", "--out!", "--seed!", "--space", "-M!",
+                       "-h/--help"],
+            "run": sorted(["--campaign!", "--max-concurrency=1",
+                           "--retry-failed=False", "-h/--help", *evaluator]),
+            "analyze": sorted([
+                "--bootstrap=100", "--campaign!", "--cdf=False",
+                "--corners=False", "--level=0.99", "--n/--n-cdf=5000",
+                "--out", "--seed!", "--svg=False", "--threshold",
+                "-h/--help", *evaluator]),
+            "range": sorted(["--campaign!", "--out", "-h/--help", *evaluator]),
+            "safeset": ["--campaign!", "--level=0.99", "--out", "--threshold!",
+                        "-h/--help"],
+            "cdf": ["--campaign!", "--grid-size=513", "--n=5000", "--out",
+                    "--seed!", "-h/--help"],
+            "scenario": ["-h/--help"],
+            "scenario shots-fit": ["--all=False", "--shots", "-h/--help"],
+            "scenario inflow": ["--nominal=False", "--space", "--x",
+                                "-h/--help"],
+            "scenario check": ["-h/--help"],
+        }
 
     def test_no_command_prints_help(self, capsys):
         assert run_cli() == 1
