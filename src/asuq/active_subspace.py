@@ -178,6 +178,42 @@ _GRAM_COND_MAX = 1e4
 _FLOOR_MARGIN = 1e4
 
 
+def _well_conditioned(gram: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Whether lam_max <= _GRAM_COND_MAX * lam_min, for a stack of Gram matrices.
+
+    The Frobenius norm U bounds lam_max, so a Cholesky factorization of
+    G - t I with t = 2 U / _GRAM_COND_MAX proves lam_min > t, twice the
+    margin the test asks, far above rounding. It is tried on the matrices
+    marked in ``candidates``, all at once and, when one of them fails,
+    one by one. Only the matrices it does not prove are tested on their
+    eigenvalues.
+    """
+    shifted = gram[candidates]
+    t = 2 / _GRAM_COND_MAX * np.linalg.norm(shifted, axis=(1, 2))
+    shifted -= t[:, None, None] * np.eye(gram.shape[-1])
+    ok = candidates.copy()
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        ok[candidates] = [_factors(g) for g in shifted]
+    rest = ~ok
+    if rest.any():
+        # For a bootstrap Gram matrix lam[:, -1] >= M > 0, so this also
+        # rejects lam[:, 0] <= 0.
+        lam = np.linalg.eigvalsh(gram[rest])
+        ok[rest] = lam[:, -1] <= _GRAM_COND_MAX * lam[:, 0]
+    return ok
+
+
+def _factors(g: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky factors g."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _replicate_rng(seed: int, k: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
@@ -244,9 +280,9 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
         counts = np.bincount((idx + M * np.arange(B)[:, None]).ravel(),
                              minlength=B * M).reshape(B, M).astype(float)
         gram = (counts @ outer).reshape(B, p, p)
-        # lam[:, -1] >= M > 0, so this also rejects lam[:, 0] <= 0.
-        lam = np.linalg.eigvalsh(gram)
-        ok = lam[:, -1] <= _GRAM_COND_MAX * lam[:, 0]
+        # Fewer than m + 1 distinct rows give a singular Gram matrix, which
+        # the certificate cannot prove.
+        ok = _well_conditioned(gram, np.count_nonzero(counts, axis=1) > m)
         gram[~ok] = np.eye(p)
         grad = np.linalg.solve(gram, (counts @ Af)[:, :, None])[:, 1:, 0]
         norm = np.linalg.norm(grad, axis=1)

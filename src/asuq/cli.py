@@ -229,8 +229,6 @@ def cmd_space_validate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.M < 1:
-        raise UsageError(f"-M must be >= 1, got {args.M}")
     space = _load_space(args.space)
     campaign = new_campaign(space, args.M, args.seed,
                             condition=_parse_condition(args.condition))
@@ -345,8 +343,7 @@ def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
     summary, surr, args = fitted.summary, fitted.surrogate, fitted.args
     plot = SvgPlot(xlabel="active variable y = w . x",
                    ylabel="quantity of interest", title="summary plot")
-    plot.scatter(cloud, np.broadcast_to(summary.f, cloud.shape),
-                 radius=1.5, color="#999999", opacity=0.35)
+    plot.scatter(cloud, summary.f, radius=1.5, color="#999999", opacity=0.35)
     ys = np.linspace(surr.y_domain[0], surr.y_domain[1], 200)
     plot.line(ys, surr.predict(ys), color="#1166cc")
     if surr.sigma2_hat is not None:
@@ -412,16 +409,33 @@ def cmd_scenario_check(args) -> int:
 # -- parser construction ---------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """argparse type of every seed flag: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"a seed must be a non-negative integer, got {text!r}")
-    return value
+def _flag_type(convert, accept, rule: str):
+    """An argparse type: ``convert(text)`` when ``accept`` holds for it.
+
+    Anything else is a usage error (exit 1) that names the flag and
+    ``rule``, raised while parsing, before any file is read or written.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _flag_type(int, lambda v: v >= 0,
+                   "a seed must be a non-negative integer")
+_finite = _flag_type(float, math.isfinite, "must be a finite number")
+# NaN fails both comparisons.
+_level = _flag_type(float, lambda v: 0.5 < v < 1, "must lie in (0.5, 1)")
+
+
+def _count(floor: int):
+    return _flag_type(int, lambda v: v >= floor,
+                      f"must be an integer >= {floor}")
 
 
 def _add_evaluator_flags(p) -> None:
@@ -446,16 +460,16 @@ def _add_stage(sub, name: str, help: str, run):
 
 
 def _add_threshold_flags(p, required: bool) -> None:
-    p.add_argument("--threshold", type=float, required=required,
+    p.add_argument("--threshold", type=_finite, required=required,
                    help="QoI safety threshold to invert")
-    p.add_argument("--level", type=float, default=0.99,
+    p.add_argument("--level", type=_level, default=0.99,
                    help="confidence level for the upper bound")
 
 
 def _add_sampling_flags(p, *n_aliases: str) -> None:
     p.add_argument("--seed", type=_seed, required=True,
                    help="seed of the command's random draws")
-    p.add_argument("--n", *n_aliases, type=int, default=5000,
+    p.add_argument("--n", *n_aliases, type=_count(2), default=5000,
                    help="CDF sample count (default 5000)")
 
 
@@ -475,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample",
                               help="draw a campaign of uniform samples")
     p_sample.add_argument("--space", help="space JSON (default: bundled HyShot)")
-    p_sample.add_argument("-M", type=int, required=True, help="sample count")
+    p_sample.add_argument("-M", type=_count(1), required=True,
+                          help="sample count")
     p_sample.add_argument("--seed", type=_seed, required=True)
     p_sample.add_argument("--out", dest="campaign", required=True,
                           help="campaign manifest to write")
@@ -495,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = _add_stage(sub, "analyze", "fit, bootstrap, and export reports",
                            cmd_analyze)
     _add_sampling_flags(p_analyze, "--n-cdf")
-    p_analyze.add_argument("--bootstrap", type=int, default=100, metavar="N",
+    p_analyze.add_argument("--bootstrap", type=_count(1), default=100,
+                           metavar="N",
                            help="bootstrap replicate count (default 100)")
     _add_threshold_flags(p_analyze, required=False)
     p_analyze.add_argument("--corners", action="store_true",
@@ -519,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cdf = _add_stage(sub, "cdf", "estimate the output CDF from the surrogate",
                        _FittedCampaign.cdf)
     _add_sampling_flags(p_cdf)
-    p_cdf.add_argument("--grid-size", type=int, default=513)
+    p_cdf.add_argument("--grid-size", type=_count(2), default=513)
     p_cdf.set_defaults(svg=False)  # cdf.svg comes with analyze --svg
 
     p_scen = sub.add_parser("scenario",
@@ -548,8 +564,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """``sys.stdout`` for one command, kept working when its reader goes.
+
+    A write to a pipe whose reader has exited (``asuq analyze ... | head``)
+    raises BrokenPipeError. The stream's file descriptor is then pointed
+    at os.devnull and the call made again, so the command still writes
+    every report and returns the status it would have returned, with no
+    traceback; the rest of its output is discarded.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text):
+        return self._call(self.stream.write, text)
+
+    def flush(self):
+        return self._call(self.stream.flush)
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self.stream.fileno())
+            os.close(devnull)
+            return method(*args)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
         args = parser.parse_args(argv)
         func = getattr(args, "func", None)
@@ -562,6 +611,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ free convenience for eyeballing summary plots, bands, and CDFs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,18 +43,33 @@ def _limits(arrays) -> tuple[float, float]:
             float(np.max([a.max() for a in arrays])))
 
 
-# Points of a scatter layer formatted per string written.
+# Most points of a scatter layer formatted per string written.
 _SCATTER_CHUNK = 4096
 
 
 def _circles(xs, ys, px, py, radius, color, opacity):
-    """Yield a scatter layer's circle lines, _SCATTER_CHUNK points a string."""
-    tail = f' r="{radius}" fill="{color}" fill-opacity="{opacity}"/>\n'
-    for i in range(0, xs.size, _SCATTER_CHUNK):
-        cx = px(xs.flat[i:i + _SCATTER_CHUNK]).tolist()
-        cy = py(ys.flat[i:i + _SCATTER_CHUNK]).tolist()
-        yield "".join(['<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, tail)
-                       for vx, vy in zip(cx, cy)])
+    """Yield a scatter layer's circle lines, one row block a string.
+
+    xs is (rows, C), drawn row by row against the C ys every row shares,
+    in blocks of at most _SCATTER_CHUNK columns. Each block's y pixels
+    are formatted once into %-templates that its x pixels fill. Only the
+    last block's templates are kept: when a row is one block, every row
+    reuses them, and the memory held stays one block's.
+    """
+    # The style goes into the templates verbatim, its % escaped for the
+    # second formatting.
+    tail = (f' r="{radius}" fill="{color}" fill-opacity="{opacity}"/>\n'
+            .replace("%", "%%"))
+
+    @functools.lru_cache(maxsize=1)
+    def templates(i):
+        return ['<circle cx="%%.2f" cy="%.2f"%s' % (vy, tail)
+                for vy in py(ys[i:i + _SCATTER_CHUNK]).tolist()]
+
+    for row in xs:
+        for i in range(0, len(ys), _SCATTER_CHUNK):
+            cx = px(row[i:i + _SCATTER_CHUNK]).tolist()
+            yield "".join([t % vx for t, vx in zip(templates(i), cx)])
 
 
 class SvgPlot:
@@ -65,9 +81,18 @@ class SvgPlot:
 
     def scatter(self, xs, ys, radius: float = 3.0, color: str = "#222222",
                 opacity: float = 1.0):
-        """Add points (xs, ys); arrays of any equal shape, taken in C order."""
-        self._layers.append(("scatter", np.asarray(xs, dtype=float),
-                             np.asarray(ys, dtype=float), radius, color, opacity))
+        """Add points (xs, ys), taken in C order.
+
+        ys has the shape of xs, or of its last axis, shared by every row:
+        an (N, M) cloud against M ys is drawn as against the ys broadcast
+        to (N, M), but each y is formatted once, not N times.
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        if ys.shape != xs.shape[-1:]:
+            xs, ys = (a.ravel() for a in np.broadcast_arrays(xs, ys))
+        xs = xs.reshape(xs.size // max(ys.size, 1), ys.size)
+        self._layers.append(("scatter", xs, ys, radius, color, opacity))
 
     def line(self, xs, ys, color: str = "#1166cc", width: float = 1.5,
              dashed: bool = False):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,11 @@ from asuq import (
     sensitivity_ranking,
     summary_data,
 )
-from asuq.active_subspace import _solve_direction
+from asuq.active_subspace import (
+    _GRAM_COND_MAX,
+    _solve_direction,
+    _well_conditioned,
+)
 from asuq.param_space import sample_hypercube
 
 W_TABLE_NAMES = [
@@ -277,6 +283,116 @@ class TestBootstrap:
         ens = bootstrap_direction(X, f, N=25, seed=0)
         q = ens.component_quantiles()
         assert len(q["q0.5"]) == 7
+
+
+def eigenvalue_verdict(gram):
+    """The test the Cholesky certificate stands in for."""
+    lam = np.linalg.eigvalsh(gram)
+    return lam[:, -1] <= _GRAM_COND_MAX * lam[:, 0]
+
+
+def certified(g):
+    """Whether the certificate alone proves one Gram matrix."""
+    t = 2 / _GRAM_COND_MAX * np.linalg.norm(g)
+    try:
+        np.linalg.cholesky(g - t * np.eye(len(g)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def spd_stack(p, conds, seed):
+    """Symmetric matrices with eigenvalues s * geomspace(1, cond, p)."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for cond in conds:
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        G = (Q * (10.0 ** rng.uniform(-3, 3) * np.geomspace(1, cond, p))) @ Q.T
+        stack.append((G + G.T) / 2)
+    return np.array(stack)
+
+
+def counting(name):
+    """Count the calls of np.linalg.<name> inside the with block."""
+    return mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+
+
+class TestGramCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**20),
+           log_conds=st.lists(st.one_of(st.floats(0.0, 3.5),
+                                        st.floats(4 - 1e-6, 4 + 1e-6)),
+                              min_size=1, max_size=8))
+    def test_verdict_equals_the_eigenvalue_test(self, p, seed, log_conds):
+        # Candidates decide only which matrices the certificate is tried on.
+        stack = spd_stack(p, 10.0 ** np.array(log_conds), seed)
+        everyone = np.ones(len(stack), dtype=bool)
+        some = np.random.default_rng(seed).random(len(stack)) < 0.7
+        with counting("eigvalsh") as eigvalsh:
+            verdict = _well_conditioned(stack, everyone)
+        expected = eigenvalue_verdict(stack)
+        assert np.array_equal(verdict, expected)
+        assert np.array_equal(_well_conditioned(stack, some), expected)
+        for g, e in zip(stack, expected):
+            assert _well_conditioned(g[None], everyone[:1])[0] == e
+        # ||G||_F <= sqrt(12) lam_max, so cond <= 100 is always proven.
+        if max(log_conds) <= 2:
+            assert eigvalsh.call_count == 0
+
+    def test_mixed_stack_tests_only_the_unproven_on_eigenvalues(self):
+        p = 6
+        A = np.random.default_rng(4).standard_normal((4, p))
+        stack = np.concatenate([spd_stack(p, [10.0, 8e3, 1e6], seed=2),
+                                (A.T @ A)[None]])  # rank 4: singular
+        assert [certified(g) for g in stack] == [True, False, False, False]
+        for candidates, unproven in (([True] * 4, 3),
+                                     ([False, True, True, False], 4)):
+            with counting("eigvalsh") as eigvalsh:
+                ok = _well_conditioned(stack, np.array(candidates))
+            assert ok.tolist() == [True, True, False, False]
+            assert eigvalsh.call_count == 1
+            assert len(eigvalsh.call_args.args[0]) == unproven
+
+    def test_mixed_block_equals_the_loop(self):
+        # One block of 64 replicates at m = 4, M = 9: most Gram matrices are
+        # proven, some are only passed by the eigenvalue test, some fail it
+        # and some come from fewer than m + 1 distinct points.
+        m, M, N, seed = 4, 9, 64, 3
+        X, f, _ = noisy_ridge(m, M, 0.1, 11)
+        A = np.column_stack([np.ones(M), X])
+        grams = np.array([(A.T * np.bincount(first_draw(M, seed, k),
+                                              minlength=M)) @ A
+                          for k in range(N)])
+        passed = eigenvalue_verdict(grams)
+        proven = np.array([certified(g) for g in grams])
+        distinct = [len(np.unique(first_draw(M, seed, k))) for k in range(N)]
+        assert proven.sum() > 0 and (passed & ~proven).sum() > 0
+        assert (~passed).sum() > 0 and min(distinct) <= m
+        with counting("eigvalsh") as eigvalsh:
+            got = bootstrap_direction(X, f, N=N, seed=seed).replicates
+        assert eigvalsh.call_count == 1
+        ref = loop_bootstrap(X, f, N, seed)
+        assert np.array_equal(got[~passed], ref[~passed])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_wide_campaign_needs_no_eigensolve(self):
+        # m = 50, M = 200, as the analysis-heavy benchmark: every block is
+        # proven, and the replicates are those of the eigenvalue route bit
+        # for bit, because the solve that produces them is the same.
+        X, f, _ = noisy_ridge(50, 200, 0.1, 5)
+        asub = fit_active_direction(X, f)
+        with counting("eigvalsh") as eigvalsh, counting("cholesky") as chol:
+            got = bootstrap_direction(X, f, N=128, seed=3, asub=asub)
+        assert eigvalsh.call_count == 0 and chol.call_count == 2
+
+        def no_certificate(a):
+            raise np.linalg.LinAlgError("certificate switched off")
+
+        with mock.patch.object(np.linalg, "cholesky", no_certificate), \
+                counting("eigvalsh") as eigvalsh:
+            ref = bootstrap_direction(X, f, N=128, seed=3, asub=asub)
+        assert eigvalsh.call_count == 2
+        assert np.array_equal(got.replicates, ref.replicates)
 
 
 class TestSensitivityRanking:

@@ -71,9 +71,12 @@ class TestSample:
         assert campaign.m == 7
         assert len(campaign.pending_runs()) == 12
 
-    def test_zero_samples_is_usage_error(self, tmp_path):
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         assert run_cli("sample", "-M", "0", "--seed", "1",
                        "--out", str(tmp_path / "c.json")) == 1
+        assert ("argument -M: must be an integer >= 1, got '0'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "c.json").exists()
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         assert run_cli("sample", "-M", "5",
@@ -791,14 +794,15 @@ class TestStandaloneReports:
             "discordant pairs in summary ordering: 0\n" + standalone)
 
     @pytest.mark.parametrize("grid_size", ["-1", "0", "1"])
-    def test_cdf_too_small_grid_is_data_error(self, evaluated, tmp_path,
-                                              grid_size, capsys):
+    def test_cdf_too_small_grid_is_usage_error(self, evaluated, tmp_path,
+                                               grid_size, capsys):
         out = tmp_path / "cc"
         assert run_cli("cdf", "--campaign", str(evaluated), "--n", "300",
                        "--seed", "9", "--grid-size", grid_size,
-                       "--out", str(out)) == 2
-        assert "grid_size must be >= 2" in capsys.readouterr().err
-        assert not (out / "cdf.csv").exists()
+                       "--out", str(out)) == 1
+        assert ("argument --grid-size: must be an integer >= 2, got "
+                f"'{grid_size}'") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScenario:
@@ -889,6 +893,77 @@ class TestEndToEnd:
         assert "Traceback" not in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*")
                 if p.is_file()} == files
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "5", "--level", "1.5"],
+        ["analyze", "--seed", "5", "--threshold", "1", "--level", "nan"],
+        ["analyze", "--seed", "5", "--level", "0.5"],
+        ["analyze", "--seed", "5", "--level", "1"],
+        ["analyze", "--seed", "5", "--threshold", "inf"],
+        ["analyze", "--seed", "5", "--threshold", "nan"],
+        ["analyze", "--seed", "5", "--threshold=-inf"],
+        ["analyze", "--seed", "5", "--cdf", "--n", "1"],
+        ["analyze", "--seed", "5", "--cdf", "--n-cdf", "0"],
+        ["analyze", "--seed", "5", "--bootstrap", "0"],
+        ["analyze", "--seed", "5", "--bootstrap", "2.5"],
+        ["safeset", "--threshold", "1", "--level", "nan"],
+        ["safeset", "--threshold", "inf"],
+        ["cdf", "--seed", "9", "--n", "1"],
+        ["cdf", "--seed", "9", "--grid-size", "x"],
+    ], ids=lambda argv: "_".join(argv[:1] + argv[-2:]).replace("=", "_"))
+    def test_out_of_range_flag_is_usage_error(self, evaluated, tmp_path,
+                                              capsys, argv):
+        # Refused while parsing: no report is written before the error,
+        # and the campaign is left as it was.
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run_cli(*argv, "--campaign", str(evaluated),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        flag = next(a for a in reversed(argv)
+                    if a.startswith("--")).split("=")[0]
+        assert "Traceback" not in err
+        assert flag in err.split("argument ")[1].split(": ")[0].split("/")
+        assert not (tmp_path / "out").exists()
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == files
+
+    @pytest.mark.parametrize("python_flags", [[], ["-u"]],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_changes_no_report(self, evaluated, tmp_path,
+                                             python_flags):
+        # `asuq analyze ... | head -2` once head has exited: standard output
+        # is a pipe whose read end is closed. Unbuffered, the first line
+        # fails; buffered, a later flush does.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
+
+        def analyze(name, stdout):
+            campaign = tmp_path / f"{name}.json"
+            campaign.write_bytes(evaluated.read_bytes())
+            proc = subprocess.run(
+                [sys.executable, *python_flags, "-m", "asuq.cli", "analyze",
+                 "--campaign", str(campaign), "--out", str(tmp_path / name),
+                 "--seed", "5", "--bootstrap", "20", "--threshold", "0",
+                 "--cdf", "--n", "300", "--svg", "--corners", "--evaluator",
+                 "ridge:cubic-monotone", "--wtrue-seed", "3"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120)
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            return proc, files, campaign.read_bytes()
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            closed, closed_files, closed_campaign = analyze("closed", write_end)
+        finally:
+            os.close(write_end)
+        read, files, campaign = analyze("read", subprocess.PIPE)
+        assert read.stdout.count("\n") > 10
+        assert closed.returncode == read.returncode == 0
+        assert "Traceback" not in closed.stderr
+        assert "BrokenPipe" not in closed.stderr
+        assert len(files) == 8 and closed_files == files
+        assert closed_campaign == campaign
 
     def test_every_subcommand_keeps_its_options(self):
         # Each option as "strings[!][=default]", "!" marking a required one.

@@ -126,6 +126,9 @@ def reference_svg(plot: SvgPlot) -> bytes:
             f'{plot.ylabel}</text>'
         )
     for kind, lx, ly, *style in plot._layers:
+        if kind == "scatter":
+            # Each row of xs against the ys every row shares.
+            lx, ly = (a.ravel() for a in np.broadcast_arrays(lx, ly))
         cx, cy = px(lx).tolist(), py(ly).tolist()
         if kind == "scatter":
             r, color, opacity = style
@@ -211,3 +214,53 @@ def test_two_dimensional_scatter_equals_its_raveled_form(tmp_path):
         svgs.append((tmp_path / "plot.svg").read_bytes())
     assert N * M > 2 * svgplot._SCATTER_CHUNK
     assert svgs[0] == svgs[1]
+
+
+@pytest.mark.parametrize("N, M", [(40, 250), (3, svgplot._SCATTER_CHUNK + 7)])
+def test_shared_ys_equal_the_broadcast_and_raveled_forms(tmp_path, N, M):
+    # The cloud against its M ys, against them broadcast to (N, M) and
+    # as the raveled pair; at M > _SCATTER_CHUNK each row is several
+    # blocks, whose templates are made again for every row.
+    rng = np.random.default_rng(12)
+    cloud, f = rng.normal(size=(M, N)).T, rng.normal(size=M)
+    svgs = []
+    for xs, ys in ((cloud, f), (cloud, np.broadcast_to(f, cloud.shape)),
+                   (cloud.ravel(), np.tile(f, N))):
+        plot = SvgPlot()
+        plot.scatter(xs, ys, radius=1.5, color="#999999", opacity=0.35)
+        plot.scatter(cloud[0], f)
+        plot.save(tmp_path / "plot.svg")
+        svgs.append((tmp_path / "plot.svg").read_bytes())
+    assert svgs[0] == svgs[1] == svgs[2] == reference_svg(plot)
+
+
+def test_shared_ys_peak_memory_is_a_row(tmp_path):
+    # A (1000, 200) cloud against its 200 ys, as summary.svg draws it: one
+    # row's templates and circles at a time, 84 KiB here, against 1.1 MiB
+    # for 4096-point chunks and about 5 MiB more for the whole cloud's
+    # pixels as Python floats.
+    rng = np.random.default_rng(5)
+    plot = SvgPlot()
+    plot.scatter(rng.normal(size=(200, 1000)).T, rng.normal(size=200),
+                 radius=1.5, color="#999999", opacity=0.35)
+    tracemalloc.start()
+    try:
+        plot.save(tmp_path / "cloud.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 18
+
+
+def test_percent_in_the_style_is_written_verbatim(tmp_path):
+    # The circle templates are %-formatted twice; the style text must
+    # come through both untouched.
+    plot = SvgPlot()
+    style = "url(#g%25) %s %.2f %% %"
+    plot.scatter(np.arange(6.0).reshape(2, 3), np.arange(3.0), color=style)
+    plot.scatter(np.arange(3.0), np.arange(3.0), radius="1%")
+    plot.save(tmp_path / "plot.svg")
+    text = (tmp_path / "plot.svg").read_bytes()
+    assert text == reference_svg(plot)
+    assert text.decode().count(f'fill="{style}"') == 6
+    assert text.decode().count(' r="1%"') == 3
