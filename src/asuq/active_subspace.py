@@ -224,10 +224,12 @@ def _refit_replicate(X: np.ndarray, f: np.ndarray, w: np.ndarray,
 
     Rank-deficient resamples are redrawn; _MAX_RETRIES of them in a row raise.
     """
-    M = len(f)
+    M, m = X.shape
     rng = _replicate_rng(seed, k)
     for _ in range(_MAX_RETRIES):
         idx = rng.integers(0, M, size=M)
+        if np.count_nonzero(np.bincount(idx, minlength=M)) <= m:
+            continue  # fewer than m + 1 distinct rows: rank < m + 1, no solve
         try:
             w_k, _ = _solve_direction(X[idx], f[idx])
         except DegeneracyError:

@@ -16,6 +16,7 @@ import shutil
 import signal
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
@@ -114,9 +115,13 @@ class _FittedCampaign:
 
     def __init__(self, args):
         self.args = args
+        self.campaign = load_campaign(args.campaign)
+        # Built before anything is written, so that a bad evaluator flag
+        # leaves no report behind.
+        self.evaluator = (_build_evaluator(args, self.campaign.m)
+                          if args.corners else None)
         self.out = Path(args.out or os.environ.get("ASUQ_OUTPUT_DIR", "."))
         self.out.mkdir(parents=True, exist_ok=True)
-        self.campaign = load_campaign(args.campaign)
         self.X, self.f = self.campaign.design_arrays()
         self.asub = fit_active_direction(self.X, self.f)
         self.summary = summary_data(self.X, self.f, self.asub)
@@ -135,14 +140,14 @@ class _FittedCampaign:
         reports the error a lone evaluation of it would raise.
         """
         campaign = self.campaign
-        evaluator = _build_evaluator(self.args, campaign.m)
         recs = []
         for x_corner in corner_extrema(self.asub.w):
             rec = next((r for r in campaign.runs if r.role == "corner"
                         and np.array_equal(r.x, x_corner)), None)
             recs.append(rec or campaign.append_point(x_corner, role="corner"))
         try:
-            evaluate_campaign(campaign, evaluator, max_concurrency=2, runs=recs)
+            evaluate_campaign(campaign, self.evaluator, max_concurrency=2,
+                              runs=recs)
         except EvaluatorError:
             pass  # each failed corner raises its own diagnostic below
 
@@ -280,9 +285,7 @@ def cmd_analyze(fitted: _FittedCampaign) -> int:
     ensemble = bootstrap_direction(fitted.X, fitted.f, N=args.bootstrap,
                                    seed=args.seed, asub=asub)
     # Every sample projected onto every replicate direction: row k holds
-    # the M points of replicate k. It is formed while the bootstrap's BLAS
-    # threads are still awake; formed later, it wakes them to spin idle
-    # through the report writing (0.15 s of CPU at N = 1000, M = 200).
+    # the M points of replicate k.
     cloud = (fitted.X @ ensemble.replicates.T).T
     ranking = sensitivity_ranking(asub, names=fitted.campaign.space.names)
 
@@ -429,8 +432,12 @@ def _flag_type(convert, accept, rule: str):
 _seed = _flag_type(int, lambda v: v >= 0,
                    "a seed must be a non-negative integer")
 _finite = _flag_type(float, math.isfinite, "must be a finite number")
-# NaN fails both comparisons.
+# NaN fails every comparison.
 _level = _flag_type(float, lambda v: 0.5 < v < 1, "must lie in (0.5, 1)")
+_noise = _flag_type(float, lambda v: 0 <= v < math.inf,
+                    "must be a finite number >= 0")
+_timeout = _flag_type(float, lambda v: 0 < v < math.inf,
+                      "must be a finite number > 0")
 
 
 def _count(floor: int):
@@ -443,9 +450,9 @@ def _add_evaluator_flags(p) -> None:
                    help="'ridge:<link>' builtin or an external command string")
     p.add_argument("--wtrue-seed", type=_seed, default=None,
                    help="seed deriving the true direction of a ridge evaluator")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_noise, default=0.0,
                    help="deterministic pseudo-noise amplitude for ridge evaluators")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_timeout, default=None,
                    help="per-evaluation timeout in seconds (external commands)")
 
 
@@ -455,7 +462,7 @@ def _add_stage(sub, name: str, help: str, run):
     p.add_argument("--campaign", required=True)
     p.add_argument("--out", help="output directory "
                    "(default: $ASUQ_OUTPUT_DIR or '.')")
-    p.set_defaults(func=lambda args: run(_FittedCampaign(args)))
+    p.set_defaults(func=lambda args: run(_FittedCampaign(args)), corners=False)
     return p
 
 
@@ -501,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run",
                            help="evaluate pending campaign runs")
     p_run.add_argument("--campaign", required=True)
-    p_run.add_argument("--max-concurrency", type=int, default=1)
+    p_run.add_argument("--max-concurrency", type=_count(1), default=1)
     p_run.add_argument("--retry-failed", action="store_true",
                        help="evaluate failed runs again as well")
     _add_evaluator_flags(p_run)
@@ -526,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_range = _add_stage(sub, "range", "corner-evaluation output range",
                          _FittedCampaign.range)
     _add_evaluator_flags(p_range)
+    p_range.set_defaults(corners=True)  # the stage analyze --corners runs
 
     p_safe = _add_stage(sub, "safeset",
                         "invert a threshold into safe input ranges",
@@ -596,16 +604,79 @@ class _Stdout:
             return method(*args)
 
 
+# The file mappings of this process, one a line (Linux).
+_LOADED_LIBRARIES = "/proc/self/maps"
+
+
+def _openblas_thread_controls() -> list:
+    """The (get, set) thread-count functions of each loaded OpenBLAS.
+
+    OpenBLAS is found by file name among the libraries the process has
+    mapped; numpy's wheels export its functions with a ``scipy_`` prefix
+    and a ``64_`` suffix. Empty where there is none: another BLAS, or no
+    ``/proc``.
+    """
+    import ctypes
+
+    try:
+        with open(_LOADED_LIBRARIES) as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6
+                    and "openblas" in os.path.basename(f[5]).lower()})
+    names = [(f"{prefix}openblas_get_num_threads{suffix}",
+              f"{prefix}openblas_set_num_threads{suffix}")
+             for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            try:
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+            break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with each loaded OpenBLAS on one thread, then restore.
+
+    asuq's matrix products are small. Split across threads they save no
+    wall time, the idle workers spin after each call, and the order of
+    each sum, so its last bits, follows the core count. On one thread a
+    command's outputs are the same on every machine.
+    """
+    controls = _openblas_thread_controls()
+    found = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), threads in zip(controls, found):
+            put(threads)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
-        args = parser.parse_args(argv)
-        func = getattr(args, "func", None)
-        if func is None:
-            parser.print_help()
-            return 1
-        return int(func(args) or 0)
+        with _one_blas_thread():
+            args = parser.parse_args(argv)
+            func = getattr(args, "func", None)
+            if func is None:
+                parser.print_help()
+                return 1
+            return int(func(args) or 0)
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (None, 0) else 1
     except ToolkitError as exc:

@@ -211,6 +211,27 @@ class TestBootstrap:
         got = bootstrap_direction(X, f, N=20, seed=seed).replicates
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 12), data=st.data(), seed=st.integers(0, 2**20))
+    def test_short_designs_equal_the_loop(self, m, data, seed):
+        # With M from m + 2 to 2m many resamples hold at most m distinct
+        # rows. The refit skips them before any solve, where the loop's
+        # least squares rejects them after one; the replicates, and the
+        # replicate that runs out of retries, stay the same.
+        M = data.draw(st.integers(m + 2, 2 * m), label="M")
+        X, f, _ = noisy_ridge(m, M, 0.1, seed)
+        try:
+            ref = loop_bootstrap(X, f, 20, seed)
+        except DegeneracyError as exc:
+            with pytest.raises(DegeneracyError, match=str(exc)):
+                bootstrap_direction(X, f, N=20, seed=seed)
+            return
+        got = bootstrap_direction(X, f, N=20, seed=seed).replicates
+        short = [k for k in range(20)
+                 if len(np.unique(X[first_draw(M, seed, k)], axis=0)) <= m]
+        assert np.array_equal(got[short], ref[short])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("copies", [1, 2])
     def test_degenerate_resamples_equal_the_loop_bit_for_bit(self, copies):
         # M = m + 2 points, each present `copies` times: many first draws

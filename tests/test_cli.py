@@ -20,6 +20,7 @@ import asuq.svgplot
 from asuq import load_campaign
 from asuq.campaign import evaluate_campaign, journal_path
 from asuq.cli import main
+from asuq.param_space import unit_space
 
 
 def run_cli(*argv):
@@ -910,14 +911,24 @@ class TestEndToEnd:
         ["safeset", "--threshold", "inf"],
         ["cdf", "--seed", "9", "--n", "1"],
         ["cdf", "--seed", "9", "--grid-size", "x"],
+    ] + [
+        ["analyze", "--seed", "5", "--corners", "--evaluator", "ridge:linear",
+         "--wtrue-seed", "1", "--noise", bad] for bad in ("nan", "inf", "-1")
+    ] + [
+        ["range", "--evaluator", f"{sys.executable} -c pass", "--timeout", bad]
+        for bad in ("0", "-1", "nan", "inf")
+    ] + [
+        # No run is pending, so the command would do nothing but succeed.
+        ["run", "--evaluator", "ridge:linear", "--wtrue-seed", "1",
+         "--max-concurrency", bad] for bad in ("0", "-2", "1.5")
     ], ids=lambda argv: "_".join(argv[:1] + argv[-2:]).replace("=", "_"))
     def test_out_of_range_flag_is_usage_error(self, evaluated, tmp_path,
                                               capsys, argv):
         # Refused while parsing: no report is written before the error,
         # and the campaign is left as it was.
         files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        assert run_cli(*argv, "--campaign", str(evaluated),
-                       "--out", str(tmp_path / "out")) == 1
+        out = [] if argv[0] == "run" else ["--out", str(tmp_path / "out")]
+        assert run_cli(*argv, "--campaign", str(evaluated), *out) == 1
         err = capsys.readouterr().err
         flag = next(a for a in reversed(argv)
                     if a.startswith("--")).split("=")[0]
@@ -926,6 +937,25 @@ class TestEndToEnd:
         assert not (tmp_path / "out").exists()
         assert {p: p.read_bytes() for p in tmp_path.rglob("*")
                 if p.is_file()} == files
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("analyze", ["--seed", "5", "--corners"], "an --evaluator is required"),
+        ("analyze", ["--seed", "5", "--corners", "--evaluator",
+                     "ridge:linear"], "--wtrue-seed is required"),
+        ("range", [], "an --evaluator is required"),
+        ("range", ["--evaluator", "ridge:linear"], "--wtrue-seed is required"),
+    ], ids=["analyze-evaluator", "analyze-wtrue", "range-evaluator",
+            "range-wtrue"])
+    def test_missing_evaluator_flag_writes_no_report(self, evaluated, tmp_path,
+                                                     capsys, command, flags,
+                                                     message):
+        before = evaluated.read_bytes()
+        out = tmp_path / "out"
+        assert run_cli(command, "--campaign", str(evaluated), "--out",
+                       str(out), *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert evaluated.read_bytes() == before
 
     @pytest.mark.parametrize("python_flags", [[], ["-u"]],
                              ids=["buffered", "unbuffered"])
@@ -1016,6 +1046,136 @@ class TestEndToEnd:
         for command in ("space", "sample", "run", "analyze", "range",
                         "safeset", "cdf", "scenario"):
             assert f"\n    {command} " in out, command
+
+
+# m = 20 is wide enough that products split across BLAS threads sum in
+# another order than on one thread; at m = 7 (and m = 12, M = 40) they do not.
+WIDE_ANALYZE = ["--seed", "5", "--bootstrap", "200", "--cdf"]
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """An evaluated campaign with m = 20 parameters and M = 60 runs."""
+    work = tmp_path_factory.mktemp("wide")
+    unit_space(20).save(work / "space.json")
+    campaign = work / "campaign.json"
+    assert run_cli("sample", "--space", str(work / "space.json"), "-M", "60",
+                   "--seed", "4", "--out", str(campaign)) == 0
+    assert run_cli("run", "--campaign", str(campaign), "--evaluator",
+                   "ridge:cubic-monotone", "--wtrue-seed", "3") == 0
+    return campaign
+
+
+@pytest.fixture
+def blas_threads():
+    """The first loaded OpenBLAS's thread-count getter, set to 2 threads."""
+    controls = asuq.cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded")
+    get, put = controls[0]
+    found = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS runs one thread on this host")
+        yield get
+    finally:
+        put(found)
+
+
+class TestOneBlasThread:
+    def test_finds_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas["name"]:
+            pytest.skip(f"numpy is built with {blas['name']}")
+        assert asuq.cli._openblas_thread_controls()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="on one core OpenBLAS runs one thread anyway")
+    def test_outputs_do_not_depend_on_the_thread_count(self, wide, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        outputs = []
+        for tag, threads in (("default", {}),
+                             ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            proc = subprocess.run(
+                [sys.executable, "-m", "asuq.cli", "analyze", "--campaign",
+                 str(wide), "--out", str(tmp_path / tag), *WIDE_ANALYZE],
+                env=env | threads, capture_output=True, text=True,
+                timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / tag).iterdir()})
+        assert sorted(outputs[0]) == ["cdf.csv", "results.json",
+                                      "summary.csv", "surrogate.json"]
+        assert outputs[0] == outputs[1]
+
+    def test_replicates_within_ulps_of_the_library_call(self, wide, tmp_path):
+        # A library call keeps the BLAS's own thread count, so its sums may
+        # end in other last bits than the CLI's, which runs on one thread.
+        # Largest gap seen with 2 threads: 1.75 eps.
+        assert run_cli("analyze", "--campaign", str(wide), "--out",
+                       str(tmp_path), *WIDE_ANALYZE) == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        got = np.array(results["bootstrap"]["replicates"])
+        X, f = load_campaign(wide).design_arrays()
+        ref = asuq.bootstrap_direction(X, f, N=200, seed=5).replicates
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=8 * np.finfo(float).eps)
+        with asuq.cli._one_blas_thread():
+            one = asuq.bootstrap_direction(X, f, N=200, seed=5).replicates
+        assert np.array_equal(got, one)
+
+    def test_command_runs_on_one_thread_and_restores(self, blas_threads,
+                                                     monkeypatch):
+        seen = []
+        monkeypatch.setattr(asuq.cli, "cmd_space_validate",
+                            lambda args: seen.append(blas_threads()))
+        assert run_cli("space", "validate") == 0
+        assert seen == [1] and blas_threads() == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sample", "-M", "0", "--seed", "1", "--out", "x.json"], 1),
+        (["space", "validate", "--space", "missing.json"], 2),
+        (["--help"], 0),
+    ], ids=["usage", "data", "help"])
+    def test_thread_count_restored_after_an_error(self, blas_threads,
+                                                  tmp_path, argv, code):
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run_cli(*argv) == code
+        assert blas_threads() == 2
+
+    def test_thread_count_restored_after_a_crash(self, blas_threads,
+                                                 monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(asuq.cli, "cmd_space_validate", crash)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cli("space", "validate")
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("maps", [None, "7f00-7f01 r-xp 0 08:01 7 "
+                                            "/usr/lib/libc.so.6\n"],
+                             ids=["no-maps", "no-openblas"])
+    def test_without_openblas_outputs_are_unchanged(self, evaluated, tmp_path,
+                                                    monkeypatch, maps):
+        flags = ["--seed", "5", "--bootstrap", "20", "--threshold", "0",
+                 "--cdf", "--n", "300", "--svg"]
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(tmp_path / "one"), *flags) == 0
+        fake = tmp_path / "maps"
+        if maps is not None:
+            fake.write_text(maps)
+        monkeypatch.setattr(asuq.cli, "_LOADED_LIBRARIES", str(fake))
+        assert asuq.cli._openblas_thread_controls() == []
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(tmp_path / "own"), *flags) == 0
+        one, own = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                    for d in ("one", "own"))
+        assert len(one) == 7 and one == own
 
 
 def test_analyze_runs_without_scipy(evaluated, tmp_path):
