@@ -245,11 +245,11 @@ def cmd_sample(args) -> int:
 
 def cmd_run(args) -> int:
     campaign = load_campaign(args.campaign)
+    evaluator = _build_evaluator(args, campaign.m)
     if journal_path(args.campaign).exists():
         # Fold the journal into the manifest so that new appends never
         # follow a torn line left by a killed run.
         save_campaign(campaign, args.campaign)
-    evaluator = _build_evaluator(args, campaign.m)
     wanted = ("pending", "failed") if args.retry_failed else ("pending",)
     todo = [rec for rec in campaign.runs if rec.status in wanted]
     if not todo:

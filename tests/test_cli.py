@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import asuq
 import asuq.active_subspace
+import asuq.campaign
 import asuq.cli
 import asuq.svgplot
 from asuq import load_campaign
@@ -414,6 +415,16 @@ class TestJournal:
         assert run_cli(command, "--campaign", str(sampled), *extra,
                        *self.RIDGE) == 2
         assert "journal" in capsys.readouterr().err
+
+    def test_usage_error_leaves_the_journal_unfolded(self, sampled, capsys):
+        campaign = load_campaign(sampled)
+        rec = campaign.runs[0]
+        rec.status, rec.f = "done", 1.0
+        asuq.campaign.append_run(sampled, rec)
+        files = {p: p.read_bytes() for p in sampled.parent.iterdir()}
+        assert run_cli("run", "--campaign", str(sampled)) == 1
+        assert "an --evaluator is required" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in sampled.parent.iterdir()} == files
 
     def test_no_journal_or_temp_file_left(self, evaluated, tmp_path):
         assert leftovers(tmp_path) == []
