@@ -3,8 +3,9 @@
 A campaign records the normalized sample points, their physical
 counterparts, and the scalar quantity of interest returned by an
 evaluator. Evaluators are callables taking an :class:`EvalRequest`;
-built-in synthetic ridges, external subprocess commands, and
-pre-recorded CSV datasets are supported.
+built-in synthetic ridges and external subprocess commands are
+supported. Pre-recorded CSV datasets load as campaigns of done runs
+(:func:`load_dataset`).
 """
 
 from __future__ import annotations
@@ -242,19 +243,30 @@ def _record_to_dict(rec: RunRecord) -> dict:
     return d
 
 
-def _record_from_dict(rd: dict) -> RunRecord:
+def _point(rd: dict, key: str, m: int) -> np.ndarray:
+    """A run record's ``x`` or ``p``: a list of m finite JSON numbers."""
+    values = rd[key]
+    # type(), not isinstance(): a JSON true is a bool, not a number.
+    if type(values) is list and len(values) == m and all(
+            type(v) in (int, float) and math.isfinite(v) for v in values):
+        return np.array(values, dtype=float)
+    raise DataError(f"run {rd['index']}: {key} must hold {m} finite numbers, "
+                    f"got {values!r}")
+
+
+def _record_from_dict(rd: dict, m: int) -> RunRecord:
     # Unknown keys, such as the run times older versions stored, are ignored.
     try:
         rec = RunRecord(
             index=int(rd["index"]),
-            x=np.array(rd["x"], dtype=float),
-            p=np.array(rd["p"], dtype=float),
+            x=_point(rd, "x", m),
+            p=_point(rd, "p", m),
             status=str(rd["status"]),
             f=None if rd.get("f") is None else float(rd["f"]),
             error=rd.get("error"),
             role=str(rd.get("role", "sample")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad run record: {exc}") from exc
     if rec.status not in ("pending", "running", "done", "failed"):
         raise DataError(f"run {rec.index}: unknown status {rec.status!r}")
@@ -305,7 +317,7 @@ def save_campaign(campaign: Campaign, path) -> None:
     journal_path(path).unlink(missing_ok=True)
 
 
-def _fold_journal(runs: list[RunRecord], path: Path) -> None:
+def _fold_journal(runs: list[RunRecord], path: Path, m: int) -> None:
     """Replace manifest records by their journal lines; the last line wins."""
     try:
         text = path.read_text()
@@ -317,7 +329,7 @@ def _fold_journal(runs: list[RunRecord], path: Path) -> None:
     # a kill mid-write; either way it carries no finished run.
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         try:
-            rec = _record_from_dict(json.loads(line))
+            rec = _record_from_dict(json.loads(line), m)
         except (json.JSONDecodeError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: bad journal line: {exc}") from exc
         if not 0 <= rec.index < len(runs):
@@ -358,9 +370,10 @@ def load_campaign(path) -> Campaign:
         raise DataError(f"campaign condition must hold finite numbers, got "
                         f"{manifest['condition']!r}") from None
     campaign = Campaign(space, manifest["seed"], manifest["condition"],
-                        [_record_from_dict(rd) for rd in manifest["runs"]],
+                        [_record_from_dict(rd, space.m)
+                         for rd in manifest["runs"]],
                         sampler=manifest["sampler"])
-    _fold_journal(campaign.runs, journal_path(path))
+    _fold_journal(campaign.runs, journal_path(path), space.m)
     return campaign
 
 

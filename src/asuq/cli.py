@@ -149,17 +149,12 @@ class _FittedCampaign:
             evaluate_campaign(campaign, self.evaluator, max_concurrency=2,
                               runs=recs)
         except EvaluatorError:
-            pass  # each failed corner raises its own diagnostic below
-
-        def evaluate_corner(x_corner):
-            rec = next(r for r in recs if np.array_equal(r.x, x_corner))
-            if rec.status != "done":
-                raise EvaluatorError(f"all 1 attempted runs failed "
-                                     f"(first diagnostic: {rec.error})")
-            return rec.f
-
-        rng = estimate_range(self.asub.w, evaluate_corner, self.f,
-                             discordant_pairs=self.summary.discordant_pairs)
+            pass  # each failed corner reports its own diagnostic below
+        rng = estimate_range(
+            self.asub.w, [r.f if r.status == "done" else None for r in recs],
+            self.f, discordant_pairs=self.summary.discordant_pairs,
+            errors=[None if r.status == "done" else "all 1 attempted runs "
+                    f"failed (first diagnostic: {r.error})" for r in recs])
         save_campaign(campaign, self.args.campaign)
         p_min, p_max = (campaign.space.denormalize(x).tolist()
                         for x in (rng.x_min, rng.x_max))

@@ -253,13 +253,12 @@ def mach_from_area_ratio(ratio: float, gamma: float = 1.4) -> float:
     if area_mach_ratio(_MACH_HI, gamma) < ratio:
         raise DataError(f"area ratio {ratio} not reachable below Mach {_MACH_HI}")
     lo, hi = 1.0, _MACH_HI
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until adjacent floats
         if area_mach_ratio(mid, gamma) < ratio:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def eddy_growth_ratio(ratios: FlowRatios = DLR_RATIOS) -> float:

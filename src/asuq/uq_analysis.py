@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,10 +71,13 @@ def corner_extrema(w) -> tuple[np.ndarray, np.ndarray]:
     return -x_max, x_max
 
 
-def estimate_range(w, evaluate: Callable[[np.ndarray], float],
-                   f_samples, discordant_pairs: int = 0) -> RangeEstimate:
-    """Evaluate the black box at the two extremizing corners.
+def estimate_range(w, f_corners, f_samples, discordant_pairs: int = 0,
+                   errors=(None, None)) -> RangeEstimate:
+    """Bracket the output by its values at the two extremizing corners.
 
+    ``f_corners`` holds f at the ``x_min`` and ``x_max`` of
+    :func:`corner_extrema`, None for a corner whose evaluation failed, and
+    ``errors`` the matching diagnostics, reported as ``corner_errors``.
     ``f_samples`` are the already-computed sample outputs; ``validated``
     reports whether they all fall inside [f_min, f_max]. A nonzero
     ``discordant_pairs`` count from the summary data flags that the
@@ -84,17 +86,10 @@ def estimate_range(w, evaluate: Callable[[np.ndarray], float],
     w = _check_unit(w)
     f_samples = np.asarray(f_samples, dtype=float).ravel()
     x_min, x_max = corner_extrema(w)
+    at_min, at_max = (None if v is None else float(v) for v in f_corners)
+    corner_errors = {key: error for key, error
+                     in zip(("at_x_min", "at_x_max"), errors) if error is not None}
 
-    values: dict[str, float | None] = {}
-    errors: dict[str, str] = {}
-    for key, corner in (("at_x_min", x_min), ("at_x_max", x_max)):
-        try:
-            values[key] = float(evaluate(corner))
-        except Exception as exc:
-            values[key] = None
-            errors[key] = str(exc)
-
-    at_min, at_max = values["at_x_min"], values["at_x_max"]
     inverted = at_min is not None and at_max is not None and at_min > at_max
     if inverted:
         f_min, f_max = at_max, at_min
@@ -108,7 +103,7 @@ def estimate_range(w, evaluate: Callable[[np.ndarray], float],
         x_min=x_min, x_max=x_max, f_min=f_min, f_max=f_max,
         validated=validated, inverted=inverted,
         monotone_caveat=discordant_pairs > 0,
-        corner_errors=errors or None,
+        corner_errors=corner_errors or None,
     )
 
 
@@ -233,8 +228,7 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
             feasible = "partial"
             i = int(crossing[0])
             lo, hi = ys[i - 1], ys[i]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:  # until adjacent floats
                 if surr.upper_confidence(mid, level) > threshold:
                     hi = mid
                 else:

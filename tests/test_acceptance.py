@@ -189,7 +189,8 @@ def test_criterion_08_corner_range():
             t = float(np.dot(w_true, x))
             return t ** 3 + t
 
-        est = estimate_range(fit_active_direction(X, f).w, black_box, f)
+        w = fit_active_direction(X, f).w
+        est = estimate_range(w, [black_box(x) for x in corner_extrema(w)], f)
         assert est.validated
         assert np.all(f >= est.f_min) and np.all(f <= est.f_max)
 

@@ -214,6 +214,23 @@ class TestPersistence:
             load_campaign(path)
 
 
+    def test_running_status_loads_as_pending(self, tmp_path, small_campaign):
+        # Older versions wrote "running" for a run in flight; it is retried.
+        path = tmp_path / "c.json"
+        save_campaign(small_campaign, path)
+        manifest = json.loads(path.read_text())
+        manifest["runs"][1]["status"] = "running"
+        path.write_text(json.dumps(manifest))
+        record = dict(manifest["runs"][3], status="running")
+        journal_path(path).write_text(json.dumps(record) + "\n")
+        campaign = load_campaign(path)
+        assert [r.status for r in campaign.runs] == ["pending"] * 5
+        save_campaign(campaign, path)
+        assert '"running"' not in path.read_text()
+        evaluate_campaign(campaign, constant_evaluator(1.0))
+        assert [r.status for r in campaign.runs] == ["done"] * 5
+
+
 class TestJournal:
     @pytest.fixture
     def saved(self, tmp_path, small_campaign):
@@ -274,6 +291,12 @@ class TestJournal:
         '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "bogus"}',
         '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "pending", '
         '"role": "validation"}',
+        '{"index": 1, "x": [0], "p": [0, 0], "status": "pending"}',
+        '{"index": 1, "x": [0, 0], "p": [0, NaN], "status": "pending"}',
+        pytest.param('{"index": 1, "x": [0, 1%s], "p": [0, 0], '
+                     '"status": "pending"}' % ("0" * 400), id="huge-int"),
+        pytest.param('{"index": Infinity, "x": [0, 0], "p": [0, 0], '
+                     '"status": "pending"}', id="infinite-index"),
     ])
     def test_malformed_complete_line_rejected(self, saved, line):
         journal_path(saved).write_text(line + "\n")

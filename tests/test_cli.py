@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import signal
 import subprocess
@@ -95,6 +96,24 @@ class TestSample:
         run_cli("sample", "-M", "2", "--seed", "1", "--out", str(c),
                 "--condition", "P0_H2_bar=4.8")
         assert load_campaign(c).condition == {"P0_H2_bar": 4.8}
+
+    def test_text_condition_stays_a_string_and_reaches_the_evaluator(
+            self, tmp_path):
+        c = tmp_path / "c.json"
+        assert run_cli("sample", "-M", "2", "--seed", "1", "--out", str(c),
+                       "--condition", "fuel=H2", "--condition", "P=4.8") == 0
+        assert load_campaign(c).condition == {"fuel": "H2", "P": 4.8}
+        seen = tmp_path / "seen.jsonl"
+        script = tmp_path / "echo.py"
+        script.write_text(
+            "import json, sys\n"
+            "req = json.load(sys.stdin)\n"
+            f"open({str(seen)!r}, 'a').write(json.dumps(req['condition']) + '\\n')\n"
+            "print(json.dumps({'qoi': 1.0}))\n")
+        assert run_cli("run", "--campaign", str(c),
+                       "--evaluator", f"{sys.executable} {script}") == 0
+        assert [json.loads(ln) for ln in seen.read_text().splitlines()] == \
+            [{"P": 4.8, "fuel": "H2"}] * 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_condition_is_usage_error(self, tmp_path, capsys, value):
@@ -251,6 +270,18 @@ class TestRun:
         assert sampled.read_bytes() == before
         assert not marker.exists() and not journal_path(sampled).exists()
 
+    @pytest.mark.parametrize("key", ["space", "seed", "runs"])
+    def test_manifest_missing_a_key_exits_2_unchanged(self, sampled, key,
+                                                      capsys):
+        manifest = json.loads(sampled.read_text())
+        del manifest[key]
+        sampled.write_text(json.dumps(manifest))
+        before = sampled.read_bytes()
+        assert run_cli("run", "--campaign", str(sampled),
+                       "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+        assert f"campaign manifest missing '{key}'" in capsys.readouterr().err
+        assert sampled.read_bytes() == before
+
     @pytest.mark.parametrize("field, value", [("status", "Done"),
                                               ("role", "bogus")])
     def test_unknown_status_or_role_exits_2(self, sampled, field, value,
@@ -265,6 +296,61 @@ class TestRun:
     def test_unknown_campaign_path(self, tmp_path):
         assert run_cli("run", "--campaign", str(tmp_path / "nope.json"),
                        "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+
+
+class TestMalformedRunPoints:
+    """A run's x or p that is not m finite numbers is exit 2 on load.
+
+    In the manifest or in a journal line, the command stops before any
+    evaluator runs or any report or campaign file is written.
+    """
+
+    CASES = {
+        "done-x-cut": ("done", "x", lambda v: v[:3]),
+        "pending-x-cut": ("pending", "x", lambda v: v[:3]),
+        "pending-p-cut": ("pending", "p", lambda v: v[:3]),
+        "pending-x-nan": ("pending", "x", lambda v: [math.nan, *v[1:]]),
+        "pending-p-nan": ("pending", "p", lambda v: [math.nan, *v[1:]]),
+        "pending-x-string": ("pending", "x", lambda v: ["0.5", *v[1:]]),
+        "pending-p-nested": ("pending", "p", lambda v: [v]),
+    }
+
+    @pytest.mark.parametrize("where", ["manifest", "journal"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_before_any_evaluation_or_report(self, request, tmp_path,
+                                                     case, where, capsys):
+        status, key, cut = self.CASES[case]
+        campaign = request.getfixturevalue(
+            "evaluated" if status == "done" else "sampled")
+        work = tmp_path / "work"
+        work.mkdir()
+        marker = work / "evaluated"
+        script = work / "mark.py"
+        script.write_text(f"open({str(marker)!r}, 'w').close()\n"
+                          "print('{\"qoi\": 1.0}')\n")
+        manifest = json.loads(campaign.read_text())
+        record = manifest["runs"][3]
+        record[key] = cut(record[key])
+        if where == "manifest":
+            campaign.write_text(json.dumps(manifest))
+        else:
+            journal_path(campaign).write_text(json.dumps(record) + "\n")
+        files = {p: p.read_bytes() for p in campaign.parent.iterdir()
+                 if p.is_file()}
+        evaluator = ["--evaluator", f"{sys.executable} {script}"]
+        if status == "done":
+            argv = ["analyze", "--campaign", str(campaign), "--seed", "1",
+                    "--out", str(work / "out"), "--corners", *evaluator]
+        else:
+            argv = ["run", "--campaign", str(campaign), *evaluator]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"run 3: {key} must hold 7 finite numbers" in err
+        if where == "journal":
+            assert f"{journal_path(campaign)}:1: bad journal line" in err
+        assert {p: p.read_bytes() for p in campaign.parent.iterdir()
+                if p.is_file()} == files
+        assert sorted(p.name for p in work.iterdir()) == ["mark.py"]
 
 
 # Evaluator for the kill-and-resume tests: the first time it sees the run
@@ -666,6 +752,13 @@ class TestAnalyze:
                        "--cdf", "--n-cdf", "200", "--svg") == 0
         assert (out / "summary.svg").read_text().startswith("<svg")
         assert (out / "cdf.svg").exists()
+
+    def test_no_completed_runs_is_data_error(self, sampled, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--campaign", str(sampled),
+                       "--out", str(out), "--seed", "1") == 2
+        assert "campaign has no completed runs" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_insufficient_runs_is_degeneracy(self, tmp_path, capsys):
         campaign = tmp_path / "small.json"

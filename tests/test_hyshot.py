@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asuq import DataError, DegeneracyError, hyshot_space
 from asuq.hyshot import (
@@ -179,6 +181,23 @@ class TestAreaMach:
     def test_inverse_of_nominal_ratio(self):
         assert mach_from_area_ratio(area_mach_ratio(7.4)) == pytest.approx(
             7.4, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=st.floats(1.0, 1e3), gamma=st.floats(1.05, 1.8))
+    def test_bisection_to_adjacent_floats_equals_200_halvings(self, ratio,
+                                                              gamma):
+        def fixed_count(ratio, gamma):
+            # The earlier loop: exactly 200 halvings of [1, 50].
+            lo, hi = 1.0, 50.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if area_mach_ratio(mid, gamma) < ratio:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        assert mach_from_area_ratio(ratio, gamma) == fixed_count(ratio, gamma)
 
     def test_domain_checks(self):
         with pytest.raises(DataError):

@@ -85,6 +85,35 @@ def scan_safe_set(surr, w, threshold, level=0.99):
     return "partial", float(lo)
 
 
+def fixed_count_y_max(surr, w, threshold, level=0.99):
+    """y_max from the quartic-root bracket and exactly 100 halvings.
+
+    The earlier form of ``invert_safe_set``'s bisection, kept as the
+    reference for the loop that stops once ``lo`` and ``hi`` are adjacent
+    floats. None unless the safe set is partial.
+    """
+    l1 = float(np.abs(w).sum())
+    nodes = np.linspace(-l1, l1, 5)
+    b2 = np.polyfit(nodes, surr.band_halfwidth(nodes, level) ** 2, 4)
+    h = np.polysub([threshold], surr.coeffs[::-1])
+    roots = np.roots(np.polysub(np.polymul(h, h), b2)).real
+    edges = np.sort(np.r_[-l1, l1, np.clip(roots, -l1, l1)])
+    ys = np.sort(np.r_[edges, (edges[:-1] + edges[1:]) / 2])
+    ub = surr.upper_confidence(ys, level)
+    crossing = np.nonzero(ub > threshold)[0]
+    if ub[0] > threshold or len(crossing) == 0:
+        return None
+    i = int(crossing[0])
+    lo, hi = ys[i - 1], ys[i]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if surr.upper_confidence(mid, level) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return float(lo)
+
+
 def brute_force_corner(w):
     corners = np.array(list(itertools.product([-1.0, 1.0], repeat=len(w))))
     return corners[np.argmax(corners @ w)]
@@ -337,11 +366,12 @@ class TestEstimateRange:
 
         X = sample_hypercube(4, 30, seed=5)
         f_samples = np.array([f(x) for x in X])
-        est = estimate_range(w, f, f_samples)
+        est = estimate_range(w, [f(x) for x in corner_extrema(w)], f_samples)
         assert est.f_min == pytest.approx(-(l1 ** 3) - l1)
         assert est.f_max == pytest.approx(l1 ** 3 + l1)
         assert est.validated
         assert not est.monotone_caveat
+        assert est.corner_errors is None
 
     def test_strong_second_direction_defeats_heuristic(self):
         w = np.array([0.8, 0.6])
@@ -353,7 +383,7 @@ class TestEstimateRange:
 
         X = sample_hypercube(2, 50, seed=12)
         f_samples = np.array([f(x) for x in X])
-        est = estimate_range(w, f, f_samples)
+        est = estimate_range(w, [f(x) for x in corner_extrema(w)], f_samples)
         assert not est.validated
         assert np.max(f_samples) > est.f_max
 
@@ -366,7 +396,7 @@ class TestEstimateRange:
 
         X = sample_hypercube(3, 20, seed=1)
         f_samples = np.array([f(x) for x in X])
-        est = estimate_range(w, f, f_samples)
+        est = estimate_range(w, [f(x) for x in corner_extrema(w)], f_samples)
         assert est.inverted
         assert est.f_min == pytest.approx(-l1)
         assert est.f_max == pytest.approx(l1)
@@ -374,28 +404,33 @@ class TestEstimateRange:
 
     def test_constant_function(self):
         w = np.array([1.0, 0.0])
-        est = estimate_range(w, lambda x: 7.0, np.full(5, 7.0))
+        est = estimate_range(w, [7.0, 7.0], np.full(5, 7.0))
         assert est.f_min == est.f_max == 7.0
         assert est.validated
 
     def test_corner_failure_yields_partial_result(self):
         w = np.array([1.0, 0.0])
-
-        def f(x):
-            if x[0] > 0:
-                raise RuntimeError("solver blew up")
-            return -1.0
-
-        est = estimate_range(w, f, np.array([-0.5]))
+        est = estimate_range(w, [-1.0, None], np.array([-0.5]),
+                             errors=(None, "solver blew up"))
         assert est.f_min == -1.0
         assert est.f_max is None
         assert not est.validated
-        assert "at_x_max" in est.corner_errors
+        assert est.corner_errors == {"at_x_max": "solver blew up"}
+
+    def test_both_corners_failing_keep_their_diagnostics(self):
+        w = np.array([0.6, -0.8])
+        est = estimate_range(w, [None, None], np.array([0.0]),
+                             errors=("no qoi", "timed out"))
+        assert est.f_min is None and est.f_max is None
+        assert not est.validated and not est.inverted
+        assert est.corner_errors == {"at_x_min": "no qoi",
+                                     "at_x_max": "timed out"}
+        np.testing.assert_array_equal(est.x_max, [1.0, -1.0])
 
     def test_discordant_count_sets_caveat(self):
         w = np.array([1.0, 0.0])
-        est = estimate_range(w, lambda x: float(x[0]), np.array([0.0]),
-                             discordant_pairs=3)
+        est = estimate_range(w, [float(x[0]) for x in corner_extrema(w)],
+                             np.array([0.0]), discordant_pairs=3)
         assert est.monotone_caveat
 
 
@@ -603,6 +638,32 @@ class TestInvertSafeSet:
                           np.linspace(y_max, ref_y, 2001)]
             probe = probe[(probe > y_max) & (probe <= ref_y)]
             assert np.any(surr.upper_confidence(probe) > threshold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 59), M=st.integers(5, 79),
+           coeffs=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+           log_noise=st.floats(-6.0, 0.0), seed=st.integers(0, 2**32 - 1),
+           u=st.floats(0.01, 0.99), level=st.floats(0.6, 0.999999))
+    def test_bisection_to_adjacent_floats_equals_100_halvings(
+            self, m, M, coeffs, log_noise, seed, u, level):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(m)
+        w /= np.linalg.norm(w)
+        l1 = float(np.abs(w).sum())
+        y = np.linspace(-l1, l1, M)
+        c0, c1, c2 = coeffs
+        f = c0 + c1 * y + c2 * y ** 2 + 10.0 ** log_noise * rng.standard_normal(M)
+        surr = fit_quadratic(y, f, y_domain=(-l1, l1))
+        ub = surr.upper_confidence(np.linspace(-l1, l1, 201), level)
+        threshold = float(ub.min() + u * (ub.max() - ub.min()))
+        want = fixed_count_y_max(surr, w, threshold, level)
+        assume(want is not None)
+        # 100 halvings reach adjacent floats unless the crossing is this
+        # close to 0, where the floats are denser.
+        assume(abs(want) > 1e-13 * l1)
+        result = invert_safe_set(surr, w, threshold, level=level)
+        assert result.feasible == "partial"
+        assert result.y_max == want
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(1e-3, 1e3), b=st.floats(-100.0, 100.0),
