@@ -20,9 +20,20 @@ from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
+# numpy's OpenBLAS starts its worker threads as it loads, and each spins a
+# while before it sleeps. Loaded here on one thread, it starts none. The
+# user's value is put back at once: the evaluators this process runs see it.
+_user_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _user_blas_threads is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _user_blas_threads
 
-from . import hyshot
 from ._fileio import atomic_open, write_json
 from .active_subspace import (
     bootstrap_direction,
@@ -354,6 +365,8 @@ def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
 
 
 def cmd_scenario_shots_fit(args) -> int:
+    from . import hyshot
+
     shots = hyshot.load_shots(args.shots)
     intercept, slope = hyshot.fit_T0_H0(shots, include_excluded=args.all)
     used = [s for s in shots if args.all or not s.excluded]
@@ -363,6 +376,8 @@ def cmd_scenario_shots_fit(args) -> int:
 
 
 def cmd_scenario_inflow(args) -> int:
+    from . import hyshot
+
     space = _load_space(args.space)
     if args.nominal:
         x = np.zeros(space.m)
@@ -379,6 +394,8 @@ def cmd_scenario_inflow(args) -> int:
 
 
 def cmd_scenario_check(args) -> int:
+    from . import hyshot
+
     intercept, slope = hyshot.fit_T0_H0(hyshot.load_shots())
     print(f"shot regression: T0 = {intercept:.4f} + {slope:.6e} * H0  "
           f"[K, H0 in J/kg]")

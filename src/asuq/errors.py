@@ -4,6 +4,9 @@ Each class carries the process exit code used by the command-line front end:
 1 usage, 2 data/schema, 3 numerical degeneracy, 4 evaluator failure.
 """
 
+__all__ = ["ToolkitError", "UsageError", "DataError", "DegeneracyError",
+           "EvaluatorError"]
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""

@@ -238,8 +238,14 @@ def area_mach_ratio(M: float, gamma: float = 1.4) -> float:
         raise DataError(f"Mach number must be positive, got {M}")
     if gamma <= 1:
         raise DataError(f"gamma must exceed 1, got {gamma}")
-    core = (2.0 / (gamma + 1.0)) * (1.0 + 0.5 * (gamma - 1.0) * M * M)
-    return math.sqrt(core ** ((gamma + 1.0) / (gamma - 1.0)) / (M * M))
+    # sqrt(core**e) / M with core = 1 + excess, as exp(e/2 * log1p(excess)) / M:
+    # exactly 1 at M = 1, and core**e, which can overflow where the ratio does
+    # not, is never formed. A ratio past the float range is inf.
+    excess = (gamma - 1.0) * (M * M - 1.0) / (gamma + 1.0)
+    try:
+        return math.exp(0.5 * (gamma + 1.0) / (gamma - 1.0) * math.log1p(excess)) / M
+    except OverflowError:
+        return math.inf
 
 
 # Upper end of the Mach bracket searched by mach_from_area_ratio.

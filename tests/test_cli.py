@@ -1196,26 +1196,64 @@ class TestOneBlasThread:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="on one core OpenBLAS runs one thread anyway")
-    def test_outputs_do_not_depend_on_the_thread_count(self, wide, tmp_path):
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS"):
-            env.pop(name, None)
+    def test_outputs_do_not_depend_on_the_thread_count(self, fresh_python,
+                                                        wide, tmp_path):
         outputs = []
         for tag, threads in (("default", {}),
                              ("one", {"OPENBLAS_NUM_THREADS": "1"})):
-            proc = subprocess.run(
-                [sys.executable, "-m", "asuq.cli", "analyze", "--campaign",
-                 str(wide), "--out", str(tmp_path / tag), *WIDE_ANALYZE],
-                env=env | threads, capture_output=True, text=True,
-                timeout=120)
-            assert proc.returncode == 0, proc.stderr
+            fresh_python("-m", "asuq.cli", "analyze", "--campaign", str(wide),
+                         "--out", str(tmp_path / tag), *WIDE_ANALYZE,
+                         **threads)
             outputs.append({p.name: p.read_bytes()
                             for p in (tmp_path / tag).iterdir()})
         assert sorted(outputs[0]) == ["cdf.csv", "results.json",
                                       "summary.csv", "surrogate.json"]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="on one core OpenBLAS starts one thread anyway")
+    def test_cli_loads_numpy_with_one_thread(self, fresh_python):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task")
+        # The thread count of each loaded OpenBLAS, then the process's
+        # thread count: numpy loaded first is the control.
+        probe = ("import os, {first}, asuq.cli\n"
+                 "print(*(get() for get, _ in "
+                 "asuq.cli._openblas_thread_controls()), "
+                 "len(os.listdir('/proc/self/task')))")
+        control = fresh_python("-c", probe.format(first="numpy")).split()
+        if len(control) < 2:
+            pytest.skip("no OpenBLAS is loaded")
+        if control[0] == "1":
+            pytest.skip("OpenBLAS starts one thread on this host")
+        assert int(control[-1]) > 1
+        assert fresh_python("-c", probe.format(first="asuq")).split() == [
+            "1", "1"]
+
+    @pytest.mark.parametrize("value", [None, "3"], ids=["unset", "set"])
+    def test_cli_import_keeps_the_users_thread_variable(self, fresh_python,
+                                                        value):
+        env = {} if value is None else {"OPENBLAS_NUM_THREADS": value}
+        out = fresh_python("-c", "import os, asuq.cli\n"
+                           "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                           **env)
+        assert out.split() == [str(value)]
+
+    @pytest.mark.parametrize("value", [None, "3"], ids=["unset", "set"])
+    def test_evaluators_see_the_users_thread_variable(self, fresh_python,
+                                                      sampled, tmp_path,
+                                                      value):
+        script = tmp_path / "threads.py"
+        script.write_text(
+            "import json, os, sys\n"
+            "json.load(sys.stdin)\n"
+            "n = float(os.environ.get('OPENBLAS_NUM_THREADS', 0))\n"
+            "print(json.dumps({'qoi': n}))\n")
+        env = {} if value is None else {"OPENBLAS_NUM_THREADS": value}
+        fresh_python("-m", "asuq.cli", "run", "--campaign", str(sampled),
+                     "--evaluator", f"{sys.executable} {script}", **env)
+        _, f = load_campaign(sampled).design_arrays()
+        assert f.tolist() == [float(value or 0)] * 12
 
     def test_replicates_within_ulps_of_the_library_call(self, wide, tmp_path):
         # A library call keeps the BLAS's own thread count, so its sums may

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asuq import DataError, DegeneracyError, hyshot_space
@@ -198,6 +198,18 @@ class TestAreaMach:
             return 0.5 * (lo + hi)
 
         assert mach_from_area_ratio(ratio, gamma) == fixed_count(ratio, gamma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.floats(1.0, 3.0, exclude_min=True))
+    @example(gamma=1.4866024158637785)  # rounded to 1 - 3e-16 before
+    @example(gamma=1.0001)  # the ratio at Mach 50 is past the float range
+    def test_sonic_point_is_exact_and_round_trips(self, gamma):
+        assert area_mach_ratio(1.0, gamma) == 1.0
+        assert mach_from_area_ratio(area_mach_ratio(1.0, gamma), gamma) == 1.0
+
+    def test_ratio_past_the_float_range_is_inf(self):
+        assert area_mach_ratio(50.0, 1.0001) == math.inf
+        assert math.isfinite(area_mach_ratio(50.0, 1.004))  # core**e alone overflows
 
     def test_domain_checks(self):
         with pytest.raises(DataError):

@@ -1,0 +1,75 @@
+"""The package's lazy export table and what ``import asuq`` loads."""
+
+import importlib
+
+import pytest
+
+import asuq
+
+PUBLIC = {
+    "ActiveSubspace", "BootstrapEnsemble", "CMatrixEstimate", "LinearFit",
+    "SummaryData", "bootstrap_direction", "estimate_c_gradient_oracle",
+    "fit_active_direction", "sensitivity_ranking", "summary_data",
+    "Campaign", "CommandEvaluator", "EvalRequest", "RunRecord", "append_run",
+    "evaluate_campaign", "load_campaign", "load_dataset", "new_campaign",
+    "ridge_direction", "save_campaign", "save_dataset", "synthetic_ridge",
+    "DataError", "DegeneracyError", "EvaluatorError", "ToolkitError",
+    "UsageError",
+    "ParameterSpace", "ParameterSpec", "hyshot_space", "sample_hypercube",
+    "unit_space",
+    "QuadraticSurrogate", "fit_quadratic",
+    "CdfEstimate", "InscribedBox", "RangeEstimate", "SafeSetResult",
+    "corner_extrema", "estimate_cdf", "estimate_range", "inscribed_box",
+    "invert_safe_set",
+}
+
+
+def test_the_44_public_names_are_pinned():
+    assert len(asuq.__all__) == len(PUBLIC) == 44
+    assert set(asuq.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_each_name_is_its_submodules_object(name):
+    obj = getattr(asuq, name)
+    module = importlib.import_module(obj.__module__)
+    assert module.__name__.rpartition(".")[0] == "asuq"
+    assert getattr(module, name) is obj
+    assert name in module.__all__
+    assert name in dir(asuq)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        asuq.no_such_name
+    assert not hasattr(asuq, "numpy")
+
+
+def test_import_asuq_loads_no_numpy(fresh_python):
+    code = ("import sys, asuq\n"
+            "print('numpy' in sys.modules)\n"
+            "from asuq import fit_quadratic, DataError\n"
+            "print(asuq.fit_quadratic is fit_quadratic, asuq.hyshot.__name__,\n"
+            "      asuq.cli.__name__, asuq.surrogate.__name__)\n")
+    out = fresh_python("-c", code)
+    assert out.split() == ["False", "True", "asuq.hyshot", "asuq.cli",
+                           "asuq.surrogate"]
+
+
+def test_star_import_gives_every_public_name(fresh_python):
+    out = fresh_python("-c", "from asuq import *\n"
+                       "import asuq\n"
+                       "print(all(n in globals() for n in asuq.__all__))\n")
+    assert out.split() == ["True"]
+
+
+def test_cli_loads_hyshot_only_for_a_scenario_command(fresh_python):
+    code = ("import sys, asuq.cli\n"
+            "print('asuq.hyshot' in sys.modules)\n"
+            "asuq.cli.main(['space', 'validate'])\n"
+            "print('asuq.hyshot' in sys.modules)\n"
+            "asuq.cli.main(['scenario', 'check'])\n"
+            "print('asuq.hyshot' in sys.modules)\n")
+    out = fresh_python("-c", code)
+    flags = [ln for ln in out.splitlines() if ln in ("True", "False")]
+    assert flags == ["False", "False", "True"]
