@@ -415,12 +415,11 @@ def load_dataset(path, space: ParameterSpace | None = None) -> Campaign:
             values = [float(v) for v in parts]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite value in {row!r}")
         x = np.array(values[:m])
-        fval = values[m]
-        if not math.isfinite(fval):
-            raise DataError(f"{path}:{lineno}: non-finite result {parts[m]!r}")
         runs.append(RunRecord(index=len(runs), x=x, p=space.denormalize(x),
-                              status="done", f=fval))
+                              status="done", f=values[m]))
     return Campaign(space, seed=0, condition=None, runs=runs)
 
 
@@ -500,7 +499,11 @@ class CommandEvaluator:
 
     def __post_init__(self):
         if isinstance(self.argv, str):
-            self.argv = shlex.split(self.argv)
+            try:
+                self.argv = shlex.split(self.argv)
+            except ValueError as exc:  # an unbalanced quote
+                raise UsageError(f"cannot split evaluator command "
+                                 f"{self.argv!r}: {exc}") from exc
         if not self.argv:
             raise UsageError("empty evaluator command")
         if self.timeout is not None and not (math.isfinite(self.timeout)

@@ -80,23 +80,6 @@ def _load_space(path: str | None) -> ParameterSpace:
     return hyshot_space() if path is None else ParameterSpace.from_json(path)
 
 
-def _parse_condition(pairs) -> dict:
-    cond = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--condition expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        try:
-            cond[key] = float(value)
-        except ValueError:
-            cond[key] = value
-        else:
-            if not math.isfinite(cond[key]):
-                raise UsageError(f"--condition {key}: a number must be "
-                                 f"finite, got {value!r}")
-    return cond
-
-
 def _build_evaluator(args, m: int):
     spec = args.evaluator
     if spec is None:
@@ -242,7 +225,7 @@ def cmd_space_validate(args) -> int:
 def cmd_sample(args) -> int:
     space = _load_space(args.space)
     campaign = new_campaign(space, args.M, args.seed,
-                            condition=_parse_condition(args.condition))
+                            condition=dict(args.condition or ()))
     save_campaign(campaign, args.campaign)
     print(f"wrote {args.campaign}: {args.M} pending runs, m={space.m}, "
           f"seed={args.seed}")
@@ -379,15 +362,7 @@ def cmd_scenario_inflow(args) -> int:
     from . import hyshot
 
     space = _load_space(args.space)
-    if args.nominal:
-        x = np.zeros(space.m)
-    elif args.x is not None:
-        try:
-            x = np.array([float(v) for v in args.x.split(",")])
-        except ValueError as exc:
-            raise UsageError(f"--x must be a comma-separated vector: {exc}")
-    else:
-        raise UsageError("give either --nominal or --x")
+    x = np.zeros(space.m) if args.nominal else np.array(args.x)
     cond = hyshot.build_inflow(x, space)
     print(json.dumps(cond.to_params(), indent=2))
     return 0
@@ -452,6 +427,24 @@ _timeout = _flag_type(float, lambda v: 0 < v < math.inf,
                       "must be a finite number > 0")
 
 
+def _key_value(text: str):
+    """``KEY=VALUE`` as (key, value), the value a float when it parses as one."""
+    key, value = text.split("=", 1)  # ValueError without a "="
+    try:
+        return key, float(value)
+    except ValueError:
+        return key, value
+
+
+# A number must be finite: NaN and Infinity are not JSON.
+_condition = _flag_type(
+    _key_value, lambda kv: not isinstance(kv[1], float) or math.isfinite(kv[1]),
+    "must be KEY=VALUE, and a number must be finite")
+_point = _flag_type(lambda text: [float(v) for v in text.split(",")],
+                    lambda x: all(map(math.isfinite, x)),
+                    "must be comma-separated finite numbers")
+
+
 def _count(floor: int):
     return _flag_type(int, lambda v: v >= floor,
                       f"must be an integer >= {floor}")
@@ -513,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=_seed, required=True)
     p_sample.add_argument("--out", dest="campaign", required=True,
                           help="campaign manifest to write")
-    p_sample.add_argument("--condition", action="append", metavar="KEY=VALUE",
+    p_sample.add_argument("--condition", action="append", type=_condition,
+                          metavar="KEY=VALUE",
                           help="condition metadata (repeatable)")
     p_sample.set_defaults(func=cmd_sample)
 
@@ -572,9 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_inflow = scen_sub.add_parser("inflow",
                                    help="solver boundary conditions for a point")
     p_inflow.add_argument("--space", help="space JSON (default: bundled HyShot)")
-    p_inflow.add_argument("--nominal", action="store_true",
-                          help="use the nominal point x = 0")
-    p_inflow.add_argument("--x", help="comma-separated normalized coordinates")
+    point = p_inflow.add_mutually_exclusive_group(required=True)
+    point.add_argument("--nominal", action="store_true",
+                       help="use the nominal point x = 0")
+    point.add_argument("--x", type=_point,
+                       help="comma-separated normalized coordinates")
     p_inflow.set_defaults(func=cmd_scenario_inflow)
 
     p_check = scen_sub.add_parser("check",

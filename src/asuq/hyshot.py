@@ -52,6 +52,11 @@ C_MU = 0.09  # two-equation closure constant relating k, omega, and length scale
 PHI_REGIME_BOUNDARY = 0.39
 
 
+def _finite_positive(*values: float) -> bool:
+    """Whether every value is finite and > 0; NaN fails every comparison."""
+    return all(0 < v < math.inf for v in values)
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """One HEG ground-test run; fueled shots carry the plenum pressure."""
@@ -65,8 +70,8 @@ class ShotRecord:
     excluded: bool = False
 
     def __post_init__(self):
-        if min(self.P0_bar, self.T0_K, self.H0_MJkg) <= 0:
-            raise DataError(f"shot {self.id}: P0, T0, H0 must be positive")
+        if not _finite_positive(self.P0_bar, self.T0_K, self.H0_MJkg):
+            raise DataError(f"shot {self.id}: P0, T0, H0 must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,8 @@ class FlowRatios:
     u_coeff: float      # U_mag / sqrt(H0), (m/s) / sqrt(J/kg)
 
     def __post_init__(self):
-        if min(self.p_ratio, self.t_ratio, self.u_coeff) <= 0:
-            raise DataError("flow ratios must be positive")
+        if not _finite_positive(self.p_ratio, self.t_ratio, self.u_coeff):
+            raise DataError("flow ratios must be finite and positive")
 
 
 # Conversion ratios provided by DLR for the HEG nozzle flow.
@@ -94,8 +99,9 @@ class TransitionSpec:
     varphi: float = 0.2
 
     def __post_init__(self):
-        if self.x_t0 <= 0:
-            raise DataError(f"nominal transition location must be > 0, got {self.x_t0}")
+        if not _finite_positive(self.x_t0):
+            raise DataError(f"nominal transition location must be finite and > 0, "
+                            f"got {self.x_t0}")
         if not (0.0 <= self.varphi < 0.5):
             raise DataError(f"varphi must lie in [0, 0.5), got {self.varphi}")
 
@@ -203,8 +209,10 @@ def stagnation_to_static(P0: float, T0: float, H0: float, alpha_deg: float,
     Positive angle of attack pitches the flow toward the vehicle, which
     makes the vertical component negative.
     """
-    if min(P0, T0, H0) <= 0:
-        raise DataError("stagnation quantities must be positive")
+    if not _finite_positive(P0, T0, H0):
+        raise DataError("stagnation quantities must be finite and positive")
+    if not math.isfinite(alpha_deg):
+        raise DataError(f"angle of attack must be finite, got {alpha_deg}")
     P = ratios.p_ratio * P0
     T = ratios.t_ratio * T0
     U_mag = ratios.u_coeff * math.sqrt(H0)
@@ -217,10 +225,11 @@ def turbulence_inflow(U_mag: float, I: float, L: float) -> tuple[float, float]:
 
     k = 3/2 (U_mag I)^2 and omega = sqrt(k) / (C_mu^(1/4) L).
     """
-    if U_mag <= 0 or L <= 0:
-        raise DataError("velocity magnitude and length scale must be positive")
-    if I < 0:
-        raise DataError(f"turbulence intensity must be >= 0, got {I}")
+    if not _finite_positive(U_mag, L):
+        raise DataError("velocity magnitude and length scale must be finite "
+                        "and positive")
+    if not 0 <= I < math.inf:
+        raise DataError(f"turbulence intensity must be finite and >= 0, got {I}")
     if I == 0:
         warnings.warn("zero turbulence intensity: laminar inflow (k = omega = 0)",
                       stacklevel=2)
@@ -234,10 +243,10 @@ def turbulence_inflow(U_mag: float, I: float, L: float) -> tuple[float, float]:
 
 def area_mach_ratio(M: float, gamma: float = 1.4) -> float:
     """Area ratio A/A* of steady 1D variable-area flow at Mach M."""
-    if M <= 0:
-        raise DataError(f"Mach number must be positive, got {M}")
-    if gamma <= 1:
-        raise DataError(f"gamma must exceed 1, got {gamma}")
+    if not _finite_positive(M):
+        raise DataError(f"Mach number must be finite and positive, got {M}")
+    if not 1 < gamma < math.inf:
+        raise DataError(f"gamma must be finite and exceed 1, got {gamma}")
     # sqrt(core**e) / M with core = 1 + excess, as exp(e/2 * log1p(excess)) / M:
     # exactly 1 at M = 1, and core**e, which can overflow where the ratio does
     # not, is never formed. A ratio past the float range is inf.
@@ -254,7 +263,7 @@ _MACH_HI = 50.0
 
 def mach_from_area_ratio(ratio: float, gamma: float = 1.4) -> float:
     """Supersonic Mach number matching an area ratio (bisection on [1, 50])."""
-    if ratio < 1:
+    if not ratio >= 1:  # NaN fails here, inf the reach check below
         raise DataError(f"area ratio must be >= 1, got {ratio}")
     if area_mach_ratio(_MACH_HI, gamma) < ratio:
         raise DataError(f"area ratio {ratio} not reachable below Mach {_MACH_HI}")
@@ -304,10 +313,10 @@ def transition_range(spec: TransitionSpec) -> tuple[float, float]:
 
 def equivalence_ratio(mdot_H2: float, mdot_O2: float) -> float:
     """Fuel/air equivalence ratio phi = 8 * mdot_H2 / mdot_O2."""
-    if mdot_O2 <= 0:
-        raise DataError(f"oxidizer mass flow must be positive, got {mdot_O2}")
-    if mdot_H2 < 0:
-        raise DataError(f"fuel mass flow must be >= 0, got {mdot_H2}")
+    if not _finite_positive(mdot_O2):
+        raise DataError(f"oxidizer mass flow must be finite and positive, got {mdot_O2}")
+    if not 0 <= mdot_H2 < math.inf:
+        raise DataError(f"fuel mass flow must be finite and >= 0, got {mdot_H2}")
     return 8.0 * mdot_H2 / mdot_O2
 
 
@@ -350,7 +359,10 @@ def build_inflow(x, space: ParameterSpace,
             "parameter-space names do not match the seven-parameter inflow "
             f"schema; expected {list(HYSHOT_PARAM_NAMES)}, got {list(space.names)}"
         )
-    p = space.denormalize(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"normalized point must be finite, got {x.tolist()}")
+    p = space.denormalize(x)
     P0_MPa, H0_MJ, alpha, I, L, xt_ramp, xt_cowl = (float(v) for v in p)
 
     P0 = P0_MPa * 1e6

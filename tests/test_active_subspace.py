@@ -576,3 +576,20 @@ class TestCMatrixOracle:
 
         with pytest.raises(EvaluatorError):
             estimate_c_gradient_oracle(grad, m=2, n_mc=10, seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_active_direction(np.zeros((3, 2)), [1.0, 2.0]),
+     "3 sample points but 2 responses"),
+    (lambda: fit_active_direction([[0.0, np.nan]] * 3, [1.0, 2.0, 3.0]),
+     "non-finite values in the sample set"),
+    (lambda: bootstrap_direction(*linear_fixture(), N=0),
+     "replicate count must be >= 1"),
+    (lambda: summary_data(*linear_fixture(), _as_subspace(np.ones(3))),
+     "direction has 3 components, samples have 2"),
+    (lambda: estimate_c_gradient_oracle(lambda x: x, 2, n_mc=0, seed=0),
+     "n_mc must be >= 1"),
+], ids=["length", "non-finite", "replicates", "direction", "n_mc"])
+def test_input_check_raises(call, message):
+    with pytest.raises(DataError, match=message):
+        call()

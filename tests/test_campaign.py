@@ -383,6 +383,15 @@ class TestDataset:
         with pytest.raises(DataError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_x_names_line(self, tmp_path, value):
+        # Such a point would be saved as a NaN or Infinity token, which is
+        # not JSON, and load_campaign would refuse the saved manifest.
+        path = tmp_path / "x.csv"
+        path.write_text(f"x1,x2,f\n0.1,0.2,3.0\n0.1,{value},3.0\n")
+        with pytest.raises(DataError, match=":3: non-finite value"):
+            load_dataset(path)
+
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("x1,x2,f\n0.1,0.2,3.0\n0.1,0.2\n")
@@ -525,3 +534,30 @@ def test_undersampled_campaign_warns():
     evaluate_campaign(campaign, lambda req: float(req.x[0]))
     with pytest.warns(UserWarning, match="m\\+1"):
         campaign.design_arrays()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: load_campaign(tmp / "c.json"), DataError,
+     "cannot read journal"),
+    (lambda tmp: load_dataset(tmp / "missing.csv"), DataError,
+     "cannot read dataset"),
+    (lambda tmp: load_dataset(tmp / "d.csv", space=unit_space(3)), DataError,
+     "header implies m=2, space has m=3"),
+    (lambda tmp: synthetic_ridge(np.array([1.0, 0.0]), noise=float("nan")),
+     UsageError, "noise must be a finite number >= 0"),
+    (lambda tmp: CommandEvaluator(""), UsageError, "empty evaluator command"),
+    (lambda tmp: CommandEvaluator("python 'oops"), UsageError,
+     "No closing quotation"),
+    (lambda tmp: CommandEvaluator(["true"], timeout=0.0), UsageError,
+     "timeout must be a finite number of seconds > 0"),
+    (lambda tmp: CommandEvaluator([str(tmp / "no-such-program")])(
+        EvalRequest(index=0, x=np.zeros(1), params={}, condition={})),
+     EvaluatorError, "run 0: cannot launch evaluator"),
+], ids=["journal", "dataset-missing", "dataset-m", "noise", "empty-command",
+        "unbalanced-quote", "timeout", "launch"])
+def test_input_check_raises(tmp_path, call, error, message):
+    save_campaign(new_campaign(unit_space(1), 2, seed=1), tmp_path / "c.json")
+    journal_path(tmp_path / "c.json").mkdir()  # unreadable as a file
+    (tmp_path / "d.csv").write_text("x1,x2,f\n0.1,0.2,3.0\n")
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -936,6 +936,16 @@ class TestScenario:
     def test_inflow_requires_point(self):
         assert run_cli("scenario", "inflow") == 1
 
+    def test_shots_fit_refuses_a_nan_row(self, tmp_path, capsys):
+        shots = tmp_path / "shots.csv"
+        shots.write_text("id,P0_bar,T0_K,H0_MJkg,PH2_bar,phi,excluded\n"
+                         "1,178.0,2742,3.25,,,0\n2,181.0,nan,3.30,,,0\n"
+                         "3,175.0,2716,3.21,,,0\n")
+        assert run_cli("scenario", "shots-fit", "--shots", str(shots)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "shot 2: P0, T0, H0 must be finite and positive" in err
+
     def test_check_runs_clean(self, capsys):
         assert run_cli("scenario", "check") == 0
         out = capsys.readouterr().out
@@ -1042,6 +1052,43 @@ class TestEndToEnd:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*")
                 if p.is_file()} == files
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--space", "missing.json", "--condition", "bad", "-M", "2",
+         "--seed", "1", "--out", "c.json"],
+        ["scenario", "inflow", "--x", "nan,0,0,0,0,0,0"],
+        ["scenario", "inflow", "--nominal", "--x", "0,0,0,0,0,0,0"],
+        ["scenario", "inflow", "--space", "missing.json", "--x", "a,b"],
+    ], ids=["condition", "x-nan", "nominal-and-x", "x-text"])
+    def test_bad_point_or_condition_is_refused_while_parsing(
+            self, tmp_path, monkeypatch, capsys, argv):
+        # Exit 1 before any file is read: missing.json is never opened.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: asuq ") and ": argument --" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unbalanced_quote_in_evaluator_is_usage_error(self, sampled,
+                                                          tmp_path, capsys):
+        bad = ["--evaluator", f"{sys.executable} 'oops"]
+        before = sampled.read_bytes()
+        assert run_cli("run", "--campaign", str(sampled), *bad) == 1
+        assert "No closing quotation" in capsys.readouterr().err
+        assert sampled.read_bytes() == before
+        assert not journal_path(sampled).exists()
+        assert run_cli("run", "--campaign", str(sampled), "--evaluator",
+                       "ridge:linear", "--wtrue-seed", "1") == 0
+        before = sampled.read_bytes()
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--campaign", str(sampled), "--out", str(out),
+                       "--seed", "5", "--corners", *bad) == 1
+        err = capsys.readouterr().err
+        assert "No closing quotation" in err and "Traceback" not in err
+        assert sampled.read_bytes() == before
+        assert not out.exists()
+        assert not journal_path(sampled).exists()
+
     @pytest.mark.parametrize("command, flags, message", [
         ("analyze", ["--seed", "5", "--corners"], "an --evaluator is required"),
         ("analyze", ["--seed", "5", "--corners", "--evaluator",
@@ -1142,6 +1189,25 @@ class TestEndToEnd:
                                 "-h/--help"],
             "scenario check": ["-h/--help"],
         }
+
+    def test_every_option_value_is_checked_while_parsing(self):
+        # Only paths, and --evaluator, whose checks need the campaign,
+        # reach a command unchecked.
+        unchecked = {"--space", "--campaign", "--out", "--shots", "--evaluator"}
+
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        untyped = {(p.prog, a.option_strings[-1])
+                   for p in parsers(asuq.cli.build_parser())
+                   for a in p._actions
+                   if a.option_strings and a.nargs != 0 and a.type is None
+                   and a.option_strings[-1] not in unchecked}
+        assert untyped == set()
 
     def test_no_command_prints_help(self, capsys):
         assert run_cli() == 1

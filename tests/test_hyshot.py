@@ -327,3 +327,78 @@ class TestBuildInflow:
             "xt_ramp_m", "xt_cowl_m",
         }
         assert all(isinstance(v, float) for v in cond.to_params().values())
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ShotRecord(1, NAN, 2700.0, 3.2),
+    lambda: ShotRecord(1, 178.0, NAN, 3.2),
+    lambda: ShotRecord(1, 178.0, 2700.0, INF),
+    lambda: FlowRatios(NAN, 0.1, 1.3),
+    lambda: FlowRatios(1e-4, 0.1, INF),
+    lambda: TransitionSpec(x_t0=NAN),
+    lambda: TransitionSpec(x_t0=INF),
+    lambda: stagnation_to_static(NAN, 2735.0, 3.24e6, 0.0),
+    lambda: stagnation_to_static(17.7e6, INF, 3.24e6, 0.0),
+    lambda: stagnation_to_static(17.7e6, 2735.0, 3.24e6, NAN),
+    lambda: turbulence_inflow(NAN, 0.01, 0.2),
+    lambda: turbulence_inflow(2000.0, NAN, 0.01),
+    lambda: turbulence_inflow(2000.0, 0.01, NAN),
+    lambda: turbulence_inflow(2000.0, INF, 0.01),
+    lambda: area_mach_ratio(NAN),
+    lambda: area_mach_ratio(INF),
+    lambda: area_mach_ratio(2.0, NAN),
+    lambda: area_mach_ratio(2.0, INF),
+    lambda: mach_from_area_ratio(NAN),
+    lambda: mach_from_area_ratio(INF),
+    lambda: mach_from_area_ratio(2.0, NAN),
+    lambda: equivalence_ratio(NAN, 1.0),
+    lambda: equivalence_ratio(1.0, NAN),
+    lambda: equivalence_ratio(INF, 1.0),
+    lambda: build_inflow([0.0, NAN, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
+    lambda: build_inflow([INF, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
+], ids=["shot-P0", "shot-T0", "shot-H0-inf", "ratios", "ratios-inf",
+        "x_t0", "x_t0-inf", "stagnation-P0", "stagnation-T0-inf",
+        "stagnation-alpha", "turbulence-U", "turbulence-I", "turbulence-L",
+        "turbulence-I-inf", "area-M", "area-M-inf", "area-gamma",
+        "area-gamma-inf", "mach-ratio", "mach-ratio-inf", "mach-gamma",
+        "phi-fuel", "phi-oxidizer", "phi-fuel-inf", "inflow-x", "inflow-x-inf"])
+def test_non_finite_input_raises(call):
+    with pytest.raises(DataError):
+        call()
+
+
+SHOTS_HEADER = "id,P0_bar,T0_K,H0_MJkg,PH2_bar,phi,excluded\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: ShotRecord(7, -1.0, 2700.0, 3.2), DataError,
+     "shot 7: P0, T0, H0 must be finite and positive"),
+    (lambda tmp: FlowRatios(1e-4, 0.0, 1.3), DataError,
+     "flow ratios must be finite and positive"),
+    (lambda tmp: load_shots(tmp / "header.csv"), DataError,
+     "header must contain"),
+    (lambda tmp: load_shots(tmp / "empty.csv"), DataError, "no shot rows"),
+    (lambda tmp: fit_T0_H0([ShotRecord(1, 178.0, 2700.0, 3.25),
+                            ShotRecord(2, 178.0, 2800.0, 3.25)]),
+     DegeneracyError, "all shots share one enthalpy"),
+    # The enthalpies differ by one ulp: below lstsq's rank cut-off.
+    (lambda tmp: fit_T0_H0([ShotRecord(1, 178.0, 2700.0, 3.25),
+                            ShotRecord(2, 178.0, 2800.0,
+                                       math.nextafter(3.25, 4.0))]),
+     DegeneracyError, "rank-deficient shot regression"),
+    (lambda tmp: turbulence_inflow(0.0, 0.01, 0.2), DataError,
+     "velocity magnitude and length scale must be finite and positive"),
+    (lambda tmp: turbulence_inflow(2000.0, -0.01, 0.2), DataError,
+     "turbulence intensity must be finite and >= 0"),
+    (lambda tmp: equivalence_ratio(-1.0, 8.0), DataError,
+     "fuel mass flow must be finite and >= 0"),
+], ids=["shot", "ratios", "shots-header", "shots-empty", "one-enthalpy",
+        "rank", "velocity", "intensity", "fuel"])
+def test_input_check_raises(tmp_path, call, error, message):
+    (tmp_path / "header.csv").write_text("id,P0_bar\n1,178.0\n")
+    (tmp_path / "empty.csv").write_text(SHOTS_HEADER)
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -253,3 +253,15 @@ def test_unit_space_is_identity():
     sp = unit_space(3)
     x = np.array([-0.5, 0.0, 0.25])
     np.testing.assert_allclose(sp.denormalize(x), x, atol=1e-15)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: ParameterSpec(name="", min=0.0, nominal=0.5, max=1.0),
+     "parameter name must be non-empty"),
+    (lambda tmp: ParameterSpace.from_json(tmp / "object.json"),
+     "expected a JSON array of parameter objects"),
+], ids=["empty-name", "not-an-array"])
+def test_input_check_raises(tmp_path, call, message):
+    (tmp_path / "object.json").write_text('{"p": 1}')
+    with pytest.raises(DataError, match=message):
+        call(tmp_path)

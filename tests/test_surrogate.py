@@ -205,3 +205,18 @@ def test_export_round_trip_fields(noisy_fixture):
                       "r_squared", "y_domain", "zero_variance"}
     assert d["M"] == 50
     assert d["y_domain"] == [-3.0, 3.0]
+
+
+@pytest.mark.parametrize("y, f, error, message", [
+    ([0.0, 1.0, 2.0], [1.0, 2.0], DataError, "3 abscissae but 2 responses"),
+    ([0.0, 1.0, np.nan], [1.0, 2.0, 3.0], DataError,
+     "non-finite values in the surrogate training pairs"),
+    ([0.0, 1.0], [1.0, 2.0], DegeneracyError,
+     "M=2 points cannot determine a quadratic"),
+    # Three distinct abscissae, but y^2 is below the rank cut-off.
+    ([0.0, 1e-10, 2e-10], [1.0, 2.0, 3.0], DegeneracyError,
+     "quadratic design matrix is rank-deficient"),
+], ids=["length", "non-finite", "too-few", "rank"])
+def test_input_check_raises(y, f, error, message):
+    with pytest.raises(error, match=message):
+        fit_quadratic(np.array(y), np.array(f))

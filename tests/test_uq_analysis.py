@@ -869,3 +869,16 @@ class TestStreamedCdfSample:
         block = 2 * param_space._SAMPLE_BLOCK * 4 * math.ceil(m / 4) * 8
         bound = 10 * 8 * n + block + 8 * uq_analysis._KERNEL_BLOCK
         assert peak < bound < 30 * 2 ** 20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda surr: corner_extrema([1.0, 1.0]), "w must be a unit vector"),
+    (lambda surr: invert_safe_set(surr, [1.0, 0.0], 1.0, space=hyshot_space()),
+     "space has m=7, direction has 2"),
+    (lambda surr: estimate_cdf(surr, [1.0, 0.0], 3),
+     "direction has 2 components, expected 3"),
+], ids=["unit", "space", "cdf-length"])
+def test_input_check_raises(call, message):
+    y = np.linspace(-1.0, 1.0, 10)
+    with pytest.raises(DataError, match=message):
+        call(fit_quadratic(y, y * y))
