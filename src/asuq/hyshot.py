@@ -72,6 +72,8 @@ class ShotRecord:
     def __post_init__(self):
         if not _finite_positive(self.P0_bar, self.T0_K, self.H0_MJkg):
             raise DataError(f"shot {self.id}: P0, T0, H0 must be finite and positive")
+        if not all(v is None or 0 <= v < math.inf for v in (self.PH2_bar, self.phi)):
+            raise DataError(f"shot {self.id}: PH2 and phi must be finite and >= 0")
 
 
 @dataclass(frozen=True)

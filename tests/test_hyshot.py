@@ -336,6 +336,8 @@ NAN, INF = math.nan, math.inf
     lambda: ShotRecord(1, NAN, 2700.0, 3.2),
     lambda: ShotRecord(1, 178.0, NAN, 3.2),
     lambda: ShotRecord(1, 178.0, 2700.0, INF),
+    lambda: ShotRecord(1, 178.0, 2700.0, 3.2, PH2_bar=NAN),
+    lambda: ShotRecord(1, 178.0, 2700.0, 3.2, phi=INF),
     lambda: FlowRatios(NAN, 0.1, 1.3),
     lambda: FlowRatios(1e-4, 0.1, INF),
     lambda: TransitionSpec(x_t0=NAN),
@@ -359,12 +361,13 @@ NAN, INF = math.nan, math.inf
     lambda: equivalence_ratio(INF, 1.0),
     lambda: build_inflow([0.0, NAN, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
     lambda: build_inflow([INF, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
-], ids=["shot-P0", "shot-T0", "shot-H0-inf", "ratios", "ratios-inf",
-        "x_t0", "x_t0-inf", "stagnation-P0", "stagnation-T0-inf",
-        "stagnation-alpha", "turbulence-U", "turbulence-I", "turbulence-L",
-        "turbulence-I-inf", "area-M", "area-M-inf", "area-gamma",
-        "area-gamma-inf", "mach-ratio", "mach-ratio-inf", "mach-gamma",
-        "phi-fuel", "phi-oxidizer", "phi-fuel-inf", "inflow-x", "inflow-x-inf"])
+], ids=["shot-P0", "shot-T0", "shot-H0-inf", "shot-PH2", "shot-phi-inf",
+        "ratios", "ratios-inf", "x_t0", "x_t0-inf", "stagnation-P0",
+        "stagnation-T0-inf", "stagnation-alpha", "turbulence-U",
+        "turbulence-I", "turbulence-L", "turbulence-I-inf", "area-M",
+        "area-M-inf", "area-gamma", "area-gamma-inf", "mach-ratio",
+        "mach-ratio-inf", "mach-gamma", "phi-fuel", "phi-oxidizer",
+        "phi-fuel-inf", "inflow-x", "inflow-x-inf"])
 def test_non_finite_input_raises(call):
     with pytest.raises(DataError):
         call()
