@@ -10,14 +10,9 @@ supported. Pre-recorded CSV datasets load as campaigns of done runs
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import queue
-import shlex
-import subprocess
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -186,6 +181,8 @@ def evaluate_campaign(campaign: Campaign,
         [r for r in runs if r.status != "done"]
     if not todo:
         return campaign
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
 
     def _one(rec: RunRecord):
         req = EvalRequest(
@@ -451,6 +448,8 @@ def ridge_direction(m: int, seed: int) -> np.ndarray:
 
 def _pseudo_noise(x: np.ndarray) -> float:
     """Standard-normal draw keyed deterministically by the point itself."""
+    import hashlib
+
     digest = hashlib.blake2b(np.ascontiguousarray(x, dtype=float).tobytes(),
                              digest_size=8).digest()
     return float(np.random.default_rng(int.from_bytes(digest, "little")).standard_normal())
@@ -498,6 +497,11 @@ class CommandEvaluator:
     timeout: float | None = None
 
     def __post_init__(self):
+        # Loaded here, on the thread that builds the evaluator, so the
+        # worker threads that call it find subprocess already loaded.
+        import shlex
+        import subprocess
+
         if isinstance(self.argv, str):
             try:
                 self.argv = shlex.split(self.argv)
@@ -512,6 +516,8 @@ class CommandEvaluator:
                              f"> 0, got {self.timeout}")
 
     def __call__(self, req: EvalRequest) -> float:
+        import subprocess
+
         payload = json.dumps({
             "index": req.index,
             "params": req.params,

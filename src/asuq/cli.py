@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # numpy's OpenBLAS starts its worker threads as it loads, and each spins a
 # while before it sleeps. Loaded here on one thread, it starts none. The
@@ -35,33 +36,13 @@ finally:
         os.environ["OPENBLAS_NUM_THREADS"] = _user_blas_threads
 
 from ._fileio import atomic_open, write_json
-from .active_subspace import (
-    bootstrap_direction,
-    fit_active_direction,
-    sensitivity_ranking,
-    summary_data,
-)
-from .campaign import (
-    CommandEvaluator,
-    append_run,
-    evaluate_campaign,
-    journal_path,
-    load_campaign,
-    new_campaign,
-    ridge_direction,
-    save_campaign,
-    synthetic_ridge,
-)
 from .errors import EvaluatorError, ToolkitError, UsageError
-from .param_space import ParameterSpace, hyshot_space
-from .surrogate import QuadraticSurrogate, fit_quadratic
-from .svgplot import SvgPlot
-from .uq_analysis import (
-    corner_extrema,
-    estimate_cdf,
-    estimate_range,
-    invert_safe_set,
-)
+
+# Each command imports the layers it runs, so `sample` loads and compiles
+# no analysis code.
+if TYPE_CHECKING:
+    from .param_space import ParameterSpace
+    from .surrogate import QuadraticSurrogate
 
 EXIT_PARTIAL_FAILURE = 5
 
@@ -77,10 +58,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_space(path: str | None) -> ParameterSpace:
+    from .param_space import ParameterSpace, hyshot_space
+
     return hyshot_space() if path is None else ParameterSpace.from_json(path)
 
 
 def _build_evaluator(args, m: int):
+    from .campaign import CommandEvaluator, ridge_direction, synthetic_ridge
+
     spec = args.evaluator
     if spec is None:
         raise UsageError("an --evaluator is required for this command")
@@ -108,6 +93,9 @@ class _FittedCampaign:
     """
 
     def __init__(self, args):
+        from .active_subspace import fit_active_direction, summary_data
+        from .campaign import load_campaign
+
         self.args = args
         self.campaign = load_campaign(args.campaign)
         # Built before anything is written, so that a bad evaluator flag
@@ -122,6 +110,8 @@ class _FittedCampaign:
 
     @cached_property
     def surrogate(self) -> QuadraticSurrogate:
+        from .surrogate import fit_quadratic
+
         l1 = float(np.abs(self.asub.w).sum())
         return fit_quadratic(self.summary.y, self.summary.f,
                              y_domain=(-l1, l1))
@@ -133,6 +123,9 @@ class _FittedCampaign:
         place. Both corners are evaluated at once; each failed corner
         reports the error a lone evaluation of it would raise.
         """
+        from .campaign import evaluate_campaign, save_campaign
+        from .uq_analysis import corner_extrema, estimate_range
+
         campaign = self.campaign
         recs = []
         for x_corner in corner_extrema(self.asub.w):
@@ -169,6 +162,8 @@ class _FittedCampaign:
 
     def safeset(self) -> int:
         """Invert ``args.threshold`` at ``args.level``; write safeset.json."""
+        from .uq_analysis import invert_safe_set
+
         safe = invert_safe_set(self.surrogate, self.asub.w, self.args.threshold,
                                level=self.args.level, space=self.campaign.space)
         write_json(self.out / "safeset.json", safe.to_dict())
@@ -183,6 +178,8 @@ class _FittedCampaign:
 
     def cdf(self) -> int:
         """Estimate the output CDF; write cdf.csv, and cdf.svg with ``--svg``."""
+        from .uq_analysis import estimate_cdf
+
         args = self.args
         cdf = estimate_cdf(self.surrogate, self.asub.w, self.campaign.m,
                            n_samples=args.n, seed=args.seed,
@@ -193,6 +190,8 @@ class _FittedCampaign:
             fh.writelines(f"{q!r},{c!r}\n" for q, c in
                           zip(cdf.grid.tolist(), cdf.cdf.tolist()))
         if args.svg:
+            from .svgplot import SvgPlot
+
             plot = SvgPlot(xlabel="quantity of interest", ylabel="CDF",
                            title="estimated CDF")
             plot.line(cdf.grid, cdf.cdf, color="#117733")
@@ -223,6 +222,8 @@ def cmd_space_validate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .campaign import new_campaign, save_campaign
+
     space = _load_space(args.space)
     campaign = new_campaign(space, args.M, args.seed,
                             condition=dict(args.condition or ()))
@@ -233,6 +234,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .campaign import (append_run, evaluate_campaign, journal_path,
+                           load_campaign, save_campaign)
+
     campaign = load_campaign(args.campaign)
     evaluator = _build_evaluator(args, campaign.m)
     if journal_path(args.campaign).exists():
@@ -270,6 +274,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(fitted: _FittedCampaign) -> int:
+    from .active_subspace import bootstrap_direction, sensitivity_ranking
+
     args, asub, summary = fitted.args, fitted.asub, fitted.summary
     ensemble = bootstrap_direction(fitted.X, fitted.f, N=args.bootstrap,
                                    seed=args.seed, asub=asub)
@@ -332,6 +338,8 @@ def _summary_rows(ys, f, source: str) -> Iterator[str]:
 
 def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
     """Write summary.svg: the bootstrap cloud, the samples and the surrogate."""
+    from .svgplot import SvgPlot
+
     summary, surr, args = fitted.summary, fitted.surrogate, fitted.args
     plot = SvgPlot(xlabel="active variable y = w . x",
                    ylabel="quantity of interest", title="summary plot")
@@ -370,6 +378,7 @@ def cmd_scenario_inflow(args) -> int:
 
 def cmd_scenario_check(args) -> int:
     from . import hyshot
+    from .param_space import hyshot_space
 
     intercept, slope = hyshot.fit_T0_H0(hyshot.load_shots())
     print(f"shot regression: T0 = {intercept:.4f} + {slope:.6e} * H0  "

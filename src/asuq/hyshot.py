@@ -324,6 +324,8 @@ def equivalence_ratio(mdot_H2: float, mdot_O2: float) -> float:
 
 def phi_regime(phi: float) -> str:
     """Classify an equivalence ratio against the shock-train boundary."""
+    if not math.isfinite(phi):
+        raise DataError(f"equivalence ratio must be finite, got {phi}")
     return "as-designed" if phi < PHI_REGIME_BOUNDARY else "regime-boundary"
 
 

@@ -20,8 +20,6 @@ _MARGIN = 56
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
@@ -32,6 +30,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         out.append(round(v, 12))
         v += step
     return out
+
+
+def _separate(lo: float, hi: float) -> tuple[float, float]:
+    """Equal limits v, v widened by 1 each way, or by 2**10 ulps of v.
+
+    A pad of 1 renders for -2**52 <= v < 2**52 - 1. Beyond, floats are 1
+    or more apart: the pad is absorbed, or the ticks' half steps round
+    back to where they started and never reach the upper limit.
+    """
+    if hi != lo:
+        return lo, hi
+    pad = 1.0 if -2.0 ** 52 <= lo < 2.0 ** 52 - 1 else 1024 * math.ulp(lo)
+    return lo - pad, hi + pad
 
 
 def _limits(arrays) -> tuple[float, float]:
@@ -110,12 +121,8 @@ class SvgPlot:
 
     def _chunks(self):
         """Yield the SVG text in order, each piece ending in a newline."""
-        x0, x1 = _limits([layer[1] for layer in self._layers])
-        y0, y1 = _limits([layer[2] for layer in self._layers])
-        if x1 == x0:
-            x0, x1 = x0 - 1, x1 + 1
-        if y1 == y0:
-            y0, y1 = y0 - 1, y1 + 1
+        x0, x1 = _separate(*_limits([layer[1] for layer in self._layers]))
+        y0, y1 = _separate(*_limits([layer[2] for layer in self._layers]))
         padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
         x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
 

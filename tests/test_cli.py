@@ -18,6 +18,7 @@ import asuq
 import asuq.active_subspace
 import asuq.campaign
 import asuq.cli
+import asuq.surrogate
 import asuq.svgplot
 from asuq import load_campaign
 from asuq.campaign import evaluate_campaign, journal_path
@@ -533,8 +534,8 @@ class TestJournal:
                                runs=partial.runs[:2],
                                checkpoint=lambda r: asuq.append_run(campaign, r))
         calls = []
-        save = asuq.cli.save_campaign
-        monkeypatch.setattr(asuq.cli, "save_campaign",
+        save = asuq.campaign.save_campaign
+        monkeypatch.setattr(asuq.campaign, "save_campaign",
                             lambda *a: calls.append(a) or save(*a))
         assert run_cli("run", "--campaign", str(campaign), *self.RIDGE) == 0
         assert len(calls) <= 2
@@ -543,14 +544,15 @@ class TestJournal:
     def test_analyze_fits_each_stage_once(self, evaluated, tmp_path,
                                           monkeypatch):
         calls = []
-        for name in ("fit_active_direction", "summary_data", "fit_quadratic"):
-            def counted(*a, _real=getattr(asuq.cli, name), _name=name, **kw):
+        # Patched in the layer modules, so a refit inside
+        # bootstrap_direction is counted too.
+        for module, name in ((asuq.active_subspace, "fit_active_direction"),
+                             (asuq.active_subspace, "summary_data"),
+                             (asuq.surrogate, "fit_quadratic")):
+            def counted(*a, _real=getattr(module, name), _name=name, **kw):
                 calls.append(_name)
                 return _real(*a, **kw)
-            monkeypatch.setattr(asuq.cli, name, counted)
-        # bootstrap_direction would refit through its own module's binding.
-        monkeypatch.setattr(asuq.active_subspace, "fit_active_direction",
-                            asuq.cli.fit_active_direction)
+            monkeypatch.setattr(module, name, counted)
         assert run_cli("analyze", "--campaign", str(evaluated),
                        "--out", str(tmp_path / "a"), "--seed", "2",
                        "--bootstrap", "5", "--threshold", "1", "--corners",
@@ -648,13 +650,14 @@ class TestAnalyze:
         # 40 replicates of 12 samples: the row writer against the loop over
         # the whole (N*M, 2) cloud it replaced.
         captured = []
+        bootstrap = asuq.active_subspace.bootstrap_direction
 
         def capture(*args, **kwargs):
-            captured.append(asuq.active_subspace.bootstrap_direction(
-                *args, **kwargs))
+            captured.append(bootstrap(*args, **kwargs))
             return captured[-1]
 
-        monkeypatch.setattr(asuq.cli, "bootstrap_direction", capture)
+        monkeypatch.setattr(asuq.active_subspace, "bootstrap_direction",
+                            capture)
         out = tmp_path / "out"
         assert run_cli("analyze", "--campaign", str(evaluated), "--out",
                        str(out), "--seed", "4", "--bootstrap", "40") == 0
@@ -825,7 +828,7 @@ class TestStandaloneReports:
             calls.append((kw["max_concurrency"], [r.index for r in kw["runs"]]))
             return evaluate_campaign(campaign, evaluator, **kw)
 
-        monkeypatch.setattr(asuq.cli, "evaluate_campaign", counted)
+        monkeypatch.setattr(asuq.campaign, "evaluate_campaign", counted)
         out = tmp_path / "rf"
         assert run_cli("range", "--campaign", str(evaluated), "--out", str(out),
                        "--evaluator", f"{sys.executable} {script}") == 4

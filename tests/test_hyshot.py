@@ -359,6 +359,9 @@ NAN, INF = math.nan, math.inf
     lambda: equivalence_ratio(NAN, 1.0),
     lambda: equivalence_ratio(1.0, NAN),
     lambda: equivalence_ratio(INF, 1.0),
+    lambda: phi_regime(NAN),
+    lambda: phi_regime(INF),
+    lambda: phi_regime(-INF),
     lambda: build_inflow([0.0, NAN, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
     lambda: build_inflow([INF, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
 ], ids=["shot-P0", "shot-T0", "shot-H0-inf", "shot-PH2", "shot-phi-inf",
@@ -367,7 +370,8 @@ NAN, INF = math.nan, math.inf
         "turbulence-I", "turbulence-L", "turbulence-I-inf", "area-M",
         "area-M-inf", "area-gamma", "area-gamma-inf", "mach-ratio",
         "mach-ratio-inf", "mach-gamma", "phi-fuel", "phi-oxidizer",
-        "phi-fuel-inf", "inflow-x", "inflow-x-inf"])
+        "phi-fuel-inf", "regime-phi", "regime-phi-inf", "regime-phi-minus-inf",
+        "inflow-x", "inflow-x-inf"])
 def test_non_finite_input_raises(call):
     with pytest.raises(DataError):
         call()

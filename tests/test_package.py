@@ -1,6 +1,8 @@
 """The package's lazy export table and what ``import asuq`` loads."""
 
 import importlib
+import json
+import sys
 
 import pytest
 
@@ -73,3 +75,70 @@ def test_cli_loads_hyshot_only_for_a_scenario_command(fresh_python):
     out = fresh_python("-c", code)
     flags = [ln for ln in out.splitlines() if ln in ("True", "False")]
     assert flags == ["False", "False", "True"]
+
+
+LAYERS = {"asuq.param_space", "asuq.campaign", "asuq.active_subspace",
+          "asuq.surrogate", "asuq.uq_analysis", "asuq.svgplot", "asuq.hyshot"}
+ANALYSIS = {"asuq.active_subspace", "asuq.surrogate", "asuq.uq_analysis",
+            "asuq.svgplot"}
+
+
+def run_in_fresh_python(fresh_python, *argv):
+    """``asuq.cli.main(argv)`` in a new interpreter: (status, loaded modules)."""
+    code = ("import sys, asuq.cli\n"
+            "status = asuq.cli.main(sys.argv[1:])\n"
+            "print('modules:', status, *sorted(sys.modules))\n")
+    out = fresh_python("-c", code, *argv)
+    _, status, *modules = out.splitlines()[-1].split()
+    return int(status), set(modules)
+
+
+def test_cli_import_loads_no_layer_and_no_process_or_thread_machinery(
+        fresh_python):
+    out = fresh_python("-c", "import sys, asuq.cli\nprint(*sys.modules)")
+    modules = set(out.split())
+    assert "asuq.cli" in modules and "numpy" in modules
+    assert modules.isdisjoint(LAYERS | {"subprocess", "concurrent.futures",
+                                        "hashlib"})
+
+
+def test_sample_and_help_load_no_analysis_layer(fresh_python, tmp_path):
+    campaign = tmp_path / "c.json"
+    for argv in (["sample", "-M", "12", "--seed", "7", "--out", str(campaign)],
+                 ["--help"], ["analyze", "--help"]):
+        status, modules = run_in_fresh_python(fresh_python, *argv)
+        assert status == 0
+        assert modules.isdisjoint(ANALYSIS)
+    assert len(json.loads(campaign.read_text())["runs"]) == 12
+
+
+def test_ridge_run_loads_no_analysis_layer_and_no_subprocess(fresh_python,
+                                                             tmp_path):
+    campaign = tmp_path / "c.json"
+    run_in_fresh_python(fresh_python, "sample", "-M", "12", "--seed", "7",
+                        "--out", str(campaign))
+    status, modules = run_in_fresh_python(
+        fresh_python, "run", "--campaign", str(campaign), "--evaluator",
+        "ridge:linear", "--wtrue-seed", "3", "--max-concurrency", "2")
+    assert status == 0
+    assert modules.isdisjoint(ANALYSIS | {"subprocess"})
+    runs = json.loads(campaign.read_text())["runs"]
+    assert [r["status"] for r in runs] == ["done"] * 12
+
+
+def test_command_run_works_at_concurrency_two(fresh_python, tmp_path):
+    # subprocess loads when the evaluator is built, before the workers start.
+    script = tmp_path / "index.py"
+    script.write_text("import json, sys\n"
+                      "req = json.load(sys.stdin)\n"
+                      "print(json.dumps({'qoi': req['index']}))\n")
+    campaign = tmp_path / "c.json"
+    run_in_fresh_python(fresh_python, "sample", "-M", "12", "--seed", "7",
+                        "--out", str(campaign))
+    status, modules = run_in_fresh_python(
+        fresh_python, "run", "--campaign", str(campaign), "--evaluator",
+        f"{sys.executable} {script}", "--max-concurrency", "2")
+    assert status == 0 and "subprocess" in modules
+    runs = json.loads(campaign.read_text())["runs"]
+    assert [(r["status"], r["f"]) for r in runs] == [
+        ("done", float(i)) for i in range(12)]

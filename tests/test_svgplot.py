@@ -10,13 +10,14 @@ one it stands for.
 """
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from asuq import svgplot
-from asuq.svgplot import _H, _MARGIN, _W, SvgPlot, _limits, _ticks
+from asuq.svgplot import _H, _MARGIN, _W, SvgPlot, _limits, _separate, _ticks
 
 
 def empty_plot():
@@ -264,3 +265,42 @@ def test_percent_in_the_style_is_written_verbatim(tmp_path):
     assert text == reference_svg(plot)
     assert text.decode().count(f'fill="{style}"') == 6
     assert text.decode().count(' r="1%"') == 3
+
+
+# From 1e16 on, v - 1 == v + 1 divided by zero; just beyond +-2**52 the
+# tick loop's half steps stalled. Each now renders.
+WIDE = [1e16, 1e17, -1e17, 1e300, 2.0 ** 52 - 1, -2.0 ** 52 - 1]
+
+
+@pytest.mark.parametrize("v", WIDE)
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("kind", ["line", "scatter"])
+def test_equal_limits_separate_at_any_magnitude(tmp_path, kind, axis, v):
+    flat, span = [v] * 3, [0.0, 0.5, 1.0]
+    plot = SvgPlot()
+    getattr(plot, kind)(*((flat, span) if axis == "x" else (span, flat)))
+    plot.save(tmp_path / "plot.svg")
+    text = (tmp_path / "plot.svg").read_text()
+    # The constant coordinate sits mid-axis, to rounding where the padded
+    # limits are floats 1 apart, between at least two ticks.
+    if kind == "line":
+        (points,) = re.findall(r'points="([^"]*)"', text)
+        pixels = [pt.split(",")[axis == "y"] for pt in points.split()]
+    else:
+        pixels = re.findall(rf'c{axis}="([^"]*)"', text)
+    mid = _W / 2 if axis == "x" else _H / 2
+    assert len(pixels) == 3
+    assert all(abs(float(px) - mid) < 0.1 for px in pixels)
+    lo, hi = _separate(v, v)
+    assert hi - lo == 2048 * np.spacing(abs(v))
+    label = f'y="{_H - _MARGIN + 18}"' if axis == "x" else 'text-anchor="end"'
+    assert text.count(label) >= 2
+
+
+@pytest.mark.parametrize("v", [-2.0 ** 52, 2.0 ** 52 - 2, 1e15, 0.0])
+def test_equal_limits_below_2_52_keep_the_unit_pad(tmp_path, v):
+    plot = SvgPlot()
+    plot.line([v, v], [v, v])
+    plot.save(tmp_path / "plot.svg")
+    assert _separate(v, v) == (v - 1, v + 1)
+    assert (tmp_path / "plot.svg").read_bytes() == reference_svg(plot)
