@@ -11,6 +11,7 @@ differentiable test functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,10 +68,28 @@ class BootstrapEnsemble:
     seed: int
 
     def component_quantiles(self) -> dict:
-        return {
-            f"q{q}": np.quantile(self.replicates, q, axis=0).tolist()
-            for q in _QUANTILES
-        }
+        """Per-component quantiles, bit for bit numpy's default "linear" ones.
+
+        Computed from one sort with numpy's own formulas, not with
+        ``np.quantile``, which loads ``numpy.ma``: the virtual index is
+        v = (N - 1) q, and at or past the last row numpy takes that row
+        at both ends with weight v + 1.
+        """
+        ordered = np.sort(self.replicates, axis=0)
+        last = len(ordered) - 1
+        out = {}
+        for q in _QUANTILES:
+            v = last * q
+            if v < last:
+                lo = math.floor(v)
+                hi, t = lo + 1, v - lo
+            else:
+                lo = hi = last
+                t = v + 1
+            a, b = ordered[lo], ordered[hi]
+            out[f"q{q}"] = (b - (b - a) * (1 - t) if t >= 0.5
+                            else a + (b - a) * t).tolist()
+        return out
 
 
 @dataclass(frozen=True)

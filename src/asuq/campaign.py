@@ -182,7 +182,8 @@ def evaluate_campaign(campaign: Campaign,
     if not todo:
         return campaign
     import queue
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
+    from collections import deque
 
     def _one(rec: RunRecord):
         req = EvalRequest(
@@ -199,22 +200,42 @@ def evaluate_campaign(campaign: Campaign,
             return None, str(exc)
         return value, None
 
-    # Done callbacks queue each future as it completes; as_completed would
-    # yield the futures already finished when it starts in arbitrary order.
+    # Workers take runs from the left of `queued`; clearing it (one atomic
+    # call) stops every worker after its current run.
+    queued = deque(todo)
     completed = queue.SimpleQueue()
-    pool = ThreadPoolExecutor(max_workers=max_concurrency)
+
+    def _work():
+        while True:
+            try:
+                rec = queued.popleft()
+            except IndexError:
+                return
+            try:
+                result = _one(rec)
+            except BaseException as exc:  # re-raised by the calling thread
+                queued.clear()
+                result = exc
+            completed.put((rec, result))
+
+    workers = []
     try:
-        for rec in todo:
-            pool.submit(_one, rec).add_done_callback(
-                lambda fut, rec=rec: completed.put((rec, fut)))
+        for _ in range(min(max_concurrency, len(todo))):
+            worker = threading.Thread(target=_work)
+            worker.start()
+            workers.append(worker)
         for _ in todo:
-            rec, fut = completed.get()
-            rec.f, rec.error = fut.result()
+            rec, result = completed.get()
+            if isinstance(result, BaseException):
+                raise result
+            rec.f, rec.error = result
             rec.status = "done" if rec.error is None else "failed"
             if checkpoint is not None:
                 checkpoint(rec)
     finally:
-        pool.shutdown(cancel_futures=True)
+        queued.clear()
+        for worker in workers:
+            worker.join()
 
     if all(r.status == "failed" for r in todo):
         raise EvaluatorError(f"all {len(todo)} attempted runs failed "

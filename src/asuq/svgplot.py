@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -17,18 +18,22 @@ __all__ = ["SvgPlot"]
 
 _W, _H = 640, 440
 _MARGIN = 56
+_BIG = sys.float_info.max
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     raw = (hi - lo) / n
-    mag = 10.0 ** math.floor(math.log10(raw))
+    # 10**-323 is the least power of ten that is a float (subnormal).
+    mag = 10.0 ** max(math.floor(math.log10(max(raw, 5e-324))), -323)
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
     out = []
     v = first
-    while v <= hi + 1e-12 * step:
+    while v <= min(hi + 1e-12 * step, _BIG):
         out.append(round(v, 12))
-        v += step
+        # Where the limits are a few floats apart, v + step can round back
+        # to v; the next float is then the next tick.
+        v = max(v + step, math.nextafter(v, math.inf))
     return out
 
 
@@ -37,12 +42,29 @@ def _separate(lo: float, hi: float) -> tuple[float, float]:
 
     A pad of 1 renders for -2**52 <= v < 2**52 - 1. Beyond, floats are 1
     or more apart: the pad is absorbed, or the ticks' half steps round
-    back to where they started and never reach the upper limit.
+    back to where they started. The pad stops at the largest float.
     """
     if hi != lo:
         return lo, hi
     pad = 1.0 if -2.0 ** 52 <= lo < 2.0 ** 52 - 1 else 1024 * math.ulp(lo)
-    return lo - pad, hi + pad
+    return max(lo - pad, -_BIG), min(hi + pad, _BIG)
+
+
+def _frame(lo: float, hi: float, frac: float) -> tuple[float, float, float]:
+    """An axis for data limits lo <= hi: (a, b, s), drawn at scale s.
+
+    The limits are separated, scaled by s and padded by frac of their
+    span each way, up to the largest float. s is 1, or 1/2 where the
+    padded span overflows, so that a finite b - a maps values to pixels.
+    """
+    lo, hi = _separate(lo, hi)
+    for s in (1.0, 0.5):
+        a, b = lo * s, hi * s
+        pad = frac * (b - a)
+        a, b = max(a - pad, -_BIG * s), min(b + pad, _BIG * s)
+        # Halved, the padded limits lie in [-_BIG / 2, _BIG / 2].
+        if s == 0.5 or b - a < math.inf:
+            return a, b, s
 
 
 def _limits(arrays) -> tuple[float, float]:
@@ -121,18 +143,19 @@ class SvgPlot:
 
     def _chunks(self):
         """Yield the SVG text in order, each piece ending in a newline."""
-        x0, x1 = _separate(*_limits([layer[1] for layer in self._layers]))
-        y0, y1 = _separate(*_limits([layer[2] for layer in self._layers]))
-        padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
-        x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+        x0, x1, sx = _frame(*_limits([layer[1] for layer in self._layers]),
+                            0.04)
+        y0, y1, sy = _frame(*_limits([layer[2] for layer in self._layers]),
+                            0.06)
 
         # Scalars (ticks), whole layers and slices of them go through the
         # same elementwise operations, so each pixel is the same.
         def px(v):
-            return _MARGIN + (v - x0) / (x1 - x0) * (_W - 2 * _MARGIN)
+            return _MARGIN + (v * sx - x0) / (x1 - x0) * (_W - 2 * _MARGIN)
 
         def py(v):
-            return _H - _MARGIN - (v - y0) / (y1 - y0) * (_H - 2 * _MARGIN)
+            return (_H - _MARGIN
+                    - (v * sy - y0) / (y1 - y0) * (_H - 2 * _MARGIN))
 
         yield (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -142,14 +165,14 @@ class SvgPlot:
             f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#444" '
             f'stroke-width="1"/>\n'
         )
-        for t in _ticks(x0, x1):
+        for t in [t / sx for t in _ticks(x0, x1)]:
             yield (
                 f'<line x1="{px(t):.2f}" y1="{_H - _MARGIN}" x2="{px(t):.2f}" '
                 f'y2="{_H - _MARGIN + 5}" stroke="#444"/>'
                 f'<text x="{px(t):.2f}" y="{_H - _MARGIN + 18}" font-size="11" '
                 f'text-anchor="middle" font-family="sans-serif">{t:g}</text>\n'
             )
-        for t in _ticks(y0, y1):
+        for t in [t / sy for t in _ticks(y0, y1)]:
             yield (
                 f'<line x1="{_MARGIN - 5}" y1="{py(t):.2f}" x2="{_MARGIN}" '
                 f'y2="{py(t):.2f}" stroke="#444"/>'

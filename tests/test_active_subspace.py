@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asuq import (
@@ -17,6 +17,8 @@ from asuq import (
 )
 from asuq.active_subspace import (
     _GRAM_COND_MAX,
+    _QUANTILES,
+    BootstrapEnsemble,
     _solve_direction,
     _well_conditioned,
 )
@@ -304,6 +306,26 @@ class TestBootstrap:
         ens = bootstrap_direction(X, f, N=25, seed=0)
         q = ens.component_quantiles()
         assert len(q["q0.5"]) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 1100), m=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1), repeated=st.booleans())
+    @example(N=1, m=60, seed=0, repeated=False)
+    @example(N=1001, m=60, seed=1, repeated=True)
+    def test_quantiles_equal_numpys_bit_for_bit(self, N, m, seed, repeated):
+        # np.quantile is the reference; the ensemble computes the same
+        # "linear" quantiles without it. Magnitudes span 1e-300..1e300,
+        # and resampled rows repeat values within each column.
+        rng = np.random.default_rng(seed)
+        R = (rng.choice([-1.0, 1.0], (N, m))
+             * 10.0 ** rng.uniform(-300.0, 300.0, (N, m)))
+        if repeated:
+            R = R[rng.integers(0, N, N)]
+        got = BootstrapEnsemble(R, N, seed).component_quantiles()
+        assert list(got) == [f"q{q}" for q in _QUANTILES]
+        for q in _QUANTILES:
+            ref = np.quantile(R, q, axis=0)
+            assert np.array(got[f"q{q}"]).tobytes() == ref.tobytes()
 
 
 def eigenvalue_verdict(gram):

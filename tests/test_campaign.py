@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +123,50 @@ class TestEvaluate:
         path_b = tmp_path / "b.json"
         save_campaign(fresh, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_interrupt_starts_no_queued_run_and_joins_the_workers(self):
+        # The third evaluation raises while the fourth is in flight on the
+        # other worker; that one returns only after the interrupt.
+        campaign = new_campaign(unit_space(2), 20, seed=1)
+        calls, lock = [], threading.Lock()
+        fourth_started, interrupted = threading.Event(), threading.Event()
+
+        def ev(req):
+            with lock:
+                calls.append((req.index, interrupted.is_set()))
+                n = len(calls)
+            if n == 3:
+                assert fourth_started.wait(10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            if n == 4:
+                fourth_started.set()
+                assert interrupted.wait(10)
+                time.sleep(0.1)
+            return float(req.index)
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_campaign(campaign, ev, max_concurrency=2)
+        assert threading.active_count() == before
+        assert [after for _, after in calls] == [False] * 4
+        started = [index for index, _ in calls]
+        assert [r.status for r in campaign.runs] == [
+            "done" if r.index in started[:2] else "pending"
+            for r in campaign.runs]
+
+    @pytest.mark.parametrize("max_concurrency", [1, 2, 7, 40])
+    def test_workers_are_joined_on_return(self, max_concurrency):
+        campaign = new_campaign(unit_space(2), 20, seed=1)
+        threads = set()
+        before = threading.active_count()
+        evaluate_campaign(campaign, lambda req: threads.add(
+            threading.current_thread()) or 1.0,
+            max_concurrency=max_concurrency)
+        assert threading.active_count() == before
+        assert threading.main_thread() not in threads
+        assert 1 <= len(threads) <= min(max_concurrency, 20)
+        assert len(campaign.done_runs()) == 20
 
     def test_given_runs_are_attempted_unless_done(self, small_campaign):
         evaluate_campaign(small_campaign,

@@ -3,6 +3,7 @@
 import importlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +143,48 @@ def test_command_run_works_at_concurrency_two(fresh_python, tmp_path):
     runs = json.loads(campaign.read_text())["runs"]
     assert [(r["status"], r["f"]) for r in runs] == [
         ("done", float(i)) for i in range(12)]
+
+
+# numpy.ma came with np.quantile and np.unique, concurrent.futures (and
+# logging with it) with a thread pool; no command needs any of them.
+NEVER_LOADED = {"numpy.ma", "concurrent.futures", "logging"}
+
+
+def test_no_command_loads_numpy_ma_concurrent_futures_or_logging(
+        fresh_python, tmp_path):
+    script = tmp_path / "cubic.py"
+    script.write_text("import json, sys\n"
+                      "p = json.load(sys.stdin)['params'].values()\n"
+                      "t = sum(p) / len(p)\n"
+                      "print(json.dumps({'qoi': t ** 3 + t}))\n")
+    command = ["--evaluator", f"{sys.executable} {script}"]
+    ridge = ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "3"]
+    ridged, commanded, ranged = (str(tmp_path / f"{name}.json")
+                                 for name in ("ridged", "commanded", "ranged"))
+    full = ["--threshold", "0", "--corners", "--cdf", "--svg", "--seed", "1",
+            "--bootstrap", "20", "--n", "500"]
+    steps = [
+        ["sample", "-M", "20", "--seed", "7", "--out", ridged],
+        ["sample", "-M", "20", "--seed", "7", "--out", commanded],
+        ["run", "--campaign", ridged, "--max-concurrency", "1", *ridge],
+        ["run", "--campaign", commanded, "--max-concurrency", "2", *command],
+        ["sample", "-M", "20", "--seed", "7", "--out", ranged],
+        ["run", "--campaign", ranged, "--max-concurrency", "2", *ridge],
+        ["range", "--campaign", ranged, "--out", str(tmp_path), *ridge],
+        ["safeset", "--campaign", ranged, "--out", str(tmp_path),
+         "--threshold", "0"],
+        ["cdf", "--campaign", ranged, "--out", str(tmp_path), "--seed", "1"],
+        ["analyze", "--campaign", ridged, "--out", str(tmp_path), *full,
+         *ridge],
+        ["analyze", "--campaign", commanded, "--out", str(tmp_path), *full,
+         *command],
+    ]
+    loaded = []
+    for argv in steps:
+        status, modules = run_in_fresh_python(fresh_python, *argv)
+        assert status == 0
+        loaded += [(argv[0], name) for name in sorted(modules & NEVER_LOADED)]
+    assert loaded == []
+    for path in (ridged, commanded, ranged):
+        runs = json.loads(Path(path).read_text())["runs"]
+        assert [r["status"] for r in runs] == ["done"] * 22

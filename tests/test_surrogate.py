@@ -50,6 +50,20 @@ class TestFit:
         with pytest.raises(DegeneracyError):
             fit_quadratic(y, y + 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0,
+                                     1.0 + 2**-52, -2.5, 3.0]),
+                    min_size=3, max_size=8))
+    def test_distinct_check_agrees_with_np_unique(self, y):
+        # np.unique is the reference; +0.0 and -0.0 are one value to both.
+        y = np.array(y)
+        try:
+            fit_quadratic(y, np.arange(len(y), dtype=float))
+            refused = False
+        except DegeneracyError as exc:
+            refused = "fewer than 3 distinct" in str(exc)
+        assert refused == (len(np.unique(y)) < 3)
+
     def test_three_point_exact_fit_has_no_variance(self):
         y = np.array([-1.0, 0.0, 1.0])
         surr = fit_quadratic(y, 1.0 + y ** 2)

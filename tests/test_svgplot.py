@@ -11,10 +11,15 @@ one it stands for.
 
 import hashlib
 import re
+import signal
+import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asuq import svgplot
 from asuq.svgplot import _H, _MARGIN, _W, SvgPlot, _limits, _separate, _ticks
@@ -304,3 +309,67 @@ def test_equal_limits_below_2_52_keep_the_unit_pad(tmp_path, v):
     plot.save(tmp_path / "plot.svg")
     assert _separate(v, v) == (v - 1, v + 1)
     assert (tmp_path / "plot.svg").read_bytes() == reference_svg(plot)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail a block that runs past ``seconds`` of wall-clock time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_renders_in_frame(plot, path):
+    """Save within a deadline; every point and tick is inside the frame."""
+    with deadline(2.0):
+        plot.save(path)
+    text = path.read_text()
+    line = [pt.split(",") for pt in
+            re.search(r'points="([^"]*)"', text)[1].split()]
+    for top, pixels in (
+            (_W, re.findall(r'cx="([^"]*)"', text)),
+            (_H, re.findall(r'cy="([^"]*)"', text)),
+            (_W, [x for x, _ in line]),
+            (_H, [y for _, y in line]),
+            (_W, re.findall(rf'<line x1="([^"]*)" y1="{_H - _MARGIN}"', text)),
+            (_H, re.findall(rf'<line x1="{_MARGIN - 5}" y1="([^"]*)"', text))):
+        assert pixels and all(_MARGIN <= float(v) <= top - _MARGIN
+                              for v in pixels)
+
+
+# Limits a few floats apart stalled the tick loop, a span of one
+# subnormal had no decade for its step, and near the largest float the
+# pads, the span or the ticks' end overflowed.
+BIG = sys.float_info.max
+EXTREME = [[1.0, 1.0 + 2 ** -52], [1e17, 1e17 + 16], [0.0, 5e-324],
+           [BIG, BIG], [-BIG, BIG], [BIG / 2, BIG]]
+
+
+@pytest.mark.parametrize("v", EXTREME, ids=repr)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_extreme_finite_limits_render(tmp_path, axis, v):
+    span = [0.0, 1.0]
+    plot = SvgPlot()
+    plot.line(*((v, span) if axis == "x" else (span, v)))
+    plot.scatter(*((v, span) if axis == "x" else (span, v)))
+    assert_renders_in_frame(plot, tmp_path / "plot.svg")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(finite, finite), min_size=1, max_size=3))
+def test_every_finite_pair_of_limits_renders(tmp_path_factory, points):
+    plot = SvgPlot()
+    plot.scatter(*zip(*points))
+    plot.line(*zip(*points))
+    assert_renders_in_frame(plot,
+                            tmp_path_factory.getbasetemp() / "any_limits.svg")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from asuq import (
     DataError,
@@ -176,8 +176,67 @@ def uniform_sum_cdf(w, y):
     return np.where(upper, 1.0 - out, out).reshape(np.shape(y))
 
 
-def quadratic_cdf(coeffs, w, q):
-    """Exact P(c0 + c1 y + c2 y^2 <= q) for y = w . x, x uniform on [-1, 1]^m.
+def box_average_law(w, cells=2 ** 15):
+    """Bounds on F(t) = P(w . x <= t), x uniform on [-1, 1]^m, for any m.
+
+    y is a sum of independent uniforms on [-a_k, a_k], a_k = |w_k|, so
+    F_k(t) = (I(t + a_k) - I(t - a_k)) / (2 a_k), with I the
+    antiderivative of F_(k-1): m box averages. F is nondecreasing, so on
+    each cell between nodes it lies between its values at the cell's
+    ends; box averaging keeps order, so averaging the step functions of
+    the left values (lower) and of the right values (upper) brackets F
+    at every node. The recursion starts from the exact first box, the
+    widest, and each box after it widens the bracket by at most one
+    cell's mass. So the nodes are quantiles of the normal law with
+    y's variance, merged with equal steps over the support. Returns the
+    nodes and the two bounds at them, to rounding.
+    """
+    a = np.sort(np.abs(np.asarray(w, dtype=float)))[::-1]
+    a = a[a > 0]
+    l1, sd = float(a.sum()), math.sqrt(float(a @ a) / 3.0)
+    levels = (np.arange(cells) + 0.5) / cells
+    t = np.unique(np.r_[np.linspace(-l1, l1, cells // 4 + 1),
+                        np.clip(sd * ndtri(levels), -l1, l1)])
+
+    def average(step, half):
+        """The box average of a step function: 0 below t, 1 above."""
+        integral = np.r_[0.0, np.cumsum(step * np.diff(t))]
+
+        def antiderivative(s):
+            return (np.interp(np.minimum(s, l1), t, integral)
+                    + np.maximum(s - l1, 0.0))
+
+        return (antiderivative(t + half) - antiderivative(t - half)) / (2 * half)
+
+    lower = upper = np.clip((t + a[0]) / (2 * a[0]), 0.0, 1.0)
+    for half in a[1:]:
+        lower, upper = average(lower[:-1], half), average(upper[1:], half)
+    return t, lower, upper
+
+
+def exact_law(w):
+    """F_Y at y as (lower, upper) bounds that are both the exact value."""
+    def law(y):
+        exact = uniform_sum_cdf(w, y)
+        return exact, exact
+    return law
+
+
+def bracketed_law(w):
+    """F_Y at y bounded by the box-average law's values at the nodes
+    around y: F(y) >= F(node below) and F(y) <= F(node above)."""
+    t, lower, upper = box_average_law(w)
+    lower, upper = np.r_[0.0, lower], np.r_[upper, 1.0]
+
+    def law(y):
+        y = np.asarray(y, dtype=float)
+        return (lower[np.searchsorted(t, y, side="right")],
+                upper[np.searchsorted(t, y, side="left")])
+    return law
+
+
+def quadratic_cdf_bounds(coeffs, q, law):
+    """Bounds on P(c0 + c1 y + c2 y^2 <= q) from bounds ``law(y)`` on F_Y.
 
     The quadratic is at most q between its two roots when c2 > 0 and
     outside them when c2 < 0, so the CDF is F_Y(y2) - F_Y(y1), or one
@@ -186,28 +245,37 @@ def quadratic_cdf(coeffs, w, q):
     c0, c1, c2 = coeffs
     q = np.asarray(q, dtype=float)
     if c2 == 0.0:
-        below = uniform_sum_cdf(w, (q - c0) / c1)
-        return below if c1 > 0 else 1.0 - below
+        lo, hi = law((q - c0) / c1)
+        return (lo, hi) if c1 > 0 else (1.0 - hi, 1.0 - lo)
     disc = c1 * c1 - 4.0 * c2 * (c0 - q)
     t = -0.5 * (c1 + math.copysign(1.0, c1) * np.sqrt(np.maximum(disc, 0.0)))
     t = np.where(t == 0.0, -np.finfo(float).tiny, t)
     with np.errstate(over="ignore"):  # an infinite root is outside the support
         r1, r2 = t / c2, (c0 - q) / t
-    between = uniform_sum_cdf(w, np.maximum(r1, r2)) \
-        - uniform_sum_cdf(w, np.minimum(r1, r2))
-    between = np.where(disc > 0.0, between, 0.0)
-    return between if c2 > 0 else 1.0 - between
+    top_lo, top_hi = law(np.maximum(r1, r2))
+    bottom_lo, bottom_hi = law(np.minimum(r1, r2))
+    lo = np.where(disc > 0.0, top_lo - bottom_hi, 0.0)
+    hi = np.where(disc > 0.0, top_hi - bottom_lo, 0.0)
+    return (lo, hi) if c2 > 0 else (1.0 - hi, 1.0 - lo)
 
 
-def smoothed_cdf_bracket(coeffs, w, q, h, cells=2048):
+def quadratic_cdf(coeffs, w, q):
+    """Exact P(c0 + c1 y + c2 y^2 <= q) for y = w . x, x uniform on [-1, 1]^m."""
+    return quadratic_cdf_bounds(coeffs, q, exact_law(w))[0]
+
+
+def smoothed_cdf_bracket(coeffs, w, q, h, law, cells=2048):
     """Lower and upper bounds on (F * phi_h)(q) = E[ndtr((q - g(Y)) / h)].
 
-    The support of g(Y) is cut into cells with exact masses p_j from
-    :func:`quadratic_cdf`. On a cell [a, b] the kernel ndtr((q - t) / h)
-    falls from its value at a to its value at b, so the cell contributes
-    between p_j ndtr((q - b) / h) and p_j ndtr((q - a) / h), and the two
-    bounds differ by at most max p_j. The cell edges are equal steps in t
-    merged with steps of about equal mass, found by interpolating F.
+    The support of g(Y) is cut into cells; H, the CDF of g(Y), is 0 and
+    1 at its ends and bounded at the edges between by ``law`` through
+    :func:`quadratic_cdf_bounds`. On a cell [a, b] the kernel
+    ndtr((q - t) / h) falls from its value at a to its value at b, so
+    the cell contributes between p_j ndtr((q - b) / h) and
+    p_j ndtr((q - a) / h). Summed by parts, these sums fall as H rises
+    at each inner edge, so H's lower bound gives the lower sum and its
+    upper bound the upper one. The cell edges are equal steps in t
+    merged with steps of about equal mass, found by interpolating H.
     """
     c0, c1, c2 = coeffs
     l1 = float(np.abs(w).sum())
@@ -218,11 +286,15 @@ def smoothed_cdf_bracket(coeffs, w, q, h, cells=2048):
     even = np.linspace(min(g), max(g), cells + 1)
     levels = np.linspace(0.0, 1.0, cells + 1)
     edges = np.unique(np.r_[even, np.interp(
-        levels, quadratic_cdf(coeffs, w, even), even)])
-    mass = np.diff(quadratic_cdf(coeffs, w, edges))
+        levels, quadratic_cdf_bounds(coeffs, even, law)[0], even)])
+    masses = []
+    for bound in quadratic_cdf_bounds(coeffs, edges, law):
+        bound = np.array(bound, dtype=float)
+        bound[0], bound[-1] = 0.0, 1.0
+        masses.append(np.diff(bound))
     q = np.asarray(q, dtype=float)[:, None]
-    lower = ndtr((q - edges[None, 1:]) / h) @ mass
-    upper = ndtr((q - edges[None, :-1]) / h) @ mass
+    lower = ndtr((q - edges[None, 1:]) / h) @ masses[0]
+    upper = ndtr((q - edges[None, :-1]) / h) @ masses[1]
     return lower, upper
 
 
@@ -249,6 +321,34 @@ class TestCdfOracle:
         np.testing.assert_allclose(uniform_sum_cdf([s, -s], y), triangle,
                                    atol=1e-15)
 
+    @settings(max_examples=25, deadline=None)
+    @given(mags=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+           signs=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_box_average_law_brackets_the_exact_law(self, mags, signs):
+        w = np.where(signs[:len(mags)], -1.0, 1.0) * np.array(mags)
+        w /= np.linalg.norm(w)
+        t, lower, upper = box_average_law(w)
+        assert np.max(upper - lower) < 1e-3
+        every = slice(None, None, 16)  # the exact law costs 2^m per point
+        exact = uniform_sum_cdf(w, t[every])
+        assert np.all(lower[every] <= exact + 1e-9)
+        assert np.all(exact <= upper[every] + 1e-9)
+
+    @pytest.mark.parametrize("m", [20, 50])
+    def test_box_average_law_matches_monte_carlo(self, m):
+        # Beyond the exact law's reach: a 400 000-point empirical CDF lies
+        # in the bracket widened by the DKW band at alpha = 1e-6.
+        rng = np.random.default_rng(m)
+        w = rng.choice([-1.0, 1.0], m) * rng.uniform(0.2, 1.0, m)
+        w /= np.linalg.norm(w)
+        t, lower, upper = box_average_law(w)
+        y = np.sort(sample_hypercube(m, 400_000, seed=m) @ w)
+        empirical = np.searchsorted(y, t, side="right") / len(y)
+        band = math.sqrt(math.log(2 / 1e-6) / (2 * len(y)))
+        assert np.max(upper - lower) < 2e-3
+        assert np.all(empirical >= lower - band)
+        assert np.all(empirical <= upper + band)
+
     @pytest.mark.parametrize("coeffs", [(0.3, -1.2, 0.0), (0.0, 0.4, 1.5),
                                         (1.0, 0.2, -0.8)])
     def test_quadratic_cdf_matches_monte_carlo(self, coeffs):
@@ -261,18 +361,29 @@ class TestCdfOracle:
         assert np.max(np.abs(quadratic_cdf(coeffs, w, q) - empirical)) < 5e-3
 
     @settings(max_examples=40, deadline=None)
-    @given(m=st.integers(1, 12),
-           mags=st.lists(st.floats(0.2, 1.0), min_size=12, max_size=12),
-           signs=st.lists(st.booleans(), min_size=12, max_size=12),
+    @given(m=st.integers(1, 50),
+           mags=st.lists(st.floats(0.2, 1.0), min_size=50, max_size=50),
+           signs=st.lists(st.booleans(), min_size=50, max_size=50),
            coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
            n=st.integers(2, 50_000), seed=st.integers(0, 2**32 - 1),
            grid_size=st.sampled_from([2, 33, 129, 513]))
-    @example(m=12, mags=[1.0, 0.2] * 6, signs=[False, True] * 6,
+    @example(m=12, mags=[1.0, 0.2] * 25, signs=[False, True] * 25,
              coeffs=(0.5, 1.0, 1.5), n=50_000, seed=3, grid_size=513)
-    @example(m=1, mags=[1.0] * 12, signs=[False] * 12,
+    @example(m=1, mags=[1.0] * 50, signs=[False] * 50,
              coeffs=(0.0, 1.0, 0.0), n=50_000, seed=4, grid_size=33)
-    @example(m=2, mags=[1.0] * 12, signs=[False, True] * 6,
+    @example(m=2, mags=[1.0] * 50, signs=[False, True] * 25,
              coeffs=(0.0, 0.1, -2.0), n=20_000, seed=5, grid_size=2)
+    # The last block of hypercube_blocks holds 4096 to 8191 rows: n = 8191
+    # is one block, 8192 two full ones, 12287 a full one and a longest
+    # last one, 12288 three.
+    @example(m=50, mags=[1.0, 0.2] * 25, signs=[False, True] * 25,
+             coeffs=(0.5, 1.0, 1.5), n=8191, seed=6, grid_size=513)
+    @example(m=50, mags=[0.6] * 50, signs=[True, False] * 25,
+             coeffs=(0.0, -1.0, 0.0), n=8192, seed=7, grid_size=129)
+    @example(m=13, mags=[0.3, 0.9] * 25, signs=[False] * 50,
+             coeffs=(1.0, 0.2, -0.8), n=12287, seed=8, grid_size=513)
+    @example(m=50, mags=[0.2, 1.0] * 25, signs=[True] * 50,
+             coeffs=(0.3, -1.2, 0.4), n=12288, seed=9, grid_size=33)
     def test_estimate_within_the_dkw_band(self, m, mags, signs, coeffs, n,
                                           seed, grid_size):
         # The estimate is F_n * phi_h, so it is within sup|F_n - F| of
@@ -280,7 +391,8 @@ class TestCdfOracle:
         # sample; by the Dvoretzky-Kiefer-Wolfowitz inequality (Massart's
         # constant) that exceeds sqrt(ln(2/alpha) / (2n)) with probability
         # at most alpha. Linear binning onto a grid of spacing delta moves
-        # each kernel by at most 0.0303 (delta/h)^2.
+        # each kernel by at most 0.0303 (delta/h)^2. F is the exact law up
+        # to m = 12 and the box-average bracket beyond.
         c0, c1, c2 = coeffs
         assume(abs(c1) + abs(c2) >= 1e-2)
         w = np.where(signs[:m], -1.0, 1.0) * np.array(mags[:m])
@@ -296,7 +408,8 @@ class TestCdfOracle:
         d = (cdf.grid[-1] - cdf.grid[0]) / (grid_size - 1)
         delta = d / max(1, math.ceil(16.0 * d / h))
         tol = math.sqrt(math.log(2 / 1e-6) / (2 * n)) + 0.0303 * (delta / h) ** 2
-        lower, upper = smoothed_cdf_bracket(coeffs, w, cdf.grid, h)
+        law = exact_law(w) if m <= 12 else bracketed_law(w)
+        lower, upper = smoothed_cdf_bracket(coeffs, w, cdf.grid, h, law)
         assert np.all(cdf.cdf >= lower - tol)
         assert np.all(cdf.cdf <= upper + tol)
 
