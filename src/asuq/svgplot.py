@@ -58,13 +58,13 @@ def _frame(lo: float, hi: float, frac: float) -> tuple[float, float, float]:
     padded span overflows, so that a finite b - a maps values to pixels.
     """
     lo, hi = _separate(lo, hi)
-    for s in (1.0, 0.5):
+    for s in (1.0, 0.5):  # halved, the padded limits span at most _BIG
         a, b = lo * s, hi * s
         pad = frac * (b - a)
         a, b = max(a - pad, -_BIG * s), min(b + pad, _BIG * s)
-        # Halved, the padded limits lie in [-_BIG / 2, _BIG / 2].
-        if s == 0.5 or b - a < math.inf:
-            return a, b, s
+        if b - a < math.inf:
+            break
+    return a, b, s
 
 
 def _limits(arrays) -> tuple[float, float]:
