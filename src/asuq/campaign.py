@@ -369,13 +369,13 @@ def load_campaign(path) -> Campaign:
     for key in ("space", "seed", "runs"):
         if key not in manifest:
             raise DataError(f"campaign manifest missing '{key}'")
-    space = ParameterSpace.from_dict(manifest["space"])
     # Manifests written before the sampler was versioned hold version 1
     # points (one PCG64 stream per row); they keep that label on save.
     manifest.setdefault("sampler", 1)
     manifest.setdefault("condition", {})
     # type(), not isinstance(): a JSON true is a bool, not a seed.
-    for key, kind, what in (("seed", int, "an integer"),
+    for key, kind, what in (("space", list, "an array"),
+                            ("seed", int, "an integer"),
                             ("sampler", int, "an integer"),
                             ("condition", dict, "an object"),
                             ("runs", list, "an array")):
@@ -387,6 +387,7 @@ def load_campaign(path) -> Campaign:
     except ValueError:
         raise DataError(f"campaign condition must hold finite numbers, got "
                         f"{manifest['condition']!r}") from None
+    space = ParameterSpace.from_dict(manifest["space"])
     campaign = Campaign(space, manifest["seed"], manifest["condition"],
                         [_record_from_dict(rd, space.m)
                          for rd in manifest["runs"]],

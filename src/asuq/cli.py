@@ -16,7 +16,6 @@ import shutil
 import signal
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -621,79 +620,16 @@ class _Stdout:
             return method(*args)
 
 
-# The file mappings of this process, one a line (Linux).
-_LOADED_LIBRARIES = "/proc/self/maps"
-
-
-def _openblas_thread_controls() -> list:
-    """The (get, set) thread-count functions of each loaded OpenBLAS.
-
-    OpenBLAS is found by file name among the libraries the process has
-    mapped; numpy's wheels export its functions with a ``scipy_`` prefix
-    and a ``64_`` suffix. Empty where there is none: another BLAS, or no
-    ``/proc``.
-    """
-    import ctypes
-
-    try:
-        with open(_LOADED_LIBRARIES) as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return []
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6
-                    and "openblas" in os.path.basename(f[5]).lower()})
-    names = [(f"{prefix}openblas_get_num_threads{suffix}",
-              f"{prefix}openblas_set_num_threads{suffix}")
-             for prefix in ("", "scipy_") for suffix in ("", "64_")]
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in names:
-            try:
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            controls.append((get, put))
-            break
-    return controls
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with each loaded OpenBLAS on one thread, then restore.
-
-    asuq's matrix products are small. Split across threads they save no
-    wall time, the idle workers spin after each call, and the order of
-    each sum, so its last bits, follows the core count. On one thread a
-    command's outputs are the same on every machine.
-    """
-    controls = _openblas_thread_controls()
-    found = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), threads in zip(controls, found):
-            put(threads)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
-        with _one_blas_thread():
-            args = parser.parse_args(argv)
-            func = getattr(args, "func", None)
-            if func is None:
-                parser.print_help()
-                return 1
-            return int(func(args) or 0)
+        args = parser.parse_args(argv)
+        func = getattr(args, "func", None)
+        if func is None:
+            parser.print_help()
+            return 1
+        return int(func(args) or 0)
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (None, 0) else 1
     except ToolkitError as exc:

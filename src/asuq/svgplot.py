@@ -30,7 +30,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     out = []
     v = first
     while v <= min(hi + 1e-12 * step, _BIG):
-        out.append(round(v, 12))
+        out.append(round(v, 12) + 0.0)  # + 0.0 makes -0.0 read 0
         # Where the limits are a few floats apart, v + step can round back
         # to v; the next float is then the next tick.
         v = max(v + step, math.nextafter(v, math.inf))

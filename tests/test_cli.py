@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import openblas_thread_controls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,10 +235,12 @@ class TestRun:
         assert sampled.read_bytes() == before
 
     @pytest.mark.parametrize("field, value", [
+        ("space", 5), ("space", None), ("space", "x"), ("space", {"a": 1}),
         ("seed", "x"), ("seed", None), ("seed", 1.5), ("seed", True),
         ("condition", [1, 2]), ("condition", None), ("runs", 5),
         ("runs", {"0": {}}),
-    ], ids=["seed-str", "seed-null", "seed-float", "seed-bool",
+    ], ids=["space-int", "space-null", "space-str", "space-object",
+            "seed-str", "seed-null", "seed-float", "seed-bool",
             "condition-array", "condition-null", "runs-int", "runs-object"])
     def test_malformed_manifest_exits_2_unchanged(self, sampled, field, value,
                                                   capsys):
@@ -1239,29 +1242,12 @@ def wide(tmp_path_factory):
     return campaign
 
 
-@pytest.fixture
-def blas_threads():
-    """The first loaded OpenBLAS's thread-count getter, set to 2 threads."""
-    controls = asuq.cli._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS is loaded")
-    get, put = controls[0]
-    found = get()
-    put(2)
-    try:
-        if get() != 2:
-            pytest.skip("OpenBLAS runs one thread on this host")
-        yield get
-    finally:
-        put(found)
-
-
 class TestOneBlasThread:
     def test_finds_numpys_openblas(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if "openblas" not in blas["name"]:
             pytest.skip(f"numpy is built with {blas['name']}")
-        assert asuq.cli._openblas_thread_controls()
+        assert openblas_thread_controls()
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="on one core OpenBLAS runs one thread anyway")
@@ -1286,9 +1272,10 @@ class TestOneBlasThread:
             pytest.skip("no /proc/self/task")
         # The thread count of each loaded OpenBLAS, then the process's
         # thread count: numpy loaded first is the control.
-        probe = ("import os, {first}, asuq.cli\n"
-                 "print(*(get() for get, _ in "
-                 "asuq.cli._openblas_thread_controls()), "
+        probe = ("import os, sys, {first}, asuq.cli\n"
+                 f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                 "from conftest import openblas_thread_controls\n"
+                 "print(*(get() for get, _ in openblas_thread_controls()), "
                  "len(os.listdir('/proc/self/task')))")
         control = fresh_python("-c", probe.format(first="numpy")).split()
         if len(control) < 2:
@@ -1324,29 +1311,15 @@ class TestOneBlasThread:
         _, f = load_campaign(sampled).design_arrays()
         assert f.tolist() == [float(value or 0)] * 12
 
-    def test_replicates_within_ulps_of_the_library_call(self, wide, tmp_path):
-        # A library call keeps the BLAS's own thread count, so its sums may
-        # end in other last bits than the CLI's, which runs on one thread.
-        # Largest gap seen with 2 threads: 1.75 eps.
+    def test_replicates_equal_the_library_call(self, wide, tmp_path):
+        # In one process the CLI and the library run at one thread count.
         assert run_cli("analyze", "--campaign", str(wide), "--out",
                        str(tmp_path), *WIDE_ANALYZE) == 0
         results = json.loads((tmp_path / "results.json").read_text())
         got = np.array(results["bootstrap"]["replicates"])
         X, f = load_campaign(wide).design_arrays()
         ref = asuq.bootstrap_direction(X, f, N=200, seed=5).replicates
-        np.testing.assert_allclose(got, ref, rtol=0,
-                                   atol=8 * np.finfo(float).eps)
-        with asuq.cli._one_blas_thread():
-            one = asuq.bootstrap_direction(X, f, N=200, seed=5).replicates
-        assert np.array_equal(got, one)
-
-    def test_command_runs_on_one_thread_and_restores(self, blas_threads,
-                                                     monkeypatch):
-        seen = []
-        monkeypatch.setattr(asuq.cli, "cmd_space_validate",
-                            lambda args: seen.append(blas_threads()))
-        assert run_cli("space", "validate") == 0
-        assert seen == [1] and blas_threads() == 2
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("argv, code", [
         (["sample", "-M", "0", "--seed", "1", "--out", "x.json"], 1),
@@ -1367,26 +1340,6 @@ class TestOneBlasThread:
         with pytest.raises(RuntimeError, match="boom"):
             run_cli("space", "validate")
         assert blas_threads() == 2
-
-    @pytest.mark.parametrize("maps", [None, "7f00-7f01 r-xp 0 08:01 7 "
-                                            "/usr/lib/libc.so.6\n"],
-                             ids=["no-maps", "no-openblas"])
-    def test_without_openblas_outputs_are_unchanged(self, evaluated, tmp_path,
-                                                    monkeypatch, maps):
-        flags = ["--seed", "5", "--bootstrap", "20", "--threshold", "0",
-                 "--cdf", "--n", "300", "--svg"]
-        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
-                       str(tmp_path / "one"), *flags) == 0
-        fake = tmp_path / "maps"
-        if maps is not None:
-            fake.write_text(maps)
-        monkeypatch.setattr(asuq.cli, "_LOADED_LIBRARIES", str(fake))
-        assert asuq.cli._openblas_thread_controls() == []
-        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
-                       str(tmp_path / "own"), *flags) == 0
-        one, own = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
-                    for d in ("one", "own"))
-        assert len(one) == 7 and one == own
 
 
 def test_analyze_runs_without_scipy(evaluated, tmp_path):

@@ -311,6 +311,17 @@ def test_equal_limits_below_2_52_keep_the_unit_pad(tmp_path, v):
     assert (tmp_path / "plot.svg").read_bytes() == reference_svg(plot)
 
 
+def test_a_zero_tick_reads_0(tmp_path):
+    # Stepping from -0.6 by 0.2 ends a tiny negative residue short of 0,
+    # which round(v, 12) kept as -0.0.
+    plot = SvgPlot()
+    plot.line([-0.66, 0.26], [0, 1])
+    plot.save(tmp_path / "plot.svg")
+    labels = re.findall(rf'y="{_H - _MARGIN + 18}"[^>]*>([^<]*)</text>',
+                        (tmp_path / "plot.svg").read_text())
+    assert labels == ["-0.6", "-0.4", "-0.2", "0", "0.2"]
+
+
 @contextmanager
 def deadline(seconds):
     """Fail a block that runs past ``seconds`` of wall-clock time."""
