@@ -275,13 +275,24 @@ def _point(rd: dict, key: str, m: int) -> np.ndarray:
 def _record_from_dict(rd: dict, m: int) -> RunRecord:
     # Unknown keys, such as the run times older versions stored, are ignored.
     try:
+        index, f, error = rd["index"], rd.get("f"), rd.get("error")
+        # type(), not isinstance(): a JSON true is a bool, not a number.
+        if type(index) is not int:
+            raise DataError(f"bad run record: index must be an integer, "
+                            f"got {index!r}")
+        if f is not None and type(f) not in (int, float):
+            raise DataError(f"run {index}: f must be a number or null, "
+                            f"got {f!r}")
+        if error is not None and type(error) is not str:
+            raise DataError(f"run {index}: error must be a string or null, "
+                            f"got {error!r}")
         rec = RunRecord(
-            index=int(rd["index"]),
+            index=index,
             x=_point(rd, "x", m),
             p=_point(rd, "p", m),
             status=str(rd["status"]),
-            f=None if rd.get("f") is None else float(rd["f"]),
-            error=rd.get("error"),
+            f=None if f is None else float(f),
+            error=error,
             role=str(rd.get("role", "sample")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

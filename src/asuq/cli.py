@@ -273,6 +273,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(fitted: _FittedCampaign) -> int:
+    args = fitted.args
+    _bootstrap_reports(fitted)
+    if args.threshold is not None or args.cdf or args.svg:
+        write_json(fitted.out / "surrogate.json", fitted.surrogate.to_dict())
+
+    stages = ((args.corners, fitted.range),
+              (args.threshold is not None, fitted.safeset),
+              (args.cdf, fitted.cdf))
+    return max((stage() for wanted, stage in stages if wanted), default=0)
+
+
+def _bootstrap_reports(fitted: _FittedCampaign) -> None:
+    """Bootstrap the direction; write results.json, summary.csv, summary.svg.
+
+    Also prints the ranking and the discordant-pairs line. The ensemble,
+    its (N, M) cloud and the results lists are local here, so they are
+    freed before ``analyze`` runs its range, safe-set and CDF stages.
+    """
     from .active_subspace import bootstrap_direction, sensitivity_ranking
 
     args, asub, summary = fitted.args, fitted.asub, fitted.summary
@@ -310,17 +328,8 @@ def cmd_analyze(fitted: _FittedCampaign) -> int:
 
     _print_ranking(ranking)
     print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")
-
-    if args.threshold is not None or args.cdf or args.svg:
-        write_json(fitted.out / "surrogate.json", fitted.surrogate.to_dict())
-
-    stages = ((args.corners, fitted.range),
-              (args.threshold is not None, fitted.safeset),
-              (args.cdf, fitted.cdf))
-    codes = [stage() for wanted, stage in stages if wanted]
     if args.svg:
         _render_summary_svg(fitted, cloud)
-    return max(codes, default=0)
 
 
 def _summary_rows(ys, f, source: str) -> Iterator[str]:

@@ -144,19 +144,13 @@ class ParameterSpace:
 
     @classmethod
     def from_dict(cls, entries: Iterable[dict]) -> "ParameterSpace":
-        specs = []
-        for i, e in enumerate(entries):
-            try:
-                specs.append(ParameterSpec(
-                    name=str(e["name"]),
-                    min=float(e["min"]),
-                    nominal=float(e["nominal"]),
-                    max=float(e["max"]),
-                    units=str(e.get("units", "")),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"bad parameter entry {i}: {exc}") from exc
-        return cls(specs)
+        """A space from JSON entries, one object per parameter.
+
+        Each needs a non-empty string ``name`` and JSON numbers ``min``,
+        ``nominal`` and ``max``; ``units``, if present, is a string.
+        Anything else is a DataError that names the entry.
+        """
+        return cls([_spec_from_entry(e, i) for i, e in enumerate(entries)])
 
     @classmethod
     def from_json(cls, path) -> "ParameterSpace":
@@ -170,6 +164,23 @@ class ParameterSpace:
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
+
+
+def _spec_from_entry(e, i: int) -> ParameterSpec:
+    keys = ("min", "nominal", "max")
+    # type(), not isinstance(): a JSON true is a bool, not a number.
+    if not (type(e) is dict and type(e.get("name")) is str and e["name"]
+            and type(e.get("units", "")) is str
+            and all(type(e.get(k)) in (int, float) for k in keys)):
+        raise DataError(f"bad parameter entry {i}: expected an object with a "
+                        f"non-empty string name, numbers min, nominal and "
+                        f"max, and string units if any, got {e!r}")
+    try:
+        lo, nominal, hi = (float(e[k]) for k in keys)
+    except OverflowError:
+        raise DataError(f"bad parameter entry {i}: min, nominal and max must "
+                        f"be finite, got {e!r}") from None
+    return ParameterSpec(e["name"], lo, nominal, hi, e.get("units", ""))
 
 
 def hyshot_space() -> ParameterSpace:

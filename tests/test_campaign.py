@@ -339,6 +339,13 @@ class TestJournal:
         '"role": "validation"}',
         '{"index": 1, "x": [0], "p": [0, 0], "status": "pending"}',
         '{"index": 1, "x": [0, 0], "p": [0, NaN], "status": "pending"}',
+        '{"index": 0.9, "x": [0, 0], "p": [0, 0], "status": "pending"}',
+        '{"index": true, "x": [0, 0], "p": [0, 0], "status": "pending"}',
+        '{"index": "0", "x": [0, 0], "p": [0, 0], "status": "pending"}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "done", "f": "2.5"}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "done", "f": true}',
+        '{"index": 1, "x": [0, 0], "p": [0, 0], "status": "failed", '
+        '"error": 7}',
         pytest.param('{"index": 1, "x": [0, 1%s], "p": [0, 0], '
                      '"status": "pending"}' % ("0" * 400), id="huge-int"),
         pytest.param('{"index": Infinity, "x": [0, 0], "p": [0, 0], '

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import asuq.campaign
 import asuq.cli
 import asuq.surrogate
 import asuq.svgplot
+import asuq.uq_analysis
 from asuq import load_campaign
 from asuq.campaign import evaluate_campaign, journal_path
 from asuq.cli import main
@@ -50,6 +52,26 @@ def evaluated(sampled):
     return sampled
 
 
+# Space entries that are not an object with a non-empty string name,
+# string units and JSON-number min, nominal and max; key None replaces
+# the whole entry.
+BAD_SPACE_ENTRIES = [
+    ("name", None), ("name", 5), ("name", ""), ("units", None),
+    ("units", 3), ("min", "0.5"), ("min", False), ("max", True),
+    ("nominal", None), ("max", 10 ** 400), (None, 5),
+    (None, ["x", 0, 0.5, 1]),
+]
+BAD_SPACE_ENTRY_IDS = [
+    "name-null", "name-int", "name-empty", "units-null", "units-int",
+    "min-str", "min-false", "max-true", "nominal-null", "max-huge-int",
+    "entry-int", "entry-array",
+]
+
+
+def bad_space_entry(entry, key, value):
+    return value if key is None else {**entry, key: value}
+
+
 class TestSpace:
     def test_validate_bundled(self, capsys):
         assert run_cli("space", "validate") == 0
@@ -68,6 +90,20 @@ class TestSpace:
                        '"max": Infinity}]')
         assert run_cli("space", "validate", "--space", str(bad)) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", BAD_SPACE_ENTRIES,
+                             ids=BAD_SPACE_ENTRY_IDS)
+    def test_malformed_entry_exits_2(self, tmp_path, key, value, capsys):
+        good = {"name": "p", "min": 0, "nominal": 0.5, "max": 1, "units": "m"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{**good, "name": "q"},
+                                   bad_space_entry(good, key, value)]))
+        campaign = tmp_path / "campaign.json"
+        assert run_cli("space", "validate", "--space", str(bad)) == 2
+        assert run_cli("sample", "--space", str(bad), "-M", "3", "--seed", "1",
+                       "--out", str(campaign)) == 2
+        assert capsys.readouterr().err.count("bad parameter entry 1") == 2
+        assert not campaign.exists()
 
 
 class TestSample:
@@ -252,6 +288,36 @@ class TestRun:
                        "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
         assert f"campaign {field} must be" in capsys.readouterr().err
         assert sampled.read_bytes() == before
+
+    @pytest.mark.parametrize("key, value", BAD_SPACE_ENTRIES,
+                             ids=BAD_SPACE_ENTRY_IDS)
+    def test_malformed_space_entry_exits_2_unchanged(self, sampled, key,
+                                                     value, capsys):
+        manifest = json.loads(sampled.read_text())
+        manifest["space"][1] = bad_space_entry(manifest["space"][1], key,
+                                               value)
+        sampled.write_text(json.dumps(manifest))
+        before = sampled.read_bytes()
+        assert run_cli("run", "--campaign", str(sampled),
+                       "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+        assert "bad parameter entry 1" in capsys.readouterr().err
+        assert sampled.read_bytes() == before
+
+    @pytest.mark.parametrize("key, value", [
+        ("index", 0.9), ("index", True), ("index", "0"), ("f", "2.5"),
+        ("f", True), ("error", 7),
+    ], ids=["index-float", "index-bool", "index-str", "f-str", "f-bool",
+            "error-int"])
+    def test_malformed_run_record_exits_2_unchanged(self, evaluated, key,
+                                                    value, capsys):
+        manifest = json.loads(evaluated.read_text())
+        manifest["runs"][0][key] = value
+        evaluated.write_text(json.dumps(manifest))
+        before = evaluated.read_bytes()
+        assert run_cli("run", "--campaign", str(evaluated), "--retry-failed",
+                       "--evaluator", "ridge:linear", "--wtrue-seed", "1") == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert evaluated.read_bytes() == before
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_manifest_condition_exits_2_unchanged(
@@ -692,6 +758,45 @@ class TestAnalyze:
         assert rows == 1000
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("flags, module, first_stage", [
+        (["--corners", "--threshold", "0.5", "--cdf", "--svg",
+          "--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "3"],
+         asuq.campaign, "evaluate_campaign"),
+        (["--threshold", "0.5", "--cdf"], asuq.uq_analysis,
+         "invert_safe_set"),
+    ], ids=["corners-svg", "threshold"])
+    def test_bootstrap_freed_before_the_stages(self, evaluated, tmp_path,
+                                               monkeypatch, flags, module,
+                                               first_stage):
+        # No gc.collect(): reference counting alone must have freed the
+        # ensemble (and the cloud and results built from it) once its
+        # reports are written, before the first stage runs.
+        ensembles = []
+        bootstrap = asuq.active_subspace.bootstrap_direction
+
+        def keep_weakref(*args, **kwargs):
+            ensemble = bootstrap(*args, **kwargs)
+            ensembles.append(weakref.ref(ensemble))
+            return ensemble
+
+        out = tmp_path / "out"
+        seen = []
+        stage = getattr(module, first_stage)
+
+        def check_freed(*args, **kwargs):
+            seen.append((ensembles[0]() is None,
+                         (out / "summary.svg").exists()))
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(asuq.active_subspace, "bootstrap_direction",
+                            keep_weakref)
+        monkeypatch.setattr(module, first_stage, check_freed)
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), "--seed", "4", "--bootstrap", "40",
+                       "--n", "300", *flags) == 0
+        assert len(ensembles) == 1
+        assert seen[0] == (True, "--svg" in flags)
+
     def test_output_dir_from_environment(self, evaluated, tmp_path,
                                          monkeypatch):
         out = tmp_path / "from-env"
@@ -771,8 +876,9 @@ class TestAnalyze:
         run_cli("sample", "-M", "4", "--seed", "1", "--out", str(campaign))
         run_cli("run", "--campaign", str(campaign),
                 "--evaluator", "ridge:linear", "--wtrue-seed", "2")
-        code = run_cli("analyze", "--campaign", str(campaign),
-                       "--out", str(tmp_path / "o"), "--seed", "1")
+        with pytest.warns(UserWarning, match="only 4 usable runs"):
+            code = run_cli("analyze", "--campaign", str(campaign),
+                           "--out", str(tmp_path / "o"), "--seed", "1")
         assert code == 3
         err = capsys.readouterr().err
         assert "M >= 8" in err or "m+1" in err
