@@ -4,7 +4,8 @@ A fixed small campaign goes through ``sample``, ``run`` (ridge evaluator),
 the standalone ``range``, ``safeset --threshold 0`` and ``cdf --n 2000
 --grid-size 257`` commands, and ``analyze --bootstrap 50 --threshold 0
 --corners --cdf --svg``; the sha256 of every deterministic output file,
-and of the standalone commands' stdout, is pinned. A refactor that
+and of the standalone commands' stdout, is pinned, as is the stdout of
+the ``scenario`` and ``space validate`` commands, which read no campaign. A refactor that
 claims to change nothing must leave these hashes as they are. A change
 that alters outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves
 the last bits) regenerates them with ``python tests/test_golden.py`` and
@@ -55,6 +56,18 @@ GOLDEN = {
         "720a456cb58de0b96b3340d60e5da785866ceff1e895e531975c84a6417427ec",
     "cdf.stdout":
         "b667c01bf7887d9333ee6dd3802184ea194b8bdc2165ec1e3b749c04415b01e2",
+    "scenario-check.stdout":
+        "67014fddf91a6a748e877a62d231d0918512fad0e3d783285b425e2c57c442b6",
+    "scenario-shots-fit.stdout":
+        "610d1d0d1089a229657772f13605f6173b4b75645933c365da4a46c118f8b06e",
+    "scenario-shots-fit-all.stdout":
+        "f8a7c5e8be269a303fa2926ea877c6236ee088fb2600e8a25eb335a829bc740d",
+    "scenario-inflow-nominal.stdout":
+        "6275e1207332296967fca3cb89dfb388e98476f0b0c34de8146992d8f7cfb209",
+    "scenario-inflow-x.stdout":
+        "a94ca36d1fec5b28ae14b5929a51b498943446998168c0532ba8e3348509eca6",
+    "space-validate.stdout":
+        "88d8d693b7e5ade4c7c63a7655839b733b56cdc618ba0e359b7e205834af1594",
 }
 
 # The three standalone commands, run before ``analyze``; each writes one
@@ -67,6 +80,26 @@ STANDALONE = {
 }
 
 
+# Commands that read no campaign, by the name their stdout is pinned under.
+NO_CAMPAIGN = {
+    "scenario-check": ["scenario", "check"],
+    "scenario-shots-fit": ["scenario", "shots-fit"],
+    "scenario-shots-fit-all": ["scenario", "shots-fit", "--all"],
+    "scenario-inflow-nominal": ["scenario", "inflow", "--nominal"],
+    "scenario-inflow-x": ["scenario", "inflow",
+                          "--x", "0.5,-0.2,1,0,0.3,0,-1"],
+    "space-validate": ["space", "validate"],
+}
+
+
+def _stdout(argv: list[str]) -> str:
+    """What ``main(argv)`` prints; it must exit 0."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    return stdout.getvalue()
+
+
 def run_pipeline(work: Path) -> dict[str, str]:
     """Run the fixed pipeline in ``work``; return sha256 per output file."""
     campaign = work / "campaign.json"
@@ -77,12 +110,9 @@ def run_pipeline(work: Path) -> dict[str, str]:
     files = {"campaign.sampled.json": campaign.read_bytes()}
     assert main(["run", "--campaign", str(campaign), *evaluator]) == 0
     for command, flags in STANDALONE.items():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main([command, "--campaign", str(campaign), *flags,
-                         "--out", str(work / command)]) == 0
-        files[f"{command}.stdout"] = \
-            stdout.getvalue().replace(str(work), "<work>").encode()
+        stdout = _stdout([command, "--campaign", str(campaign), *flags,
+                          "--out", str(work / command)])
+        files[f"{command}.stdout"] = stdout.replace(str(work), "<work>").encode()
         for path in (work / command).iterdir():
             files[f"{command}/{path.name}"] = path.read_bytes()
     assert main(["analyze", "--campaign", str(campaign), "--seed", "5",
@@ -91,6 +121,8 @@ def run_pipeline(work: Path) -> dict[str, str]:
                  *evaluator]) == 0
     files.update((path.name, path.read_bytes()) for path in out.iterdir())
     files["campaign.final.json"] = campaign.read_bytes()
+    files.update((f"{name}.stdout", _stdout(argv).encode())
+                 for name, argv in NO_CAMPAIGN.items())
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in files.items()}
 
