@@ -1,4 +1,4 @@
-"""Atomic text-file writes for campaign manifests and reports."""
+"""Atomic text-file writes, and the JSON encoding, of manifests and reports."""
 
 import json
 import os
@@ -25,12 +25,24 @@ def atomic_open(path):
         tmp.unlink(missing_ok=True)
 
 
+def jsonable(obj):
+    """``json``'s fallback: a numpy array or scalar as its ``tolist()``, a
+    dataclass instance as a dict of its fields in definition order."""
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    fields = getattr(type(obj), "__dataclass_fields__", None)
+    if fields is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return {name: getattr(obj, name) for name in fields}
+
+
 def write_json(path, obj) -> None:
     """Write ``obj`` atomically as JSON, indented by 2, with a final newline.
 
-    ``json.dump`` writes piece by piece, so the whole text of a large
-    document (results.json's N*m replicates) is never held at once.
+    Arrays and dataclasses go through :func:`jsonable`. ``json.dump``
+    writes piece by piece, so the whole text of a large document
+    (results.json's N*m replicates) is never held at once.
     """
     with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, default=jsonable)
         fh.write("\n")

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open, write_json
+from ._fileio import atomic_open, jsonable, write_json
 from .errors import DataError, EvaluatorError, UsageError
 from .param_space import SAMPLER_VERSION, ParameterSpace, unit_space
 
@@ -248,8 +248,8 @@ def evaluate_campaign(campaign: Campaign,
 def _record_to_dict(rec: RunRecord) -> dict:
     d = {
         "index": rec.index,
-        "x": [float(v) for v in rec.x],
-        "p": [float(v) for v in rec.p],
+        "x": rec.x,
+        "p": rec.p,
         "status": rec.status,
     }
     if rec.f is not None:
@@ -325,7 +325,7 @@ def append_run(path, rec: RunRecord) -> None:
     :func:`save_campaign` before appending again.
     """
     with open(journal_path(path), "a") as fh:
-        fh.write(json.dumps(_record_to_dict(rec)) + "\n")
+        fh.write(json.dumps(_record_to_dict(rec), default=jsonable) + "\n")
 
 
 def save_campaign(campaign: Campaign, path) -> None:
@@ -336,7 +336,7 @@ def save_campaign(campaign: Campaign, path) -> None:
     manifest, is then removed.
     """
     manifest = {
-        "space": campaign.space.to_dict(),
+        "space": campaign.space.params,
         "seed": campaign.seed,
         "sampler": campaign.sampler,
         "condition": {k: campaign.condition[k] for k in sorted(campaign.condition)},

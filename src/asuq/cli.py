@@ -142,11 +142,10 @@ class _FittedCampaign:
             errors=[None if r.status == "done" else "all 1 attempted runs "
                     f"failed (first diagnostic: {r.error})" for r in recs])
         save_campaign(campaign, self.args.campaign)
-        p_min, p_max = (campaign.space.denormalize(x).tolist()
-                        for x in (rng.x_min, rng.x_max))
         write_json(self.out / "range.json", {
-            "x_min": rng.x_min.tolist(), "x_max": rng.x_max.tolist(),
-            "p_min": p_min, "p_max": p_max,
+            "x_min": rng.x_min, "x_max": rng.x_max,
+            "p_min": campaign.space.denormalize(rng.x_min),
+            "p_max": campaign.space.denormalize(rng.x_max),
             "f_min": rng.f_min, "f_max": rng.f_max,
             "validated": rng.validated, "inverted": rng.inverted,
             "monotone_caveat": rng.monotone_caveat,
@@ -165,7 +164,7 @@ class _FittedCampaign:
 
         safe = invert_safe_set(self.surrogate, self.asub.w, self.args.threshold,
                                level=self.args.level, space=self.campaign.space)
-        write_json(self.out / "safeset.json", safe.to_dict())
+        write_json(self.out / "safeset.json", safe)
         print(f"threshold {self.args.threshold} at level {self.args.level}: "
               f"feasible={safe.feasible} y_max={safe.y_max}")
         for entry in safe.safe_ranges:
@@ -276,7 +275,7 @@ def cmd_analyze(fitted: _FittedCampaign) -> int:
     args = fitted.args
     _bootstrap_reports(fitted)
     if args.threshold is not None or args.cdf or args.svg:
-        write_json(fitted.out / "surrogate.json", fitted.surrogate.to_dict())
+        write_json(fitted.out / "surrogate.json", fitted.surrogate)
 
     stages = ((args.corners, fitted.range),
               (args.threshold is not None, fitted.safeset),
@@ -304,8 +303,8 @@ def _bootstrap_reports(fitted: _FittedCampaign) -> None:
     results = {
         "M": asub.M,
         "m": fitted.campaign.m,
-        "w": [float(v) for v in asub.w],
-        "u_hat": [float(v) for v in asub.fit.u_hat],
+        "w": asub.w,
+        "u_hat": asub.fit.u_hat,
         "residual_norm": asub.fit.residual_norm,
         "cond_estimate": asub.fit.cond_estimate,
         "ranking": [
@@ -316,7 +315,7 @@ def _bootstrap_reports(fitted: _FittedCampaign) -> None:
             "N": ensemble.N,
             "seed": ensemble.seed,
             "quantiles": ensemble.component_quantiles(),
-            "replicates": [[float(v) for v in row] for row in ensemble.replicates],
+            "replicates": ensemble.replicates,
         },
     }
     write_json(fitted.out / "results.json", results)
@@ -392,9 +391,10 @@ def cmd_scenario_check(args) -> int:
     print(f"shot regression: T0 = {intercept:.4f} + {slope:.6e} * H0  "
           f"[K, H0 in J/kg]")
 
-    ar = hyshot.area_mach_ratio(7.4, 1.4)
-    minv = hyshot.mach_from_area_ratio(ar, 1.4)
-    print(f"area ratio at Mach 7.4: {ar:.2f} (inverse solve: M = {minv:.6f})")
+    ar = hyshot.area_mach_ratio(hyshot.NOMINAL_MACH)
+    minv = hyshot.mach_from_area_ratio(ar)
+    print(f"area ratio at Mach {hyshot.NOMINAL_MACH}: {ar:.2f} "
+          f"(inverse solve: M = {minv:.6f})")
 
     growth = hyshot.eddy_growth_ratio()
     L0 = hyshot.nominal_dissipation_length()

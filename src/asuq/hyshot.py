@@ -26,10 +26,8 @@ from .param_space import ParameterSpace
 
 __all__ = [
     "ShotRecord",
-    "FlowRatios",
     "TransitionSpec",
     "InflowCondition",
-    "DLR_RATIOS",
     "C_MU",
     "load_shots",
     "fit_T0_H0",
@@ -46,6 +44,17 @@ __all__ = [
 ]
 
 C_MU = 0.09  # two-equation closure constant relating k, omega, and length scale
+
+# Stagnation-to-static conversion ratios provided by DLR for the HEG nozzle flow.
+P_RATIO = 1.16e-4  # P / P0
+T_RATIO = 0.0978   # T / T0
+U_COEFF = 1.332    # U_mag / sqrt(H0), (m/s) / sqrt(J/kg)
+
+# The HEG nozzle: test-section diameter [m], nominal Mach number, and the
+# ratio of specific heats of its air.
+TEST_SECTION_DIAMETER = 0.610
+NOMINAL_MACH = 7.4
+GAMMA = 1.4
 
 # Fuel/air equivalence ratios at or beyond this point leave the fully
 # supersonic as-designed regime for a combustor shock-train state.
@@ -74,23 +83,6 @@ class ShotRecord:
             raise DataError(f"shot {self.id}: P0, T0, H0 must be finite and positive")
         if not all(v is None or 0 <= v < math.inf for v in (self.PH2_bar, self.phi)):
             raise DataError(f"shot {self.id}: PH2 and phi must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class FlowRatios:
-    """Fixed stagnation-to-static conversion ratios for the tunnel nozzle."""
-
-    p_ratio: float      # P / P0
-    t_ratio: float      # T / T0
-    u_coeff: float      # U_mag / sqrt(H0), (m/s) / sqrt(J/kg)
-
-    def __post_init__(self):
-        if not _finite_positive(self.p_ratio, self.t_ratio, self.u_coeff):
-            raise DataError("flow ratios must be finite and positive")
-
-
-# Conversion ratios provided by DLR for the HEG nozzle flow.
-DLR_RATIOS = FlowRatios(p_ratio=1.16e-4, t_ratio=0.0978, u_coeff=1.332)
 
 
 @dataclass(frozen=True)
@@ -161,6 +153,9 @@ def load_shots(path=None) -> list[ShotRecord]:
     shots = []
     for lineno, row in enumerate(reader, start=2):
         try:
+            excluded = int(row["excluded"])
+            if excluded not in (0, 1):
+                raise ValueError(f"excluded must be 0 or 1, got {excluded}")
             shots.append(ShotRecord(
                 id=int(row["id"]),
                 P0_bar=float(row["P0_bar"]),
@@ -168,7 +163,7 @@ def load_shots(path=None) -> list[ShotRecord]:
                 H0_MJkg=float(row["H0_MJkg"]),
                 PH2_bar=float(row["PH2_bar"]) if row["PH2_bar"] else None,
                 phi=float(row["phi"]) if row["phi"] else None,
-                excluded=bool(int(row["excluded"])),
+                excluded=bool(excluded),
             ))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{where}: row {lineno}: {exc}") from exc
@@ -203,8 +198,7 @@ def fit_T0_H0(shots: Sequence[ShotRecord], include_excluded: bool = False
 
 # -- mean-flow and turbulence conversions --------------------------------------
 
-def stagnation_to_static(P0: float, T0: float, H0: float, alpha_deg: float,
-                         ratios: FlowRatios = DLR_RATIOS
+def stagnation_to_static(P0: float, T0: float, H0: float, alpha_deg: float
                          ) -> tuple[float, float, float, float]:
     """Convert stagnation conditions (SI) to static inflow (P, T, Ux, Uy).
 
@@ -215,9 +209,9 @@ def stagnation_to_static(P0: float, T0: float, H0: float, alpha_deg: float,
         raise DataError("stagnation quantities must be finite and positive")
     if not math.isfinite(alpha_deg):
         raise DataError(f"angle of attack must be finite, got {alpha_deg}")
-    P = ratios.p_ratio * P0
-    T = ratios.t_ratio * T0
-    U_mag = ratios.u_coeff * math.sqrt(H0)
+    P = P_RATIO * P0
+    T = T_RATIO * T0
+    U_mag = U_COEFF * math.sqrt(H0)
     a = math.radians(alpha_deg)
     return P, T, U_mag * math.cos(a), -U_mag * math.sin(a)
 
@@ -243,7 +237,7 @@ def turbulence_inflow(U_mag: float, I: float, L: float) -> tuple[float, float]:
 
 # -- nozzle relations -----------------------------------------------------------
 
-def area_mach_ratio(M: float, gamma: float = 1.4) -> float:
+def area_mach_ratio(M: float, gamma: float = GAMMA) -> float:
     """Area ratio A/A* of steady 1D variable-area flow at Mach M."""
     if not _finite_positive(M):
         raise DataError(f"Mach number must be finite and positive, got {M}")
@@ -263,7 +257,7 @@ def area_mach_ratio(M: float, gamma: float = 1.4) -> float:
 _MACH_HI = 50.0
 
 
-def mach_from_area_ratio(ratio: float, gamma: float = 1.4) -> float:
+def mach_from_area_ratio(ratio: float, gamma: float = GAMMA) -> float:
     """Supersonic Mach number matching an area ratio (bisection on [1, 50])."""
     if not ratio >= 1:  # NaN fails here, inf the reach check below
         raise DataError(f"area ratio must be >= 1, got {ratio}")
@@ -278,18 +272,16 @@ def mach_from_area_ratio(ratio: float, gamma: float = 1.4) -> float:
     return mid
 
 
-def eddy_growth_ratio(ratios: FlowRatios = DLR_RATIOS) -> float:
+def eddy_growth_ratio() -> float:
     """Isotropic eddy growth through the nozzle expansion.
 
     Eddy volume grows as the inverse of density, so the length scale grows
     as ((P0/P) * (T/T0))^(1/3).
     """
-    return ((1.0 / ratios.p_ratio) * ratios.t_ratio) ** (1.0 / 3.0)
+    return ((1.0 / P_RATIO) * T_RATIO) ** (1.0 / 3.0)
 
 
-def nominal_dissipation_length(test_section_diameter: float = 0.610,
-                               mach: float = 7.4, gamma: float = 1.4,
-                               ratios: FlowRatios = DLR_RATIOS) -> float:
+def nominal_dissipation_length() -> float:
     """Nominal turbulence dissipation length at the test section [m].
 
     The largest eddies at the nozzle throat are about half the throat
@@ -297,8 +289,8 @@ def nominal_dissipation_length(test_section_diameter: float = 0.610,
     follows from the test-section diameter and the area ratio at the
     nominal Mach number.
     """
-    throat = test_section_diameter / math.sqrt(area_mach_ratio(mach, gamma))
-    return 0.5 * throat * eddy_growth_ratio(ratios)
+    throat = TEST_SECTION_DIAMETER / math.sqrt(area_mach_ratio(NOMINAL_MACH))
+    return 0.5 * throat * eddy_growth_ratio()
 
 
 # -- transition and fueling ------------------------------------------------------
@@ -348,9 +340,7 @@ def default_t0_fit() -> tuple[float, float]:
     return fit_T0_H0(load_shots())
 
 
-def build_inflow(x, space: ParameterSpace,
-                 ratios: FlowRatios = DLR_RATIOS,
-                 t0_fit: tuple[float, float] | None = None) -> InflowCondition:
+def build_inflow(x, space: ParameterSpace) -> InflowCondition:
     """Turn a normalized point of the seven-parameter space into inflow BCs.
 
     Denormalizes, converts table units to SI (MPa, MJ/kg), derives the
@@ -371,10 +361,10 @@ def build_inflow(x, space: ParameterSpace,
 
     P0 = P0_MPa * 1e6
     H0 = H0_MJ * 1e6
-    intercept, slope = t0_fit if t0_fit is not None else default_t0_fit()
+    intercept, slope = default_t0_fit()
     T0 = intercept + slope * H0
 
-    P, T, Ux, Uy = stagnation_to_static(P0, T0, H0, alpha, ratios)
+    P, T, Ux, Uy = stagnation_to_static(P0, T0, H0, alpha)
     k, omega = turbulence_inflow(math.hypot(Ux, Uy), I, L)
     return InflowCondition(P=P, T=T, Ux=Ux, Uy=Uy, alpha_deg=alpha,
                            k=k, omega=omega,

@@ -135,13 +135,6 @@ class ParameterSpace:
 
     # -- persistence -------------------------------------------------------
 
-    def to_dict(self) -> list[dict]:
-        return [
-            {"name": p.name, "min": p.min, "nominal": p.nominal, "max": p.max,
-             "units": p.units}
-            for p in self.params
-        ]
-
     @classmethod
     def from_dict(cls, entries: Iterable[dict]) -> "ParameterSpace":
         """A space from JSON entries, one object per parameter.
@@ -163,7 +156,7 @@ class ParameterSpace:
         return cls.from_dict(entries)
 
     def save(self, path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, self.params)
 
 
 def _spec_from_entry(e, i: int) -> ParameterSpec:

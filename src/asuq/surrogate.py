@@ -162,17 +162,6 @@ class QuadraticSurrogate:
         """predict(y) plus the band half-width; always >= predict(y)."""
         return self.predict(y) + self.band_halfwidth(y, level)
 
-    def to_dict(self) -> dict:
-        return {
-            "coeffs": [float(c) for c in self.coeffs],
-            "sigma2_hat": None if self.sigma2_hat is None else float(self.sigma2_hat),
-            "gram_inverse": [[float(v) for v in row] for row in self.gram_inverse],
-            "M": self.M,
-            "r_squared": float(self.r_squared),
-            "y_domain": [float(self.y_domain[0]), float(self.y_domain[1])],
-            "zero_variance": self.zero_variance,
-        }
-
 
 def fit_quadratic(y, f, y_domain: tuple[float, float] | None = None
                   ) -> QuadraticSurrogate:

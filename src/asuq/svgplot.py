@@ -30,7 +30,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     out = []
     v = first
     while v <= min(hi + 1e-12 * step, _BIG):
-        out.append(round(v, 12) + 0.0)  # + 0.0 makes -0.0 read 0
+        # Rounding can carry a tick out of the limits when the step is
+        # below 1e-12 or near the limits' last digit; clamping keeps it in.
+        out.append(min(max(round(v, 12), lo), hi) + 0.0)  # + 0.0: -0.0 reads 0
         # Where the limits are a few floats apart, v + step can round back
         # to v; the next float is then the next tick.
         v = max(v + step, math.nextafter(v, math.inf))

@@ -163,17 +163,6 @@ class SafeSetResult:
     x_anchor: np.ndarray                # corner the box grows from
     safe_ranges: list[dict]             # per-parameter physical intervals
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "level": self.level,
-            "y_max": self.y_max,
-            "feasible": self.feasible,
-            "box_sides": [float(s) for s in self.box_sides],
-            "x_anchor": [float(v) for v in self.x_anchor],
-            "safe_ranges": self.safe_ranges,
-        }
-
 
 def _box_normalized_intervals(x_min: np.ndarray, sides: np.ndarray) -> np.ndarray:
     # The box spans from the anchor corner toward the opposite corner.

@@ -24,8 +24,9 @@ from asuq import (
     synthetic_ridge,
     unit_space,
 )
+from asuq._fileio import write_json
 from asuq.campaign import EvalRequest, RunRecord, journal_path
-from asuq.param_space import SAMPLER_VERSION
+from asuq.param_space import SAMPLER_VERSION, ParameterSpec
 
 
 def constant_evaluator(value):
@@ -192,6 +193,25 @@ class TestEvaluate:
 
 
 class TestPersistence:
+    def test_write_json_encodes_numpy_values_and_dataclass_fields(self,
+                                                                 tmp_path):
+        path = tmp_path / "r.json"
+        write_json(path, {"x": np.array([[0.5, -1.0]]), "n": np.int64(3),
+                          "ok": np.bool_(True),
+                          "spec": ParameterSpec("a", 0.0, 0.5, 1.0, "m")})
+        assert path.read_text() == json.dumps({
+            "x": [[0.5, -1.0]], "n": 3, "ok": True,
+            "spec": {"name": "a", "min": 0.0, "nominal": 0.5, "max": 1.0,
+                     "units": "m"}}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [object(), ParameterSpec, {1, 2}])
+    def test_write_json_refuses_anything_else(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        path.write_text("old\n")
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(path, value)
+        assert path.read_text() == "old\n"
+
     def test_save_load_save_byte_identical(self, tmp_path, small_campaign):
         evaluate_campaign(small_campaign, constant_evaluator(4.5))
         p1, p2 = tmp_path / "one.json", tmp_path / "two.json"

@@ -1058,6 +1058,17 @@ class TestScenario:
         assert out == ""
         assert "shot 2: P0, T0, H0 must be finite and positive" in err
 
+    def test_shots_fit_refuses_an_excluded_flag_other_than_0_or_1(
+            self, tmp_path, capsys):
+        shots = tmp_path / "shots.csv"
+        shots.write_text("id,P0_bar,T0_K,H0_MJkg,PH2_bar,phi,excluded\n"
+                         "1,178.0,2742,3.25,,,0\n2,181.0,2780,3.30,,,2\n"
+                         "3,175.0,2716,3.21,,,0\n4,179.0,2760,3.28,,,-1\n")
+        assert run_cli("scenario", "shots-fit", "--shots", str(shots)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "row 3: excluded must be 0 or 1, got 2" in err
+
     def test_check_runs_clean(self, capsys):
         assert run_cli("scenario", "check") == 0
         out = capsys.readouterr().out

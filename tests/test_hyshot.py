@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from asuq import DataError, DegeneracyError, hyshot_space
 from asuq.hyshot import (
-    DLR_RATIOS,
-    FlowRatios,
+    P_RATIO,
+    T_RATIO,
     ShotRecord,
     TransitionSpec,
     area_mach_ratio,
@@ -224,12 +224,9 @@ class TestAreaMach:
 
 class TestEddyGrowth:
     def test_cube_of_ratio_matches_density_ratio(self):
-        growth = eddy_growth_ratio(DLR_RATIOS)
-        density_ratio = (1.0 / DLR_RATIOS.p_ratio) * DLR_RATIOS.t_ratio
+        growth = eddy_growth_ratio()
+        density_ratio = (1.0 / P_RATIO) * T_RATIO
         assert growth ** 3 == pytest.approx(density_ratio, rel=1e-12)
-
-    def test_no_expansion_means_no_growth(self):
-        assert eddy_growth_ratio(FlowRatios(1.0, 1.0, 1.0)) == 1.0
 
     def test_nominal_length_scale_near_table_value(self):
         L = nominal_dissipation_length()
@@ -338,8 +335,6 @@ NAN, INF = math.nan, math.inf
     lambda: ShotRecord(1, 178.0, 2700.0, INF),
     lambda: ShotRecord(1, 178.0, 2700.0, 3.2, PH2_bar=NAN),
     lambda: ShotRecord(1, 178.0, 2700.0, 3.2, phi=INF),
-    lambda: FlowRatios(NAN, 0.1, 1.3),
-    lambda: FlowRatios(1e-4, 0.1, INF),
     lambda: TransitionSpec(x_t0=NAN),
     lambda: TransitionSpec(x_t0=INF),
     lambda: stagnation_to_static(NAN, 2735.0, 3.24e6, 0.0),
@@ -365,7 +360,7 @@ NAN, INF = math.nan, math.inf
     lambda: build_inflow([0.0, NAN, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
     lambda: build_inflow([INF, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
 ], ids=["shot-P0", "shot-T0", "shot-H0-inf", "shot-PH2", "shot-phi-inf",
-        "ratios", "ratios-inf", "x_t0", "x_t0-inf", "stagnation-P0",
+        "x_t0", "x_t0-inf", "stagnation-P0",
         "stagnation-T0-inf", "stagnation-alpha", "turbulence-U",
         "turbulence-I", "turbulence-L", "turbulence-I-inf", "area-M",
         "area-M-inf", "area-gamma", "area-gamma-inf", "mach-ratio",
@@ -378,16 +373,20 @@ def test_non_finite_input_raises(call):
 
 
 SHOTS_HEADER = "id,P0_bar,T0_K,H0_MJkg,PH2_bar,phi,excluded\n"
+# Four shots, the second and fourth flagged with neither 0 nor 1.
+SHOTS_EXCLUDED_2_AND_MINUS_1 = SHOTS_HEADER + (
+    "1,178.0,2742,3.25,,,0\n2,181.0,2780,3.30,,,2\n"
+    "3,175.0,2716,3.21,,,0\n4,179.0,2760,3.28,,,-1\n")
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda tmp: ShotRecord(7, -1.0, 2700.0, 3.2), DataError,
      "shot 7: P0, T0, H0 must be finite and positive"),
-    (lambda tmp: FlowRatios(1e-4, 0.0, 1.3), DataError,
-     "flow ratios must be finite and positive"),
     (lambda tmp: load_shots(tmp / "header.csv"), DataError,
      "header must contain"),
     (lambda tmp: load_shots(tmp / "empty.csv"), DataError, "no shot rows"),
+    (lambda tmp: load_shots(tmp / "excluded.csv"), DataError,
+     "row 3: excluded must be 0 or 1, got 2"),
     (lambda tmp: fit_T0_H0([ShotRecord(1, 178.0, 2700.0, 3.25),
                             ShotRecord(2, 178.0, 2800.0, 3.25)]),
      DegeneracyError, "all shots share one enthalpy"),
@@ -402,10 +401,11 @@ SHOTS_HEADER = "id,P0_bar,T0_K,H0_MJkg,PH2_bar,phi,excluded\n"
      "turbulence intensity must be finite and >= 0"),
     (lambda tmp: equivalence_ratio(-1.0, 8.0), DataError,
      "fuel mass flow must be finite and >= 0"),
-], ids=["shot", "ratios", "shots-header", "shots-empty", "one-enthalpy",
-        "rank", "velocity", "intensity", "fuel"])
+], ids=["shot", "shots-header", "shots-empty", "shots-excluded",
+        "one-enthalpy", "rank", "velocity", "intensity", "fuel"])
 def test_input_check_raises(tmp_path, call, error, message):
     (tmp_path / "header.csv").write_text("id,P0_bar\n1,178.0\n")
     (tmp_path / "empty.csv").write_text(SHOTS_HEADER)
+    (tmp_path / "excluded.csv").write_text(SHOTS_EXCLUDED_2_AND_MINUS_1)
     with pytest.raises(error, match=message):
         call(tmp_path)

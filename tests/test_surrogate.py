@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import stdtrit
 
 from asuq import DataError, DegeneracyError, fit_quadratic
+from asuq._fileio import write_json
 from asuq.surrogate import _t_quantile
 
 
@@ -176,6 +178,15 @@ class TestTQuantile:
         assert math.isfinite(t)
         assert abs(t - ref) <= 1e-8 * ref
 
+    @pytest.mark.parametrize("p", [0.6, 0.75])
+    def test_ten_million_degrees_of_freedom_bisect_in_the_bracket(self, p):
+        # At nu = 1e7 a Newton step leaves the bracket of the iterates, so
+        # these solves bisect; at p = 0.6 the solve ends when the bracket
+        # is down to adjacent floats.
+        t = _t_quantile(10**7, p)
+        ref = float(stdtrit(10**7, p))
+        assert abs(t - ref) <= 1e-8 * ref
+
     def test_band_uses_the_quantile(self, noisy_fixture):
         surr = fit_quadratic(*noisy_fixture)
         rows = np.array([1.0, 0.4, 0.16])
@@ -212,9 +223,10 @@ class TestInvariances:
         assert np.sqrt(b.sigma2_hat) == pytest.approx(3.0 * np.sqrt(a.sigma2_hat))
 
 
-def test_export_round_trip_fields(noisy_fixture):
+def test_export_round_trip_fields(noisy_fixture, tmp_path):
     surr = fit_quadratic(*noisy_fixture, y_domain=(-3.0, 3.0))
-    d = surr.to_dict()
+    write_json(tmp_path / "surrogate.json", surr)
+    d = json.loads((tmp_path / "surrogate.json").read_text())
     assert set(d) == {"coeffs", "sigma2_hat", "gram_inverse", "M",
                       "r_squared", "y_domain", "zero_variance"}
     assert d["M"] == 50

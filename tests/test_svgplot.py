@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asuq import svgplot
@@ -378,6 +378,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=300, deadline=None)
 @given(points=st.lists(st.tuples(finite, finite), min_size=1, max_size=3))
+# A step of 1e-13: rounding to 12 decimals put a tick at 1e-12.
+@example(points=[(0.0, 0.0), (0.0, 6.140759858944655e-13)])
 def test_every_finite_pair_of_limits_renders(tmp_path_factory, points):
     plot = SvgPlot()
     plot.scatter(*zip(*points))
