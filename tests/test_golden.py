@@ -4,12 +4,13 @@ A fixed small campaign goes through ``sample``, ``run`` (ridge evaluator),
 the standalone ``range``, ``safeset --threshold 0`` and ``cdf --n 2000
 --grid-size 257`` commands, and ``analyze --bootstrap 50 --threshold 0
 --corners --cdf --svg``; the sha256 of every deterministic output file,
-and of the standalone commands' stdout, is pinned, as is the stdout of
-the ``scenario`` and ``space validate`` commands, which read no campaign. A refactor that
-claims to change nothing must leave these hashes as they are. A change
-that alters outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves
-the last bits) regenerates them with ``python tests/test_golden.py`` and
-says why in CHANGES.md.
+and of each of these commands' stdout with the work directory masked, is
+pinned, as is the stdout of the ``scenario`` and ``space validate``
+commands, which read no campaign. A refactor that claims to change
+nothing must leave these hashes as they are. A change that alters
+outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves the last
+bits) regenerates them with ``python tests/test_golden.py`` and says why
+in CHANGES.md.
 """
 
 import ast
@@ -24,6 +25,10 @@ import pytest
 from asuq.cli import main
 
 GOLDEN = {
+    "sample.stdout":
+        "f5a48479b2f707db158f673260f9970b8e65f5aacd9108616058440fd6112c8e",
+    "run.stdout":
+        "7050d238842b150eacc0175ed13519534c4f11e37d3c31008862dcee2e63d974",
     "campaign.sampled.json":
         "2292b889321d6d83b7c2214450bd84eb3d271a7826060864698b1272981ff26b",
     "results.json":
@@ -42,6 +47,8 @@ GOLDEN = {
         "d3077e5e581163f0c24632b4cc46570608704a7bf851ebd21a517e80e8259cbd",
     "cdf.svg":
         "3dbc6f6c6157239e2d804419f7649d6dbb7ca5896f58c7e9647eabc234385d87",
+    "analyze.stdout":
+        "663ac0e02c662eb0e692a90642551a996909494cfedf360942d45484d7d42acf",
     "campaign.final.json":
         "b0e12a2fd4b0264ba6c850356fdf87ffb7b2df14b3d0284ae5a4ee7a77f4c4e0",
     "range/range.json":
@@ -105,20 +112,24 @@ def run_pipeline(work: Path) -> dict[str, str]:
     campaign = work / "campaign.json"
     out = work / "out"
     evaluator = ["--evaluator", "ridge:cubic-monotone", "--wtrue-seed", "7"]
-    assert main(["sample", "-M", "40", "--seed", "11",
-                 "--out", str(campaign)]) == 0
-    files = {"campaign.sampled.json": campaign.read_bytes()}
-    assert main(["run", "--campaign", str(campaign), *evaluator]) == 0
+    files = {}
+
+    def pin_stdout(argv: list[str]) -> None:
+        stdout = _stdout(argv).replace(str(work), "<work>")
+        files[f"{argv[0]}.stdout"] = stdout.encode()
+
+    pin_stdout(["sample", "-M", "40", "--seed", "11", "--out", str(campaign)])
+    files["campaign.sampled.json"] = campaign.read_bytes()
+    pin_stdout(["run", "--campaign", str(campaign), *evaluator])
     for command, flags in STANDALONE.items():
-        stdout = _stdout([command, "--campaign", str(campaign), *flags,
-                          "--out", str(work / command)])
-        files[f"{command}.stdout"] = stdout.replace(str(work), "<work>").encode()
+        pin_stdout([command, "--campaign", str(campaign), *flags,
+                    "--out", str(work / command)])
         for path in (work / command).iterdir():
             files[f"{command}/{path.name}"] = path.read_bytes()
-    assert main(["analyze", "--campaign", str(campaign), "--seed", "5",
-                 "--bootstrap", "50", "--threshold", "0", "--corners",
-                 "--cdf", "--n", "2000", "--svg", "--out", str(out),
-                 *evaluator]) == 0
+    pin_stdout(["analyze", "--campaign", str(campaign), "--seed", "5",
+                "--bootstrap", "50", "--threshold", "0", "--corners",
+                "--cdf", "--n", "2000", "--svg", "--out", str(out),
+                *evaluator])
     files.update((path.name, path.read_bytes()) for path in out.iterdir())
     files["campaign.final.json"] = campaign.read_bytes()
     files.update((f"{name}.stdout", _stdout(argv).encode())
