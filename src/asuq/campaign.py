@@ -21,7 +21,8 @@ import numpy as np
 
 from ._fileio import atomic_open, jsonable, write_json
 from .errors import DataError, EvaluatorError, UsageError
-from .param_space import SAMPLER_VERSION, ParameterSpace, unit_space
+from .param_space import (SAMPLER_VERSION, ParameterSpace, sample_hypercube,
+                          unit_space)
 
 __all__ = [
     "RunRecord",
@@ -146,7 +147,9 @@ def new_campaign(space: ParameterSpace, M: int, seed: int,
     The manifest records ``sampler`` = ``SAMPLER_VERSION``, the version of
     the sampler that drew the points.
     """
-    X = space.sample_uniform(M, seed)
+    if M < 1:
+        raise DataError(f"sample count must be >= 1, got {M}")
+    X = sample_hypercube(space.m, M, seed)
     runs = [
         RunRecord(index=j, x=X[j], p=space.denormalize(X[j]))
         for j in range(M)

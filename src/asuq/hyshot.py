@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, DegeneracyError
-from .param_space import ParameterSpace
+from .param_space import ParameterSpace, hyshot_space
 
 __all__ = [
     "ShotRecord",
@@ -145,13 +144,17 @@ def load_shots(path=None) -> list[ShotRecord]:
         except OSError as exc:
             raise DataError(f"cannot read shots file {path}: {exc}") from exc
         where = str(path)
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
+    # (line in the file, text) of each line that is neither blank nor a
+    # comment, so a bad row is named by its line in the file.
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip() and not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in lines)
     required = {"id", "P0_bar", "T0_K", "H0_MJkg", "PH2_bar", "phi", "excluded"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise DataError(f"{where}: header must contain {sorted(required)}")
     shots = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = lines[reader.line_num - 1][0]
         try:
             excluded = int(row["excluded"])
             if excluded not in (0, 1):
@@ -323,17 +326,6 @@ def phi_regime(phi: float) -> str:
 
 # -- assembling solver boundary conditions ----------------------------------------
 
-# Bundled-space parameter names; build_inflow requires exactly these.
-HYSHOT_PARAM_NAMES = (
-    "Stagnation Pressure",
-    "Stagnation Enthalpy",
-    "Angle of Attack",
-    "Turbulence Intensity",
-    "Turbulence Length Scale",
-    "Ramp Transition Location",
-    "Cowl Transition Location",
-)
-
 @functools.cache
 def default_t0_fit() -> tuple[float, float]:
     """T0-H0 coefficients fitted to the bundled non-excluded shots."""
@@ -348,10 +340,11 @@ def build_inflow(x, space: ParameterSpace) -> InflowCondition:
     static-condition and turbulence conversions. Transition locations pass
     through unchanged.
     """
-    if tuple(space.names) != HYSHOT_PARAM_NAMES:
+    expected = hyshot_space().names
+    if space.names != expected:
         raise DataError(
             "parameter-space names do not match the seven-parameter inflow "
-            f"schema; expected {list(HYSHOT_PARAM_NAMES)}, got {list(space.names)}"
+            f"schema; expected {list(expected)}, got {list(space.names)}"
         )
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):

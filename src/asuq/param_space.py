@@ -1,8 +1,10 @@
-"""Uncertain-parameter space: physical ranges and the map to [-1, 1]^m.
+"""Uncertain-parameter space: physical ranges and the map from [-1, 1]^m.
 
 Each parameter has a physical range [min, max]; the toolkit works in
 normalized coordinates where every parameter spans [-1, 1] and the input
 density is uniform (the maximum-entropy choice for range-bounded inputs).
+A point is drawn in [-1, 1]^m and mapped to physical values for the
+evaluator.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fileio import write_json
 from .errors import DataError
 
 __all__ = [
@@ -60,7 +61,7 @@ class ParameterSpec:
 
 
 class ParameterSpace:
-    """Ordered collection of parameters with the affine map to [-1, 1]^m.
+    """Ordered parameters with the affine map from [-1, 1]^m to physical values.
 
     Immutable after construction; all methods are safe for concurrent use.
     Coordinate i of the normalized space corresponds to ``params[i]``.
@@ -77,61 +78,24 @@ class ParameterSpace:
         self.params = params
         self.names = tuple(names)
         self._mins = np.array([p.min for p in params], dtype=float)
-        self._maxs = np.array([p.max for p in params], dtype=float)
-        self._spans = self._maxs - self._mins
+        self._spans = np.array([p.max for p in params], dtype=float) - self._mins
 
     @property
     def m(self) -> int:
         return len(self.params)
 
     @property
-    def mins(self) -> np.ndarray:
-        return self._mins.copy()
-
-    @property
-    def maxs(self) -> np.ndarray:
-        return self._maxs.copy()
-
-    @property
     def nominals(self) -> np.ndarray:
         return np.array([p.nominal for p in self.params], dtype=float)
 
-    def _check_length(self, v: np.ndarray, what: str) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self.m:
-            raise DataError(
-                f"{what} has length {v.shape[-1]}, expected {self.m}"
-            )
-        return v
-
-    def normalize(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """Map physical values to normalized coordinates.
-
-        Returns ``(x, in_bounds)``. Out-of-range physical values are
-        accepted (the map extrapolates); ``in_bounds`` marks which
-        components fell inside their table range.
-        """
-        p = self._check_length(p, "physical vector")
-        x = 2.0 * (p - self._mins) / self._spans - 1.0
-        in_bounds = (p >= self._mins) & (p <= self._maxs)
-        return x, in_bounds
-
     def denormalize(self, x) -> np.ndarray:
-        """Map normalized coordinates back to physical values."""
-        x = self._check_length(x, "normalized vector")
+        """Map normalized coordinates to physical values."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.m:
+            raise DataError(
+                f"normalized vector has length {x.shape[-1]}, expected {self.m}"
+            )
         return self._mins + (x + 1.0) * self._spans / 2.0
-
-    def sample_uniform(self, M: int, seed: int) -> np.ndarray:
-        """Draw M points i.i.d. uniform on [-1, 1]^m, shape (M, m).
-
-        Uses :func:`sample_hypercube`: sample j is a pure function of
-        (seed, j), so parallel or resumed generation reproduces the serial
-        sequence. The values are those of sampler version
-        :data:`SAMPLER_VERSION`.
-        """
-        if M < 1:
-            raise DataError(f"sample count must be >= 1, got {M}")
-        return sample_hypercube(self.m, M, seed)
 
     # -- persistence -------------------------------------------------------
 
@@ -154,9 +118,6 @@ class ParameterSpace:
         if not isinstance(entries, list):
             raise DataError(f"{path}: expected a JSON array of parameter objects")
         return cls.from_dict(entries)
-
-    def save(self, path) -> None:
-        write_json(path, self.params)
 
 
 def _spec_from_entry(e, i: int) -> ParameterSpec:

@@ -24,6 +24,7 @@ import asuq.surrogate
 import asuq.svgplot
 import asuq.uq_analysis
 from asuq import load_campaign
+from asuq._fileio import write_json
 from asuq.campaign import evaluate_campaign, journal_path
 from asuq.cli import main
 from asuq.param_space import unit_space
@@ -1350,7 +1351,7 @@ WIDE_ANALYZE = ["--seed", "5", "--bootstrap", "200", "--cdf"]
 def wide(tmp_path_factory):
     """An evaluated campaign with m = 20 parameters and M = 60 runs."""
     work = tmp_path_factory.mktemp("wide")
-    unit_space(20).save(work / "space.json")
+    write_json(work / "space.json", unit_space(20).params)
     campaign = work / "campaign.json"
     assert run_cli("sample", "--space", str(work / "space.json"), "-M", "60",
                    "--seed", "4", "--out", str(campaign)) == 0

@@ -311,11 +311,14 @@ class TestBuildInflow:
         low = build_inflow(x, space)
         assert low.k / nominal.k == pytest.approx((0.001 / 0.01) ** 2, rel=1e-9)
 
-    def test_wrong_space_names_rejected(self):
-        from asuq import unit_space
+    def test_wrong_space_names_rejected(self, space):
+        from asuq import ParameterSpace, unit_space
 
         with pytest.raises(DataError, match="schema|names"):
             build_inflow(np.zeros(7), unit_space(7))
+        # The bundled names in another order are refused too.
+        with pytest.raises(DataError, match="schema|names"):
+            build_inflow(np.zeros(7), ParameterSpace(space.params[::-1]))
 
     def test_params_object_keys(self, space):
         cond = build_inflow(np.zeros(7), space)
@@ -387,6 +390,10 @@ SHOTS_EXCLUDED_2_AND_MINUS_1 = SHOTS_HEADER + (
     (lambda tmp: load_shots(tmp / "empty.csv"), DataError, "no shot rows"),
     (lambda tmp: load_shots(tmp / "excluded.csv"), DataError,
      "row 3: excluded must be 0 or 1, got 2"),
+    # A bad row is named by its line in the file, comments and blanks
+    # included.
+    (lambda tmp: load_shots(tmp / "commented.csv"), DataError,
+     "row 5: excluded must be 0 or 1, got 2"),
     (lambda tmp: fit_T0_H0([ShotRecord(1, 178.0, 2700.0, 3.25),
                             ShotRecord(2, 178.0, 2800.0, 3.25)]),
      DegeneracyError, "all shots share one enthalpy"),
@@ -402,10 +409,13 @@ SHOTS_EXCLUDED_2_AND_MINUS_1 = SHOTS_HEADER + (
     (lambda tmp: equivalence_ratio(-1.0, 8.0), DataError,
      "fuel mass flow must be finite and >= 0"),
 ], ids=["shot", "shots-header", "shots-empty", "shots-excluded",
-        "one-enthalpy", "rank", "velocity", "intensity", "fuel"])
+        "shots-commented", "one-enthalpy", "rank", "velocity", "intensity",
+        "fuel"])
 def test_input_check_raises(tmp_path, call, error, message):
     (tmp_path / "header.csv").write_text("id,P0_bar\n1,178.0\n")
     (tmp_path / "empty.csv").write_text(SHOTS_HEADER)
     (tmp_path / "excluded.csv").write_text(SHOTS_EXCLUDED_2_AND_MINUS_1)
+    (tmp_path / "commented.csv").write_text(
+        SHOTS_HEADER + "1,178.0,2742,3.25,,,0\n# note\n\n2,181.0,2780,3.30,,,2\n")
     with pytest.raises(error, match=message):
         call(tmp_path)

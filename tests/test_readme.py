@@ -1,9 +1,11 @@
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
 import asuq
+from asuq.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +26,19 @@ def test_python_api_example_runs():
     assert np.all((rng.f_min <= f) & (f <= rng.f_max))
     assert namespace["safe"].feasible in ("empty", "partial", "full")
     assert len(namespace["cdf"].grid) == 513
+
+
+def test_command_line_example_runs(tmp_path, monkeypatch):
+    text = README.read_text()
+    cli = text[text.index("## Command-line pipeline"):]
+    block = re.search(r"```sh\n(.*?)```", cli, re.S).group(1)
+    commands = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("asuq ") and "./solver.sh" not in line]
+    assert [argv[0] for argv in commands] == ["sample", "run", "analyze"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == [
+        "cdf.csv", "cdf.svg", "range.json", "results.json", "safeset.json",
+        "summary.csv", "summary.svg", "surrogate.json"]
