@@ -31,7 +31,7 @@ _LAZY = {name: module for module, names in {
         "unit_space"),
     "surrogate": ("QuadraticSurrogate", "fit_quadratic"),
     "uq_analysis": (
-        "CdfEstimate", "InscribedBox", "RangeEstimate", "SafeSetResult",
+        "CdfEstimate", "RangeEstimate", "SafeSetResult",
         "corner_extrema", "estimate_cdf", "estimate_range", "inscribed_box",
         "invert_safe_set"),
 }.items() for name in names}

@@ -147,7 +147,7 @@ def load_shots(path=None) -> list[ShotRecord]:
     # (line in the file, text) of each line that is neither blank nor a
     # comment, so a bad row is named by its line in the file.
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip() and not ln.startswith("#")]
+             if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.DictReader(ln for _, ln in lines)
     required = {"id", "P0_bar", "T0_K", "H0_MJkg", "PH2_bar", "phi", "excluded"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -21,7 +21,6 @@ from .surrogate import QuadraticSurrogate
 __all__ = [
     "RangeEstimate",
     "SafeSetResult",
-    "InscribedBox",
     "CdfEstimate",
     "corner_extrema",
     "estimate_range",
@@ -109,16 +108,9 @@ def estimate_range(w, f_corners, f_samples, discordant_pairs: int = 0,
 
 # -- safe set and inscribed box ----------------------------------------------
 
-@dataclass(frozen=True)
-class InscribedBox:
-    """Side lengths of the largest box inside the safe half-space slab."""
-
-    sides: np.ndarray  # each in [0, 2]
-    empty: bool
-
-
-def inscribed_box(w, y_max: float, x_min) -> InscribedBox:
-    """Largest axis-aligned box in {x : w.x <= y_max} anchored at x_min.
+def inscribed_box(w, y_max: float, x_min) -> np.ndarray:
+    """Side lengths of the largest axis-aligned box in {x : w.x <= y_max}
+    anchored at x_min, each in [0, 2].
 
     Maximizes sum(log s_i) subject to sum(|w_i| s_i) <= y_max - w.x_min
     and 0 <= s_i <= 2. The KKT solution is water-filling,
@@ -126,6 +118,7 @@ def inscribed_box(w, y_max: float, x_min) -> InscribedBox:
     get the full side. With the k nonzero |w_i| sorted, a_1 <= ... <= a_k,
     and S_j = a_1 + ... + a_j, the level is exact: the budget B binds at
     lam = (B - 2 S_j) / (k - j) for the first j with lam <= 2 a_(j+1).
+    A negative budget gives all zeros; one that covers the cube, all 2.
     """
     w = _check_unit(w)
     x_min = np.asarray(x_min, dtype=float).ravel()
@@ -134,9 +127,9 @@ def inscribed_box(w, y_max: float, x_min) -> InscribedBox:
     m = len(w)
 
     if budget < 0:
-        return InscribedBox(sides=np.zeros(m), empty=True)
+        return np.zeros(m)
     if 2.0 * absw.sum() <= budget:
-        return InscribedBox(sides=np.full(m, 2.0), empty=False)
+        return np.full(m, 2.0)
 
     active = absw > 0.0
     a = np.sort(absw[active])
@@ -148,7 +141,7 @@ def inscribed_box(w, y_max: float, x_min) -> InscribedBox:
 
     sides = np.full(m, 2.0)
     sides[active] = np.minimum(2.0, lam / absw[active])
-    return InscribedBox(sides=sides, empty=False)
+    return sides
 
 
 @dataclass(frozen=True)
@@ -206,13 +199,13 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
     if ub[0] > threshold:
         feasible = "empty"
         y_max = None
-        box = InscribedBox(sides=np.zeros(len(w)), empty=True)
+        sides = np.zeros(len(w))
     else:
         crossing = np.nonzero(ub > threshold)[0]
         if len(crossing) == 0:
             feasible = "full"
             y_max = l1
-            box = InscribedBox(sides=np.full(len(w), 2.0), empty=False)
+            sides = np.full(len(w), 2.0)
         else:
             feasible = "partial"
             i = int(crossing[0])
@@ -223,9 +216,9 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
                 else:
                     lo = mid
             y_max = float(lo)
-            box = inscribed_box(w, y_max, x_min)
+            sides = inscribed_box(w, y_max, x_min)
 
-    intervals = _box_normalized_intervals(x_min, box.sides)
+    intervals = _box_normalized_intervals(x_min, sides)
     if space is not None:
         p_lo, p_hi = space.denormalize(intervals.T)
     safe_ranges = []
@@ -234,7 +227,7 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
             "index": i,
             "normalized_min": float(intervals[i, 0]),
             "normalized_max": float(intervals[i, 1]),
-            "restricted": bool(box.sides[i] < 2.0 - 1e-12),
+            "restricted": bool(sides[i] < 2.0 - 1e-12),
         }
         if space is not None:
             spec = space.params[i]
@@ -248,7 +241,7 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
 
     return SafeSetResult(
         threshold=float(threshold), level=float(level), y_max=y_max,
-        feasible=feasible, box_sides=box.sides, x_anchor=x_min,
+        feasible=feasible, box_sides=sides, x_anchor=x_min,
         safe_ranges=safe_ranges,
     )
 
@@ -257,11 +250,11 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
 
 @dataclass(frozen=True)
 class CdfEstimate:
-    """Gaussian-kernel CDF of the surrogate output under uniform inputs.
+    """Gaussian-kernel CDF of the surrogate output under uniform inputs,
+    as its values ``cdf`` on the uniform ``grid``.
 
-    The samples are binned linearly onto a fine grid, so the estimate is
-    the mixture sum_k weights_k ndtr((q - origin - k spacing) / h). A
-    degenerate (constant-output) estimate is a step at ``_origin``.
+    A degenerate (constant-output) estimate is a step: ``cdf`` is 0, 0.5
+    and 1 one margin below the constant, at it and one margin above.
     """
 
     grid: np.ndarray
@@ -269,27 +262,6 @@ class CdfEstimate:
     n_samples: int
     bandwidth: float
     degenerate: bool = False
-    _origin: float = 0.0
-    _spacing: float = 0.0
-    _weights: np.ndarray | None = None
-
-    def evaluate(self, q):
-        """The mixture (or step, when degenerate) CDF at arbitrary points."""
-        q = np.asarray(q, dtype=float)
-        if self.degenerate:
-            c = self._origin
-            at_atom = np.abs(q - c) <= 1e-12 * max(1.0, abs(c))
-            out = np.where(at_atom, 0.5, np.where(q < c, 0.0, 1.0))
-        else:
-            nodes = self._origin + self._spacing * np.arange(len(self._weights))
-            flat = q.ravel()
-            out = np.empty(len(flat))
-            rows = max(1, _KERNEL_BLOCK // len(nodes))
-            for i in range(0, len(flat), rows):
-                z = (flat[i:i + rows, None] - nodes[None, :]) / self.bandwidth
-                out[i:i + rows] = _ndtr(z) @ self._weights
-            out = out.reshape(q.shape)
-        return float(out) if q.ndim == 0 else np.asarray(out)
 
 
 # Largest number of kernel terms held at once (8 MiB of float64).
@@ -303,8 +275,7 @@ def _ndtr(z: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(z * -math.sqrt(0.5)).astype(float)
 
 
-def _binned_kernel_cdf(grid: np.ndarray, g: np.ndarray, h: float
-                       ) -> tuple[np.ndarray, float, np.ndarray]:
+def _binned_kernel_cdf(grid: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Kernel CDF on the uniform ``grid`` from linearly binned samples.
 
     With output spacing d, the samples are spread linearly over a fine
@@ -314,7 +285,7 @@ def _binned_kernel_cdf(grid: np.ndarray, g: np.ndarray, h: float
     2N - 1 kernel values on the N fine nodes. Linear interpolation of
     each sample's kernel moves F by at most max|ndtr''| (delta/h)^2 / 8
     = 0.0303 (delta/h)^2 <= 1.2e-4. Rows are computed in blocks of at
-    most _KERNEL_BLOCK terms. Returns (cdf, delta, weights).
+    most _KERNEL_BLOCK terms.
     """
     d = (grid[-1] - grid[0]) / (len(grid) - 1)
     r = max(1, math.ceil(16.0 * d / h))
@@ -329,12 +300,11 @@ def _binned_kernel_cdf(grid: np.ndarray, g: np.ndarray, h: float
     # windows[i] = kernel[i r : i r + N]; its dot with the reversed
     # weights is sum_k c_k kernel[i r + N - 1 - k].
     windows = np.lib.stride_tricks.sliding_window_view(kernel, nodes)[::r]
-    reversed_weights = weights[::-1]
     cdf = np.empty(len(grid))
     rows = max(1, _KERNEL_BLOCK // nodes)
     for i in range(0, len(grid), rows):
-        cdf[i:i + rows] = windows[i:i + rows] @ reversed_weights
-    return cdf, delta, weights
+        cdf[i:i + rows] = windows[i:i + rows] @ weights[::-1]
+    return cdf
 
 
 # Bandwidths by which the CDF grid extends past the sample extremes.
@@ -375,13 +345,10 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
         margin = max(1.0, 1e-3 * abs(c))
         grid = np.array([c - margin, c, c + margin])
         return CdfEstimate(grid=grid, cdf=np.array([0.0, 0.5, 1.0]),
-                           n_samples=n_samples, bandwidth=0.0,
-                           degenerate=True, _origin=c)
+                           n_samples=n_samples, bandwidth=0.0, degenerate=True)
 
     h = 1.06 * std * n_samples ** (-0.2)
     grid = np.linspace(g.min() - _GRID_MARGIN * h, g.max() + _GRID_MARGIN * h,
                        grid_size)
-    cdf, delta, weights = _binned_kernel_cdf(grid, g, h)
-    return CdfEstimate(grid=grid, cdf=cdf, n_samples=n_samples, bandwidth=h,
-                       degenerate=False, _origin=float(grid[0]),
-                       _spacing=delta, _weights=weights)
+    return CdfEstimate(grid=grid, cdf=_binned_kernel_cdf(grid, g, h),
+                       n_samples=n_samples, bandwidth=h)

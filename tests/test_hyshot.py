@@ -50,6 +50,14 @@ class TestShotData:
         with pytest.raises(DataError, match="row 2"):
             load_shots(path)
 
+    def test_indented_comment_is_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("id,P0_bar,T0_K,H0_MJkg,PH2_bar,phi,excluded\n"
+                        "1,178.0,2742,3.25,,,0\n  # note\n"
+                        "2,181.0,2780,3.30,,,1\n")
+        assert [(s.id, s.excluded) for s in load_shots(path)] == [
+            (1, False), (2, True)]
+
 
 class TestT0H0Regression:
     def test_nine_shot_fit_reproduces_reference(self):
@@ -394,6 +402,8 @@ SHOTS_EXCLUDED_2_AND_MINUS_1 = SHOTS_HEADER + (
     # included.
     (lambda tmp: load_shots(tmp / "commented.csv"), DataError,
      "row 5: excluded must be 0 or 1, got 2"),
+    (lambda tmp: load_shots(tmp / "indented.csv"), DataError,
+     "row 4: excluded must be 0 or 1, got 2"),
     (lambda tmp: fit_T0_H0([ShotRecord(1, 178.0, 2700.0, 3.25),
                             ShotRecord(2, 178.0, 2800.0, 3.25)]),
      DegeneracyError, "all shots share one enthalpy"),
@@ -409,13 +419,15 @@ SHOTS_EXCLUDED_2_AND_MINUS_1 = SHOTS_HEADER + (
     (lambda tmp: equivalence_ratio(-1.0, 8.0), DataError,
      "fuel mass flow must be finite and >= 0"),
 ], ids=["shot", "shots-header", "shots-empty", "shots-excluded",
-        "shots-commented", "one-enthalpy", "rank", "velocity", "intensity",
-        "fuel"])
+        "shots-commented", "shots-indented", "one-enthalpy", "rank",
+        "velocity", "intensity", "fuel"])
 def test_input_check_raises(tmp_path, call, error, message):
     (tmp_path / "header.csv").write_text("id,P0_bar\n1,178.0\n")
     (tmp_path / "empty.csv").write_text(SHOTS_HEADER)
     (tmp_path / "excluded.csv").write_text(SHOTS_EXCLUDED_2_AND_MINUS_1)
     (tmp_path / "commented.csv").write_text(
         SHOTS_HEADER + "1,178.0,2742,3.25,,,0\n# note\n\n2,181.0,2780,3.30,,,2\n")
+    (tmp_path / "indented.csv").write_text(
+        SHOTS_HEADER + "1,178.0,2742,3.25,,,0\n  # note\n2,181.0,2780,3.30,,,2\n")
     with pytest.raises(error, match=message):
         call(tmp_path)

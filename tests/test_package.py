@@ -21,14 +21,14 @@ PUBLIC = {
     "ParameterSpace", "ParameterSpec", "hyshot_space", "sample_hypercube",
     "unit_space",
     "QuadraticSurrogate", "fit_quadratic",
-    "CdfEstimate", "InscribedBox", "RangeEstimate", "SafeSetResult",
+    "CdfEstimate", "RangeEstimate", "SafeSetResult",
     "corner_extrema", "estimate_cdf", "estimate_range", "inscribed_box",
     "invert_safe_set",
 }
 
 
-def test_the_44_public_names_are_pinned():
-    assert len(asuq.__all__) == len(PUBLIC) == 44
+def test_the_43_public_names_are_pinned():
+    assert len(asuq.__all__) == len(PUBLIC) == 43
     assert set(asuq.__all__) == PUBLIC
 
 

@@ -551,30 +551,30 @@ class TestInscribedBox:
     def test_two_parameter_water_filling(self):
         w = np.array([0.8, 0.6])
         x_min = corner_extrema(w)[0]
-        box = inscribed_box(w, 0.0, x_min)
-        np.testing.assert_allclose(box.sides, [0.875, 7.0 / 6.0], atol=1e-9)
-        assert np.prod(box.sides) == pytest.approx(1.0208333333, abs=1e-6)
-        assert not box.empty
+        sides = inscribed_box(w, 0.0, x_min)
+        np.testing.assert_allclose(sides, [0.875, 7.0 / 6.0], atol=1e-9)
+        assert np.prod(sides) == pytest.approx(1.0208333333, abs=1e-6)
+        assert sides.any()
 
     def test_full_budget_gives_whole_cube(self):
         w = ridge_direction(5, seed=4)
         x_min = corner_extrema(w)[0]
-        box = inscribed_box(w, float(np.abs(w).sum()), x_min)
-        np.testing.assert_allclose(box.sides, 2.0, atol=1e-12)
+        sides = inscribed_box(w, float(np.abs(w).sum()), x_min)
+        np.testing.assert_allclose(sides, 2.0, atol=1e-12)
 
     def test_zero_weight_coordinate_gets_full_side(self):
         w = np.array([0.6, 0.8, 0.0])
         x_min = corner_extrema(w)[0]
-        box = inscribed_box(w, -0.5, x_min)
-        assert box.sides[2] == 2.0
-        assert box.sides[0] < 2.0 and box.sides[1] < 2.0
+        sides = inscribed_box(w, -0.5, x_min)
+        assert sides[2] == 2.0
+        assert sides[0] < 2.0 and sides[1] < 2.0
 
     def test_negative_budget_is_empty(self):
         w = np.array([1.0, 0.0])
         x_min = corner_extrema(w)[0]
-        box = inscribed_box(w, -1.5, x_min)
-        assert box.empty
-        np.testing.assert_array_equal(box.sides, 0.0)
+        sides = inscribed_box(w, -1.5, x_min)
+        assert not sides.any()
+        np.testing.assert_array_equal(sides, 0.0)
 
     def test_kkt_stationarity_and_binding_budget(self):
         rng = np.random.default_rng(23)
@@ -584,14 +584,14 @@ class TestInscribedBox:
             w /= np.linalg.norm(w)
             x_min = corner_extrema(w)[0]
             y_max = float(rng.uniform(-np.abs(w).sum(), np.abs(w).sum()))
-            box = inscribed_box(w, y_max, x_min)
+            sides = inscribed_box(w, y_max, x_min)
             b = y_max - float(w @ x_min)
-            interior = (box.sides > 1e-12) & (box.sides < 2.0 - 1e-12)
+            interior = (sides > 1e-12) & (sides < 2.0 - 1e-12)
             if interior.sum() >= 2:
-                costs = box.sides[interior] * np.abs(w)[interior]
+                costs = sides[interior] * np.abs(w)[interior]
                 assert np.ptp(costs) <= 1e-9
-            if np.any(box.sides < 2.0 - 1e-12):
-                assert abs(float(np.abs(w) @ box.sides) - b) <= 1e-9
+            if np.any(sides < 2.0 - 1e-12):
+                assert abs(float(np.abs(w) @ sides) - b) <= 1e-9
 
     @pytest.mark.parametrize("m,seed", [(1, 0), (2, 1), (3, 2)])
     def test_matches_grid_search(self, m, seed):
@@ -602,8 +602,7 @@ class TestInscribedBox:
             x_min = corner_extrema(w)[0]
             l1 = float(np.abs(w).sum())
             y_max = float(rng.uniform(-0.9 * l1, 0.9 * l1))
-            box = inscribed_box(w, y_max, x_min)
-            got = float(np.prod(box.sides))
+            got = float(np.prod(inscribed_box(w, y_max, x_min)))
             want = box_product_oracle(w, y_max, x_min)
             assert abs(got - want) <= 1e-3
 
@@ -632,10 +631,10 @@ class TestInscribedBox:
                   "partial": 2.0 * l1 * max(fraction, 1e-12) * (1.0 - 1e-12),
                   "full": 2.0 * l1 + fraction}[regime]
         y_max = float(w @ x_min) + budget
-        box = inscribed_box(w, y_max, x_min)
+        sides = inscribed_box(w, y_max, x_min)
         want = bisection_box_sides(w, y_max, x_min)
-        np.testing.assert_allclose(box.sides, want, rtol=0, atol=1e-12)
-        assert box.empty == (regime == "empty")
+        np.testing.assert_allclose(sides, want, rtol=0, atol=1e-12)
+        assert (not sides.any()) == (regime == "empty")
 
 
 class TestInvertSafeSet:
@@ -836,15 +835,17 @@ class TestEstimateCdf:
         cdf = estimate_cdf(surr, np.array([1.0]), m=1, n_samples=100, seed=0)
         assert cdf.degenerate
         assert cdf.bandwidth == 0.0
-        assert cdf.evaluate(2.9) == 0.0
-        assert cdf.evaluate(3.0) == 0.5
-        assert cdf.evaluate(3.1) == 1.0
+        margin = max(1.0, 1e-3 * 3.0)
+        np.testing.assert_array_equal(cdf.grid,
+                                      [3.0 - margin, 3.0, 3.0 + margin])
+        np.testing.assert_array_equal(cdf.cdf, [0.0, 0.5, 1.0])
 
     def test_linear_surrogate_median(self):
         y = np.linspace(-1, 1, 20)
         surr = fit_quadratic(y, y, y_domain=(-1.0, 1.0))
         cdf = estimate_cdf(surr, np.array([1.0]), m=1, n_samples=5000, seed=42)
-        assert cdf.evaluate(0.0) == pytest.approx(0.5, abs=0.02)
+        median = np.interp(0.0, cdf.grid, cdf.cdf)
+        assert median == pytest.approx(0.5, abs=0.02)
 
     def test_monotone_and_saturating(self, safe_fixture):
         surr, w, _ = safe_fixture
@@ -856,10 +857,9 @@ class TestEstimateCdf:
     def test_tails_converge_past_extremes(self, safe_fixture):
         surr, w, _ = safe_fixture
         cdf = estimate_cdf(surr, w, m=3, n_samples=500, seed=3)
-        lo = cdf.grid[0] - 2 * cdf.bandwidth   # 6 bandwidths below the extreme
-        hi = cdf.grid[-1] + 2 * cdf.bandwidth
-        assert cdf.evaluate(lo) <= 1e-6
-        assert cdf.evaluate(hi) >= 1.0 - 1e-6
+        # The grid ends sit 4 bandwidths past the sample extremes.
+        assert cdf.cdf[0] <= 1e-6
+        assert cdf.cdf[-1] >= 1.0 - 1e-6
 
     def test_seed_reproducibility(self, safe_fixture):
         surr, w, _ = safe_fixture
@@ -907,7 +907,6 @@ class TestEstimateCdf:
         delta = d / max(1, math.ceil(16.0 * d / h))
         dense = ndtr((grid[:, None] - g[None, :]) / h).mean(axis=1)
         assert np.max(np.abs(cdf.cdf - dense)) <= 0.0303 * (delta / h) ** 2 + 1e-12
-        assert np.max(np.abs(cdf.evaluate(grid) - cdf.cdf)) <= 1e-12
         assert np.all(np.diff(cdf.cdf) >= -1e-15)
 
 
@@ -926,7 +925,7 @@ def cubic_ridge(m):
 
 def cdf_bytes(surr, w, m, n, seed) -> bytes:
     cdf = estimate_cdf(surr, w, m, n_samples=n, seed=seed)
-    return cdf.grid.tobytes() + cdf.cdf.tobytes() + cdf._weights.tobytes()
+    return cdf.grid.tobytes() + cdf.cdf.tobytes()
 
 
 class TestStreamedCdfSample:
