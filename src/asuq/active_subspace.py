@@ -184,9 +184,13 @@ def fit_active_direction(X, f) -> ActiveSubspace:
 # Rank-deficient resamples bootstrap_direction redraws per replicate.
 _MAX_RETRIES = 100
 
-# Replicates solved per batch by bootstrap_direction; bounds the
-# (block, m+1, m+1) Gram stack next to the (M, (m+1)^2) row outer products.
+# Replicates solved per batch by bootstrap_direction. Besides the (M, (m+1)^2)
+# row outer products, the bootstrap holds one (block, m+1, m+1) Gram stack,
+# whose buffer every block reuses.
 _BOOTSTRAP_BLOCK = 64
+
+# Gram matrices _well_conditioned copies, shifts and factors at once.
+_CERTIFY_BATCH = 8
 
 # The normal equations lose about cond(G) * eps of relative accuracy, where
 # cond(G) = cond(A_idx)^2. A replicate whose Gram matrix is worse conditioned
@@ -203,18 +207,21 @@ def _well_conditioned(gram: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     The Frobenius norm U bounds lam_max, so a Cholesky factorization of
     G - t I with t = 2 U / _GRAM_COND_MAX proves lam_min > t, twice the
     margin the test asks, far above rounding. It is tried on the matrices
-    marked in ``candidates``, all at once and, when one of them fails,
-    one by one. Only the matrices it does not prove are tested on their
-    eigenvalues.
+    marked in ``candidates``, _CERTIFY_BATCH at a time and, when one of a
+    batch fails, on that batch one by one. Only the matrices it does not
+    prove are tested on their eigenvalues.
     """
-    shifted = gram[candidates]
-    t = 2 / _GRAM_COND_MAX * np.linalg.norm(shifted, axis=(1, 2))
-    shifted -= t[:, None, None] * np.eye(gram.shape[-1])
     ok = candidates.copy()
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        ok[candidates] = [_factors(g) for g in shifted]
+    tried = np.flatnonzero(candidates)
+    for start in range(0, len(tried), _CERTIFY_BATCH):
+        sub = tried[start:start + _CERTIFY_BATCH]
+        shifted = gram[sub]
+        t = 2 / _GRAM_COND_MAX * np.linalg.norm(shifted, axis=(1, 2))
+        shifted -= t[:, None, None] * np.eye(gram.shape[-1])
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            ok[sub] = [_factors(g) for g in shifted]
     rest = ~ok
     if rest.any():
         # For a bootstrap Gram matrix lam[:, -1] >= M > 0, so this also
@@ -294,13 +301,14 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
     Af = A * (f - f.mean())[:, None]
     f_abs = np.abs(f)
     replicates = np.empty((N, m))
+    buf = np.empty((min(N, _BOOTSTRAP_BLOCK), p * p))
     for start in range(0, N, _BOOTSTRAP_BLOCK):
         ks = range(start, min(N, start + _BOOTSTRAP_BLOCK))
         B = len(ks)
         idx = np.stack([_replicate_rng(seed, k).integers(0, M, size=M) for k in ks])
         counts = np.bincount((idx + M * np.arange(B)[:, None]).ravel(),
                              minlength=B * M).reshape(B, M).astype(float)
-        gram = (counts @ outer).reshape(B, p, p)
+        gram = np.matmul(counts, outer, out=buf[:B]).reshape(B, p, p)
         # Fewer than m + 1 distinct rows give a singular Gram matrix, which
         # the certificate cannot prove.
         ok = _well_conditioned(gram, np.count_nonzero(counts, axis=1) > m)

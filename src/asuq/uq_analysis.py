@@ -318,7 +318,8 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
     Draws n_samples points on [-1, 1]^m, the rows of
     :func:`~asuq.param_space.sample_hypercube` (counter-based, so the set
     is reproducible and parallel-safe), in row blocks, each projected
-    onto w as it is drawn, so memory grows with n but not with n m.
+    onto w and dropped before the next is drawn, so memory grows with n
+    but not with n m.
     Evaluates g(w . x), and smooths with the Silverman bandwidth
     1.06 * std * n^(-1/5). The grid has ``grid_size`` points (at least 2)
     and spans _GRID_MARGIN bandwidths beyond the sample extremes. The
@@ -335,7 +336,12 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
         raise DataError(f"n_samples must be >= 2, got {n_samples}")
     if grid_size < 2:
         raise DataError(f"grid_size must be >= 2, got {grid_size}")
-    y = np.concatenate([X @ w for X in hypercube_blocks(m, n_samples, seed)])
+    y = np.empty(n_samples)
+    start = 0
+    for X in hypercube_blocks(m, n_samples, seed):
+        y[start:start + len(X)] = X @ w
+        start += len(X)
+        del X  # else X holds this block while the next is drawn
     g = np.asarray(surr.predict(y), dtype=float)
 
     std = float(np.std(g, ddof=1))

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,8 @@ from asuq import (
     summary_data,
 )
 from asuq.active_subspace import (
+    _BOOTSTRAP_BLOCK,
+    _CERTIFY_BATCH,
     _GRAM_COND_MAX,
     _QUANTILES,
     BootstrapEnsemble,
@@ -301,6 +304,46 @@ class TestBootstrap:
               f"of {len(seeds)} noisy ridge campaigns")
         assert rate >= 0.8
 
+    @pytest.mark.parametrize("N, blocks", [(40, [40]), (1000, [64] * 15 + [40])])
+    def test_blocks_share_one_gram_buffer(self, N, blocks):
+        # Every block's Gram stack is formed in one buffer of
+        # min(N, _BOOTSTRAP_BLOCK) rows; the replicates equal those of
+        # blocks formed by counts @ outer in fresh arrays.
+        X, f, _ = noisy_ridge(7, 50, 0.1, 2)
+        matmul = np.matmul
+        outs = []
+
+        def recording(a, b, out):
+            outs.append((len(out), out.base.shape, out.ctypes.data))
+            return matmul(a, b, out=out)
+
+        with mock.patch.object(np, "matmul", recording):
+            got = bootstrap_direction(X, f, N=N, seed=4).replicates
+        with mock.patch.object(np, "matmul", lambda a, b, out: a @ b):
+            ref = bootstrap_direction(X, f, N=N, seed=4).replicates
+        assert [rows for rows, _, _ in outs] == blocks
+        assert {(base, data) for _, base, data in outs} == {
+            ((min(N, _BOOTSTRAP_BLOCK), 8 * 8), outs[0][2])}
+        assert np.array_equal(got, ref)
+
+    def test_holds_one_gram_stack(self):
+        # m = 50, M = 200, as the analysis-heavy benchmark: beyond the
+        # (M, p^2) row outer products the bootstrap holds one block's
+        # (64, p, p) Gram stack, plus sub-batches and solves well below it.
+        X, f, _ = noisy_ridge(50, 200, 0.1, 5)
+        asub = fit_active_direction(X, f)
+        np.random.default_rng(0).integers(0, 200, size=200)
+        p = 51
+        outer_bytes = 200 * p * p * 8
+        stack_bytes = _BOOTSTRAP_BLOCK * p * p * 8
+        tracemalloc.start()
+        try:
+            bootstrap_direction(X, f, N=128, seed=3, asub=asub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= outer_bytes + 1.5 * stack_bytes + 2 ** 20
+
     def test_quantiles_shape(self, ridge_fixture):
         X, f, _ = ridge_fixture
         ens = bootstrap_direction(X, f, N=25, seed=0)
@@ -365,9 +408,10 @@ class TestGramCertificate:
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**20),
            log_conds=st.lists(st.one_of(st.floats(0.0, 3.5),
                                         st.floats(4 - 1e-6, 4 + 1e-6)),
-                              min_size=1, max_size=8))
+                              min_size=1, max_size=24))
     def test_verdict_equals_the_eigenvalue_test(self, p, seed, log_conds):
-        # Candidates decide only which matrices the certificate is tried on.
+        # Candidates decide only which matrices the certificate is tried on;
+        # stacks of up to 24 span three sub-batches of the certificate.
         stack = spd_stack(p, 10.0 ** np.array(log_conds), seed)
         everyone = np.ones(len(stack), dtype=bool)
         some = np.random.default_rng(seed).random(len(stack)) < 0.7
@@ -381,6 +425,28 @@ class TestGramCertificate:
         # ||G||_F <= sqrt(12) lam_max, so cond <= 100 is always proven.
         if max(log_conds) <= 2:
             assert eigvalsh.call_count == 0
+
+    @pytest.mark.parametrize("cond, passes", [(8e3, True), (1e6, False)])
+    def test_unproven_matrix_in_the_third_sub_batch(self, cond, passes):
+        # Of 20 matrices only matrix 17 escapes the certificate; it sits in
+        # the third sub-batch, which alone is factored one by one.
+        p, bad = 6, 17
+        conds = np.full(20, 10.0)
+        conds[bad] = cond
+        stack = spd_stack(p, conds, seed=8)
+        assert bad // _CERTIFY_BATCH == 2
+        everyone = np.ones(len(stack), dtype=bool)
+        with counting("eigvalsh") as eigvalsh, \
+                counting("cholesky") as chol:
+            verdict = _well_conditioned(stack, everyone)
+        expected = eigenvalue_verdict(stack)
+        assert expected.tolist() == [True] * bad + [passes] + [True] * 2
+        assert np.array_equal(verdict, expected)
+        assert [_well_conditioned(g[None], everyone[:1])[0]
+                for g in stack] == expected.tolist()
+        assert chol.call_count == 3 + (len(stack) - 2 * _CERTIFY_BATCH)
+        assert eigvalsh.call_count == 1
+        assert len(eigvalsh.call_args.args[0]) == 1
 
     def test_mixed_stack_tests_only_the_unproven_on_eigenvalues(self):
         p = 6
@@ -419,14 +485,16 @@ class TestGramCertificate:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_wide_campaign_needs_no_eigensolve(self):
-        # m = 50, M = 200, as the analysis-heavy benchmark: every block is
-        # proven, and the replicates are those of the eigenvalue route bit
-        # for bit, because the solve that produces them is the same.
+        # m = 50, M = 200, as the analysis-heavy benchmark: every sub-batch
+        # of candidates is proven by one factorization, and the replicates
+        # are those of the eigenvalue route bit for bit, because the solve
+        # that produces them is the same.
         X, f, _ = noisy_ridge(50, 200, 0.1, 5)
         asub = fit_active_direction(X, f)
         with counting("eigvalsh") as eigvalsh, counting("cholesky") as chol:
             got = bootstrap_direction(X, f, N=128, seed=3, asub=asub)
-        assert eigvalsh.call_count == 0 and chol.call_count == 2
+        assert eigvalsh.call_count == 0
+        assert chol.call_count == 128 // _CERTIFY_BATCH == 16
 
         def no_certificate(a):
             raise np.linalg.LinAlgError("certificate switched off")

@@ -982,6 +982,22 @@ class TestStreamedCdfSample:
         bound = 10 * 8 * n + block + 8 * uq_analysis._KERNEL_BLOCK
         assert peak < bound < 30 * 2 ** 20
 
+    def test_draw_holds_one_block_at_a_time(self):
+        # Four full blocks at m = 50: each (4096, 52) Philox block, 1.6 MiB,
+        # is dropped before the next is drawn. Holding the previous block
+        # during the draw peaked at 3.3 MiB; the n-vectors add 0.1 MiB each.
+        m, n = 50, 4 * param_space._SAMPLE_BLOCK
+        surr, w = cubic_ridge(m)
+        estimate_cdf(surr, w, m, n_samples=100, seed=0)
+        tracemalloc.start()
+        try:
+            estimate_cdf(surr, w, m, n_samples=n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = param_space._SAMPLE_BLOCK * 4 * math.ceil(m / 4) * 8
+        assert peak < 1.5 * block
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda surr: corner_extrema([1.0, 1.0]), "w must be a unit vector"),
