@@ -23,9 +23,8 @@ _LAZY = {name: module for module, names in {
         "fit_active_direction", "sensitivity_ranking", "summary_data"),
     "campaign": (
         "Campaign", "CommandEvaluator", "EvalRequest", "RunRecord",
-        "append_run", "evaluate_campaign", "load_campaign", "load_dataset",
-        "new_campaign", "ridge_direction", "save_campaign", "save_dataset",
-        "synthetic_ridge"),
+        "append_run", "evaluate_campaign", "load_campaign", "new_campaign",
+        "ridge_direction", "save_campaign", "synthetic_ridge"),
     "param_space": (
         "ParameterSpace", "ParameterSpec", "hyshot_space", "sample_hypercube",
         "unit_space"),

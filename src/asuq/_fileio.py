@@ -10,8 +10,9 @@ from pathlib import Path
 def atomic_open(path):
     """Open ``path`` for text writing through ``<path>.tmp``.
 
-    On a clean exit the temp file is fsynced and renamed over ``path``;
-    on any failure it is removed and ``path`` keeps its old contents.
+    On a clean exit the temp file is fsynced, renamed over ``path``, and
+    the directory fsynced so the rename is durable; on any failure the
+    temp file is removed and ``path`` keeps its old contents.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -23,6 +24,11 @@ def atomic_open(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def jsonable(obj):

@@ -4,8 +4,7 @@ A campaign records the normalized sample points, their physical
 counterparts, and the scalar quantity of interest returned by an
 evaluator. Evaluators are callables taking an :class:`EvalRequest`;
 built-in synthetic ridges and external subprocess commands are
-supported. Pre-recorded CSV datasets load as campaigns of done runs
-(:func:`load_dataset`).
+supported.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open, jsonable, write_json
+from ._fileio import jsonable, write_json
 from .errors import DataError, EvaluatorError, UsageError
-from .param_space import (SAMPLER_VERSION, ParameterSpace, sample_hypercube,
-                          unit_space)
+from .param_space import SAMPLER_VERSION, ParameterSpace, sample_hypercube
 
 __all__ = [
     "RunRecord",
@@ -33,8 +31,6 @@ __all__ = [
     "save_campaign",
     "load_campaign",
     "append_run",
-    "load_dataset",
-    "save_dataset",
     "synthetic_ridge",
     "ridge_direction",
     "CommandEvaluator",
@@ -335,8 +331,8 @@ def save_campaign(campaign: Campaign, path) -> None:
     """Write the campaign manifest as JSON (deterministic formatting).
 
     The write is atomic: a temp file in the same directory is fsynced and
-    renamed over the manifest. The run journal, now folded into the
-    manifest, is then removed.
+    renamed over the manifest, and the directory is fsynced. The run
+    journal, now folded into the manifest, is then removed.
     """
     manifest = {
         "space": campaign.space.params,
@@ -408,62 +404,6 @@ def load_campaign(path) -> Campaign:
                         sampler=manifest["sampler"])
     _fold_journal(campaign.runs, journal_path(path), space.m)
     return campaign
-
-
-def load_dataset(path, space: ParameterSpace | None = None) -> Campaign:
-    """Ingest a pre-computed samples CSV (header x1,...,xm,f) as done runs.
-
-    Without a space, coordinates are taken at face value on [-1, 1]^m and
-    physical values equal normalized ones.
-    """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
-            if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty dataset")
-    header_line, header = rows[0]
-    cols = [c.strip() for c in header.split(",")]
-    if len(cols) < 2 or cols[-1] != "f" or \
-            any(c != f"x{i + 1}" for i, c in enumerate(cols[:-1])):
-        raise DataError(
-            f"{path}:{header_line}: header must be x1,...,xm,f; got {header!r}"
-        )
-    m = len(cols) - 1
-    if space is None:
-        space = unit_space(m)
-    elif space.m != m:
-        raise DataError(f"{path}: header implies m={m}, space has m={space.m}")
-
-    runs = []
-    for lineno, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != m + 1:
-            raise DataError(
-                f"{path}:{lineno}: expected {m + 1} columns, got {len(parts)}"
-            )
-        try:
-            values = [float(v) for v in parts]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"{path}:{lineno}: non-finite value in {row!r}")
-        x = np.array(values[:m])
-        runs.append(RunRecord(index=len(runs), x=x, p=space.denormalize(x),
-                              status="done", f=values[m]))
-    return Campaign(space, seed=0, condition=None, runs=runs)
-
-
-def save_dataset(campaign: Campaign, path) -> None:
-    """Write done runs as the samples CSV (header x1,...,xm,f)."""
-    m = campaign.m
-    lines = [",".join([f"x{i + 1}" for i in range(m)] + ["f"])]
-    for rec in campaign.done_runs():
-        lines.append(",".join([repr(float(v)) for v in rec.x] + [repr(float(rec.f))]))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # -- built-in synthetic evaluators ------------------------------------------

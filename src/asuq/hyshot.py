@@ -1,10 +1,10 @@
 """HyShot II input-characterization arithmetic.
 
-Converts the quantities measured in the HEG shock tunnel (stagnation
-conditions, fuel plenum pressure) and the derived turbulence/transition
-estimates into the physical boundary conditions a flow solver consumes.
-All internal computation is SI; bar/MPa/MJ conversions happen at the
-parsing boundary.
+Converts the stagnation conditions measured in the HEG shock tunnel and
+the derived turbulence/transition estimates into the physical boundary
+conditions a flow solver consumes; fueled shots carry ``PH2_bar`` and
+``phi`` as recorded, with no conversion. All internal computation is SI;
+bar/MPa/MJ conversions happen at the parsing boundary.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
     "eddy_growth_ratio",
     "nominal_dissipation_length",
     "transition_range",
-    "equivalence_ratio",
-    "phi_regime",
     "build_inflow",
 ]
 
@@ -54,10 +52,6 @@ U_COEFF = 1.332    # U_mag / sqrt(H0), (m/s) / sqrt(J/kg)
 TEST_SECTION_DIAMETER = 0.610
 NOMINAL_MACH = 7.4
 GAMMA = 1.4
-
-# Fuel/air equivalence ratios at or beyond this point leave the fully
-# supersonic as-designed regime for a combustor shock-train state.
-PHI_REGIME_BOUNDARY = 0.39
 
 
 def _finite_positive(*values: float) -> bool:
@@ -296,7 +290,7 @@ def nominal_dissipation_length() -> float:
     return 0.5 * throat * eddy_growth_ratio()
 
 
-# -- transition and fueling ------------------------------------------------------
+# -- transition -----------------------------------------------------------------
 
 def transition_range(spec: TransitionSpec) -> tuple[float, float]:
     """Transition-location range from perturbing the onset criterion.
@@ -306,22 +300,6 @@ def transition_range(spec: TransitionSpec) -> tuple[float, float]:
     (1 +/- 2 varphi).
     """
     return spec.x_t0 * (1.0 - 2.0 * spec.varphi), spec.x_t0 * (1.0 + 2.0 * spec.varphi)
-
-
-def equivalence_ratio(mdot_H2: float, mdot_O2: float) -> float:
-    """Fuel/air equivalence ratio phi = 8 * mdot_H2 / mdot_O2."""
-    if not _finite_positive(mdot_O2):
-        raise DataError(f"oxidizer mass flow must be finite and positive, got {mdot_O2}")
-    if not 0 <= mdot_H2 < math.inf:
-        raise DataError(f"fuel mass flow must be finite and >= 0, got {mdot_H2}")
-    return 8.0 * mdot_H2 / mdot_O2
-
-
-def phi_regime(phi: float) -> str:
-    """Classify an equivalence ratio against the shock-train boundary."""
-    if not math.isfinite(phi):
-        raise DataError(f"equivalence ratio must be finite, got {phi}")
-    return "as-designed" if phi < PHI_REGIME_BOUNDARY else "regime-boundary"
 
 
 # -- assembling solver boundary conditions ----------------------------------------

@@ -1,7 +1,10 @@
 import json
+import os
+import stat
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +19,9 @@ from asuq import (
     evaluate_campaign,
     hyshot_space,
     load_campaign,
-    load_dataset,
     new_campaign,
     ridge_direction,
     save_campaign,
-    save_dataset,
     synthetic_ridge,
     unit_space,
 )
@@ -394,6 +395,37 @@ class TestJournal:
         save_campaign(campaign, direct)
         assert saved.read_bytes() == direct.read_bytes()
 
+    def test_save_syncs_the_rename_before_the_journal_unlink(self, saved,
+                                                              monkeypatch):
+        # Power loss cannot be simulated here, so this checks the order of
+        # the calls that make the save durable: the directory is fsynced
+        # after the rename, before the journal is unlinked.
+        append_run(saved, load_campaign(saved).runs[0])
+        calls = []
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+        def fsync(fd):
+            calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                          else "file"))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            return real_replace(src, dst)
+
+        def unlink(path, missing_ok=False):
+            if path.name.endswith(".journal"):
+                calls.append(("unlink", path.name))
+            return real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        save_campaign(load_campaign(saved), saved)
+        assert calls == [("fsync", "file"), ("replace", "c.json"),
+                         ("fsync", "dir"), ("unlink", "c.json.journal")]
+        assert not journal_path(saved).exists()
+
     def test_old_wall_time_keys_load_and_vanish_on_save(self, saved, tmp_path,
                                                         small_campaign):
         # Older versions could write wall times into the manifest and journal.
@@ -415,76 +447,6 @@ class TestJournal:
         direct = tmp_path / "direct.json"
         save_campaign(small_campaign, direct)
         assert saved.read_bytes() == direct.read_bytes()
-
-
-class TestDataset:
-    def test_load_50_row_dataset(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = ["x1,x2,x3,x4,x5,x6,x7,f"]
-        for _ in range(50):
-            row = rng.uniform(-1, 1, 7)
-            lines.append(",".join(repr(float(v)) for v in row)
-                         + f",{float(rng.normal())!r}")
-        path = tmp_path / "d.csv"
-        path.write_text("\n".join(lines) + "\n")
-        campaign = load_dataset(path)
-        assert campaign.m == 7
-        assert len(campaign.done_runs()) == 50
-
-    def test_load_14_row_dataset(self, tmp_path):
-        lines = ["x1,x2,f"] + [f"{i / 14!r},{-i / 14!r},{float(i)!r}"
-                               for i in range(14)]
-        path = tmp_path / "d.csv"
-        path.write_text("\n".join(lines) + "\n")
-        assert len(load_dataset(path).done_runs()) == 14
-
-    def test_empty_file_is_parse_error(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    def test_bad_row_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,f\n0.5,1.0\n0.1,oops\n")
-        with pytest.raises(DataError, match=":3"):
-            load_dataset(path)
-
-    def test_non_finite_f_rejected(self, tmp_path):
-        path = tmp_path / "nan.csv"
-        path.write_text("x1,f\n0.5,nan\n")
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_x_names_line(self, tmp_path, value):
-        # Such a point would be saved as a NaN or Infinity token, which is
-        # not JSON, and load_campaign would refuse the saved manifest.
-        path = tmp_path / "x.csv"
-        path.write_text(f"x1,x2,f\n0.1,0.2,3.0\n0.1,{value},3.0\n")
-        with pytest.raises(DataError, match=":3: non-finite value"):
-            load_dataset(path)
-
-    def test_wrong_column_count_names_line(self, tmp_path):
-        path = tmp_path / "cols.csv"
-        path.write_text("x1,x2,f\n0.1,0.2,3.0\n0.1,0.2\n")
-        with pytest.raises(DataError, match=":3"):
-            load_dataset(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "hdr.csv"
-        path.write_text("a,b,f\n0.1,0.2,3.0\n")
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    def test_dataset_round_trip(self, tmp_path, small_campaign):
-        evaluate_campaign(small_campaign, lambda req: float(req.x.sum()))
-        p1 = tmp_path / "d1.csv"
-        save_dataset(small_campaign, p1)
-        reloaded = load_dataset(p1)
-        p2 = tmp_path / "d2.csv"
-        save_dataset(reloaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestSyntheticRidge:
@@ -612,10 +574,6 @@ def test_undersampled_campaign_warns():
 @pytest.mark.parametrize("call, error, message", [
     (lambda tmp: load_campaign(tmp / "c.json"), DataError,
      "cannot read journal"),
-    (lambda tmp: load_dataset(tmp / "missing.csv"), DataError,
-     "cannot read dataset"),
-    (lambda tmp: load_dataset(tmp / "d.csv", space=unit_space(3)), DataError,
-     "header implies m=2, space has m=3"),
     (lambda tmp: synthetic_ridge(np.array([1.0, 0.0]), noise=float("nan")),
      UsageError, "noise must be a finite number >= 0"),
     (lambda tmp: CommandEvaluator(""), UsageError, "empty evaluator command"),
@@ -626,11 +584,10 @@ def test_undersampled_campaign_warns():
     (lambda tmp: CommandEvaluator([str(tmp / "no-such-program")])(
         EvalRequest(index=0, x=np.zeros(1), params={}, condition={})),
      EvaluatorError, "run 0: cannot launch evaluator"),
-], ids=["journal", "dataset-missing", "dataset-m", "noise", "empty-command",
-        "unbalanced-quote", "timeout", "launch"])
+], ids=["journal", "noise", "empty-command", "unbalanced-quote", "timeout",
+        "launch"])
 def test_input_check_raises(tmp_path, call, error, message):
     save_campaign(new_campaign(unit_space(1), 2, seed=1), tmp_path / "c.json")
     journal_path(tmp_path / "c.json").mkdir()  # unreadable as a file
-    (tmp_path / "d.csv").write_text("x1,x2,f\n0.1,0.2,3.0\n")
     with pytest.raises(error, match=message):
         call(tmp_path)

@@ -14,12 +14,10 @@ from asuq.hyshot import (
     area_mach_ratio,
     build_inflow,
     eddy_growth_ratio,
-    equivalence_ratio,
     fit_T0_H0,
     load_shots,
     mach_from_area_ratio,
     nominal_dissipation_length,
-    phi_regime,
     stagnation_to_static,
     transition_range,
     turbulence_inflow,
@@ -273,23 +271,6 @@ class TestTransition:
             TransitionSpec(x_t0=0.1, varphi=0.5)
 
 
-class TestEquivalenceRatio:
-    def test_stoichiometric_by_construction(self):
-        assert equivalence_ratio(1.0, 8.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_no_fuel(self):
-        assert equivalence_ratio(0.0, 5.0) == 0.0
-
-    def test_zero_oxidizer_rejected(self):
-        with pytest.raises(DataError):
-            equivalence_ratio(1.0, 0.0)
-
-    def test_regime_classification(self):
-        assert phi_regime(0.30) == "as-designed"
-        assert phi_regime(0.39) == "regime-boundary"
-        assert phi_regime(0.45) == "regime-boundary"
-
-
 class TestBuildInflow:
     @pytest.fixture
     def space(self):
@@ -362,12 +343,6 @@ NAN, INF = math.nan, math.inf
     lambda: mach_from_area_ratio(NAN),
     lambda: mach_from_area_ratio(INF),
     lambda: mach_from_area_ratio(2.0, NAN),
-    lambda: equivalence_ratio(NAN, 1.0),
-    lambda: equivalence_ratio(1.0, NAN),
-    lambda: equivalence_ratio(INF, 1.0),
-    lambda: phi_regime(NAN),
-    lambda: phi_regime(INF),
-    lambda: phi_regime(-INF),
     lambda: build_inflow([0.0, NAN, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
     lambda: build_inflow([INF, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], hyshot_space()),
 ], ids=["shot-P0", "shot-T0", "shot-H0-inf", "shot-PH2", "shot-phi-inf",
@@ -375,9 +350,7 @@ NAN, INF = math.nan, math.inf
         "stagnation-T0-inf", "stagnation-alpha", "turbulence-U",
         "turbulence-I", "turbulence-L", "turbulence-I-inf", "area-M",
         "area-M-inf", "area-gamma", "area-gamma-inf", "mach-ratio",
-        "mach-ratio-inf", "mach-gamma", "phi-fuel", "phi-oxidizer",
-        "phi-fuel-inf", "regime-phi", "regime-phi-inf", "regime-phi-minus-inf",
-        "inflow-x", "inflow-x-inf"])
+        "mach-ratio-inf", "mach-gamma", "inflow-x", "inflow-x-inf"])
 def test_non_finite_input_raises(call):
     with pytest.raises(DataError):
         call()
@@ -416,11 +389,9 @@ SHOTS_EXCLUDED_2_AND_MINUS_1 = SHOTS_HEADER + (
      "velocity magnitude and length scale must be finite and positive"),
     (lambda tmp: turbulence_inflow(2000.0, -0.01, 0.2), DataError,
      "turbulence intensity must be finite and >= 0"),
-    (lambda tmp: equivalence_ratio(-1.0, 8.0), DataError,
-     "fuel mass flow must be finite and >= 0"),
 ], ids=["shot", "shots-header", "shots-empty", "shots-excluded",
         "shots-commented", "shots-indented", "one-enthalpy", "rank",
-        "velocity", "intensity", "fuel"])
+        "velocity", "intensity"])
 def test_input_check_raises(tmp_path, call, error, message):
     (tmp_path / "header.csv").write_text("id,P0_bar\n1,178.0\n")
     (tmp_path / "empty.csv").write_text(SHOTS_HEADER)

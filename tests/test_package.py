@@ -14,8 +14,8 @@ PUBLIC = {
     "SummaryData", "bootstrap_direction", "estimate_c_gradient_oracle",
     "fit_active_direction", "sensitivity_ranking", "summary_data",
     "Campaign", "CommandEvaluator", "EvalRequest", "RunRecord", "append_run",
-    "evaluate_campaign", "load_campaign", "load_dataset", "new_campaign",
-    "ridge_direction", "save_campaign", "save_dataset", "synthetic_ridge",
+    "evaluate_campaign", "load_campaign", "new_campaign", "ridge_direction",
+    "save_campaign", "synthetic_ridge",
     "DataError", "DegeneracyError", "EvaluatorError", "ToolkitError",
     "UsageError",
     "ParameterSpace", "ParameterSpec", "hyshot_space", "sample_hypercube",
@@ -27,8 +27,8 @@ PUBLIC = {
 }
 
 
-def test_the_43_public_names_are_pinned():
-    assert len(asuq.__all__) == len(PUBLIC) == 43
+def test_the_41_public_names_are_pinned():
+    assert len(asuq.__all__) == len(PUBLIC) == 41
     assert set(asuq.__all__) == PUBLIC
 
 
@@ -64,6 +64,39 @@ def test_star_import_gives_every_public_name(fresh_python):
                        "import asuq\n"
                        "print(all(n in globals() for n in asuq.__all__))\n")
     assert out.split() == ["True"]
+
+
+# Every submodule that declares ``__all__``.
+MODULES_WITH_ALL = ("active_subspace", "campaign", "errors", "hyshot",
+                    "param_space", "surrogate", "svgplot", "uq_analysis")
+
+
+def test_every_submodules_all_resolves(fresh_python):
+    # A stale ``__all__`` entry breaks ``from asuq.<mod> import *`` only.
+    code = ("import importlib, json\n"
+            "failures = {}\n"
+            f"for mod in {MODULES_WITH_ALL!r}:\n"
+            "    module = importlib.import_module('asuq.' + mod)\n"
+            "    missing = [n for n in module.__all__ if not hasattr(module, n)]\n"
+            "    try:\n"
+            "        exec(f'from asuq.{mod} import *', {})\n"
+            "    except Exception as exc:\n"
+            "        missing.append(repr(exc))\n"
+            "    failures[mod] = missing\n"
+            "print(json.dumps(failures))\n")
+    failures = json.loads(fresh_python("-c", code))
+    assert failures == {mod: [] for mod in MODULES_WITH_ALL}
+
+
+def test_the_14_hyshot_names_are_pinned():
+    from asuq import hyshot
+    assert sorted(hyshot.__all__) == sorted([
+        "ShotRecord", "TransitionSpec", "InflowCondition", "C_MU",
+        "load_shots", "fit_T0_H0", "stagnation_to_static",
+        "turbulence_inflow", "area_mach_ratio", "mach_from_area_ratio",
+        "eddy_growth_ratio", "nominal_dissipation_length",
+        "transition_range", "build_inflow"])
+    assert len(hyshot.__all__) == 14
 
 
 def test_cli_loads_hyshot_only_for_a_scenario_command(fresh_python):
