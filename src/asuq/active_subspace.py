@@ -204,14 +204,13 @@ _FLOOR_MARGIN = 1e4
 def _well_conditioned(gram: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Whether lam_max <= _GRAM_COND_MAX * lam_min, for a stack of Gram matrices.
 
-    The Frobenius norm U bounds lam_max, so a Cholesky factorization of
-    G - t I with t = 2 U / _GRAM_COND_MAX proves lam_min > t, twice the
-    margin the test asks, far above rounding. It is tried on the matrices
-    marked in ``candidates``, _CERTIFY_BATCH at a time and, when one of a
-    batch fails, on that batch one by one. Only the matrices it does not
-    prove are tested on their eigenvalues.
+    Only ``candidates`` can pass; the others, from at most m distinct rows,
+    are singular. One Cholesky factorization of G - t I per _CERTIFY_BATCH
+    candidates, t = 2 ||G||_F / _GRAM_COND_MAX, proves lam_min > t for the
+    sub-batch, twice the margin the test asks; where it fails, the
+    sub-batch's eigenvalues decide.
     """
-    ok = candidates.copy()
+    ok = np.zeros(len(gram), dtype=bool)
     tried = np.flatnonzero(candidates)
     for start in range(0, len(tried), _CERTIFY_BATCH):
         sub = tried[start:start + _CERTIFY_BATCH]
@@ -220,24 +219,13 @@ def _well_conditioned(gram: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         shifted -= t[:, None, None] * np.eye(gram.shape[-1])
         try:
             np.linalg.cholesky(shifted)
+            ok[sub] = True
         except np.linalg.LinAlgError:
-            ok[sub] = [_factors(g) for g in shifted]
-    rest = ~ok
-    if rest.any():
-        # For a bootstrap Gram matrix lam[:, -1] >= M > 0, so this also
-        # rejects lam[:, 0] <= 0.
-        lam = np.linalg.eigvalsh(gram[rest])
-        ok[rest] = lam[:, -1] <= _GRAM_COND_MAX * lam[:, 0]
+            # For a bootstrap Gram matrix lam[:, -1] >= M > 0, so this also
+            # rejects lam[:, 0] <= 0.
+            lam = np.linalg.eigvalsh(gram[sub])
+            ok[sub] = lam[:, -1] <= _GRAM_COND_MAX * lam[:, 0]
     return ok
-
-
-def _factors(g: np.ndarray) -> bool:
-    """Whether np.linalg.cholesky factors g."""
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _replicate_rng(seed: int, k: int):
@@ -310,7 +298,7 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
                              minlength=B * M).reshape(B, M).astype(float)
         gram = np.matmul(counts, outer, out=buf[:B]).reshape(B, p, p)
         # Fewer than m + 1 distinct rows give a singular Gram matrix, which
-        # the certificate cannot prove.
+        # fails without an eigensolve.
         ok = _well_conditioned(gram, np.count_nonzero(counts, axis=1) > m)
         gram[~ok] = np.eye(p)
         grad = np.linalg.solve(gram, (counts @ Af)[:, :, None])[:, 1:, 0]

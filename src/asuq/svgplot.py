@@ -22,21 +22,17 @@ _BIG = sys.float_info.max
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+    """Multiples k * step of a 1-2-5 step within 1e-12 steps of lo < hi,
+    each rounded to the step's decade, clamped into the limits, made +0.0
+    if zero, and kept once where several k round to one float."""
     raw = (hi - lo) / n
     # 10**-323 is the least power of ten that is a float (subnormal).
     mag = 10.0 ** max(math.floor(math.log10(max(raw, 5e-324))), -323)
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= min(hi + 1e-12 * step, _BIG):
-        # Rounding can carry a tick out of the limits when the step is
-        # below 1e-12 or near the limits' last digit; clamping keeps it in.
-        out.append(min(max(round(v, 12), lo), hi) + 0.0)  # + 0.0: -0.0 reads 0
-        # Where the limits are a few floats apart, v + step can round back
-        # to v; the next float is then the next tick.
-        v = max(v + step, math.nextafter(v, math.inf))
-    return out
+    digits = -math.floor(math.log10(step))
+    ks = range(math.ceil(lo / step - 1e-12), math.floor(hi / step + 1e-12) + 1)
+    ticks = (min(max(round(k * step, digits), lo), hi) + 0.0 for k in ks)
+    return list(dict.fromkeys(ticks))
 
 
 def _separate(lo: float, hi: float) -> tuple[float, float]:

@@ -410,8 +410,8 @@ class TestGramCertificate:
                                         st.floats(4 - 1e-6, 4 + 1e-6)),
                               min_size=1, max_size=24))
     def test_verdict_equals_the_eigenvalue_test(self, p, seed, log_conds):
-        # Candidates decide only which matrices the certificate is tried on;
-        # stacks of up to 24 span three sub-batches of the certificate.
+        # Only candidates can pass; stacks of up to 24 span three
+        # sub-batches of the certificate.
         stack = spd_stack(p, 10.0 ** np.array(log_conds), seed)
         everyone = np.ones(len(stack), dtype=bool)
         some = np.random.default_rng(seed).random(len(stack)) < 0.7
@@ -419,7 +419,7 @@ class TestGramCertificate:
             verdict = _well_conditioned(stack, everyone)
         expected = eigenvalue_verdict(stack)
         assert np.array_equal(verdict, expected)
-        assert np.array_equal(_well_conditioned(stack, some), expected)
+        assert np.array_equal(_well_conditioned(stack, some), expected & some)
         for g, e in zip(stack, expected):
             assert _well_conditioned(g[None], everyone[:1])[0] == e
         # ||G||_F <= sqrt(12) lam_max, so cond <= 100 is always proven.
@@ -429,7 +429,7 @@ class TestGramCertificate:
     @pytest.mark.parametrize("cond, passes", [(8e3, True), (1e6, False)])
     def test_unproven_matrix_in_the_third_sub_batch(self, cond, passes):
         # Of 20 matrices only matrix 17 escapes the certificate; it sits in
-        # the third sub-batch, which alone is factored one by one.
+        # the third sub-batch, whose four matrices alone go to eigvalsh.
         p, bad = 6, 17
         conds = np.full(20, 10.0)
         conds[bad] = cond
@@ -444,9 +444,9 @@ class TestGramCertificate:
         assert np.array_equal(verdict, expected)
         assert [_well_conditioned(g[None], everyone[:1])[0]
                 for g in stack] == expected.tolist()
-        assert chol.call_count == 3 + (len(stack) - 2 * _CERTIFY_BATCH)
+        assert chol.call_count == 3
         assert eigvalsh.call_count == 1
-        assert len(eigvalsh.call_args.args[0]) == 1
+        assert len(eigvalsh.call_args.args[0]) == len(stack) - 2 * _CERTIFY_BATCH
 
     def test_mixed_stack_tests_only_the_unproven_on_eigenvalues(self):
         p = 6
@@ -454,13 +454,16 @@ class TestGramCertificate:
         stack = np.concatenate([spd_stack(p, [10.0, 8e3, 1e6], seed=2),
                                 (A.T @ A)[None]])  # rank 4: singular
         assert [certified(g) for g in stack] == [True, False, False, False]
-        for candidates, unproven in (([True] * 4, 3),
-                                     ([False, True, True, False], 4)):
+        # The failed sub-batch goes to eigvalsh whole; a non-candidate goes
+        # nowhere and fails.
+        for candidates, passed in (
+                ([True] * 4, [True, True, False, False]),
+                ([False, True, True, False], [False, True, False, False])):
             with counting("eigvalsh") as eigvalsh:
                 ok = _well_conditioned(stack, np.array(candidates))
-            assert ok.tolist() == [True, True, False, False]
+            assert ok.tolist() == passed
             assert eigvalsh.call_count == 1
-            assert len(eigvalsh.call_args.args[0]) == unproven
+            assert len(eigvalsh.call_args.args[0]) == sum(candidates)
 
     def test_mixed_block_equals_the_loop(self):
         # One block of 64 replicates at m = 4, M = 9: most Gram matrices are
@@ -477,9 +480,17 @@ class TestGramCertificate:
         distinct = [len(np.unique(first_draw(M, seed, k))) for k in range(N)]
         assert proven.sum() > 0 and (passed & ~proven).sum() > 0
         assert (~passed).sum() > 0 and min(distinct) <= m
-        with counting("eigvalsh") as eigvalsh:
+        # One factorization per sub-batch of candidates, and one eigvalsh
+        # call per sub-batch it does not prove.
+        tried = np.flatnonzero(np.array(distinct) > m)
+        subs = [tried[i:i + _CERTIFY_BATCH]
+                for i in range(0, len(tried), _CERTIFY_BATCH)]
+        unproven = sum(not proven[sub].all() for sub in subs)
+        assert 0 < unproven < len(subs)
+        with counting("eigvalsh") as eigvalsh, counting("cholesky") as chol:
             got = bootstrap_direction(X, f, N=N, seed=seed).replicates
-        assert eigvalsh.call_count == 1
+        assert chol.call_count == len(subs)
+        assert eigvalsh.call_count == unproven
         ref = loop_bootstrap(X, f, N, seed)
         assert np.array_equal(got[~passed], ref[~passed])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
@@ -502,8 +513,32 @@ class TestGramCertificate:
         with mock.patch.object(np.linalg, "cholesky", no_certificate), \
                 counting("eigvalsh") as eigvalsh:
             ref = bootstrap_direction(X, f, N=128, seed=3, asub=asub)
-        assert eigvalsh.call_count == 2
+        assert eigvalsh.call_count == 128 // _CERTIFY_BATCH
         assert np.array_equal(got.replicates, ref.replicates)
+
+    def test_short_campaign_eigensolves_only_candidates(self):
+        # m = 7, M = 11, the paper's M of about 1.5 m: about half the first
+        # draws hold at most m distinct rows. Their Gram matrices are
+        # singular and fail without an eigensolve; every matrix eigvalsh
+        # sees is a candidate's.
+        m, M, N, seed = 7, 11, 200, 1
+        X, f, _ = noisy_ridge(m, M, 0.1, 3)
+        A = np.column_stack([np.ones(M), X])
+        draws = [first_draw(M, seed, k) for k in range(N)]
+        grams = np.array([(A.T * np.bincount(d, minlength=M)) @ A
+                          for d in draws])
+        candidate = np.array([len(np.unique(d)) > m for d in draws])
+        assert N // 4 < (~candidate).sum() < 3 * N // 4
+        with counting("eigvalsh") as eigvalsh:
+            got = bootstrap_direction(X, f, N=N, seed=seed).replicates
+        seen = [g for call in eigvalsh.call_args_list for g in call.args[0]]
+        assert seen
+        for g in seen:
+            gap = np.abs(grams - g).max(axis=(1, 2))
+            k = int(np.argmin(gap))
+            assert gap[k] <= 1e-12 * np.abs(g).max() and candidate[k]
+        np.testing.assert_allclose(got, loop_bootstrap(X, f, N, seed),
+                                   rtol=0, atol=1e-12)
 
 
 class TestSensitivityRanking:

@@ -909,6 +909,51 @@ class TestEstimateCdf:
         assert np.max(np.abs(cdf.cdf - dense)) <= 0.0303 * (delta / h) ** 2 + 1e-12
         assert np.all(np.diff(cdf.cdf) >= -1e-15)
 
+    @pytest.mark.parametrize("grid_size, r", [
+        (513, 1), (513, 2), (513, 8), (513, 32), (257, 5), (2, 100),
+        (4097, 3)])
+    def test_one_kernel_product_equals_the_blocked_rows(self, grid_size, r):
+        # At (513, 8), (513, 32) and (4097, 3) the G N kernel terms exceed
+        # 2**20, which the blocked reference split into several row blocks.
+        g = np.random.default_rng(r).standard_normal(5000)
+        grid = np.linspace(g.min() - 1.0, g.max() + 1.0, grid_size)
+        d = (grid[-1] - grid[0]) / (grid_size - 1)
+        h = 16.0 * d / r * (1 - 1e-9)  # ceil(16 d / h) = r
+        tracemalloc.start()
+        try:
+            cdf = uq_analysis._binned_kernel_cdf(grid, g, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cdf.tobytes() == blocked_kernel_cdf(grid, g, h).tobytes()
+        nodes = (grid_size - 1) * r + 1
+        if grid_size * nodes > 2 ** 20:
+            # The kernel and its evaluation, not a (G, N) copy of the
+            # windows: 2.1 MB against 67 MB at (513, 32). The bound is an
+            # eighth of one (G, N) float64 array.
+            assert peak < grid_size * nodes
+
+
+def blocked_kernel_cdf(grid, g, h, block=1 << 20):
+    """Test-only reference: _binned_kernel_cdf's product in row blocks of
+    at most ``block`` kernel terms, as it was computed before."""
+    d = (grid[-1] - grid[0]) / (len(grid) - 1)
+    r = max(1, math.ceil(16.0 * d / h))
+    delta = d / r
+    nodes = (len(grid) - 1) * r + 1
+    pos = (g - grid[0]) / delta
+    k = np.clip(np.floor(pos).astype(np.intp), 0, nodes - 2)
+    frac = pos - k
+    weights = (np.bincount(k, 1.0 - frac, nodes)
+               + np.bincount(k + 1, frac, nodes)) / len(g)
+    kernel = uq_analysis._ndtr(np.arange(1 - nodes, nodes) * (delta / h))
+    windows = np.lib.stride_tricks.sliding_window_view(kernel, nodes)[::r]
+    cdf = np.empty(len(grid))
+    rows = max(1, block // nodes)
+    for i in range(0, len(grid), rows):
+        cdf[i:i + rows] = windows[i:i + rows] @ weights[::-1]
+    return cdf
+
 
 def one_shot_blocks(m, n, seed):
     """Test-only reference: the whole CDF sample in one draw."""
@@ -976,10 +1021,10 @@ class TestStreamedCdfSample:
         finally:
             tracemalloc.stop()
         # At most ten n-vectors at once (block projections and their join,
-        # g, and the binning's positions, indices and fractions), the last
-        # block (under two blocks of rows) and one kernel block.
+        # g, and the binning's positions, indices and fractions) and the
+        # last block (under two blocks of rows).
         block = 2 * param_space._SAMPLE_BLOCK * 4 * math.ceil(m / 4) * 8
-        bound = 10 * 8 * n + block + 8 * uq_analysis._KERNEL_BLOCK
+        bound = 10 * 8 * n + block
         assert peak < bound < 30 * 2 ** 20
 
     def test_draw_holds_one_block_at_a_time(self):
