@@ -173,7 +173,7 @@ def fit_active_direction(X, f) -> ActiveSubspace:
     X, f, M, m = _as_design(X, f)
     if M < m + 1:
         raise DegeneracyError(
-            f"M={M} samples cannot determine an {m}-parameter direction; "
+            f"M={M} samples cannot determine a direction in m={m} parameters; "
             f"need M >= m+1 = {m + 1}, practical floor 2m = {2 * m}, "
             f"recommended about m^2 = {m * m}"
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -110,7 +109,7 @@ class Campaign:
         return [r for r in self.runs if r.status == "failed"]
 
     def design_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack done design runs into (X, f).
+        """Stack done design runs into (X, f); the fit checks M >= m+1.
 
         Failed runs never contribute (excluded, not imputed), and corner
         validation runs are excluded so re-analysis after a range
@@ -119,10 +118,6 @@ class Campaign:
         done = [r for r in self.done_runs() if r.role == "sample"]
         if not done:
             raise DataError("campaign has no completed runs")
-        if len(done) < self.m + 1:
-            warnings.warn(
-                f"only {len(done)} usable runs for m={self.m}; direction "
-                f"fits need at least m+1 = {self.m + 1}", stacklevel=2)
         X = np.array([r.x for r in done])
         f = np.array([r.f for r in done], dtype=float)
         return X, f
@@ -160,26 +155,23 @@ def evaluate_campaign(campaign: Campaign,
                       max_concurrency: int = 1,
                       checkpoint: Callable[[RunRecord], None] | None = None,
                       runs: Sequence[RunRecord] | None = None,
-                      ) -> Campaign:
+                      ) -> None:
     """Run the evaluator on every pending run, or on the given runs.
 
     Given ``runs`` are attempted unless already done (resume semantics).
     Each result depends only on the run's own point, so the final table is
     independent of ``max_concurrency`` and of completion order. The
     evaluator runs on a worker thread at every concurrency; the calling
-    thread alone records each result as it completes (failed, with the
-    diagnostic, if the evaluator raised) and passes it to ``checkpoint``
-    (see :func:`append_run`). After an interrupt it records nothing more,
-    so runs in flight stay as they were, and returns only once their
-    evaluations return. Raises :class:`EvaluatorError` only if every
-    attempted run fails.
+    thread alone records each outcome as it completes, a failure (even of
+    every run) in the run's ``status`` and ``error``, and passes the run
+    to ``checkpoint`` (see :func:`append_run`). After an interrupt, or any
+    other ``BaseException`` from the evaluator, it records nothing more
+    and re-raises it once the evaluations in flight return.
     """
     if max_concurrency < 1:
         raise UsageError(f"max_concurrency must be >= 1, got {max_concurrency}")
     todo = campaign.pending_runs() if runs is None else \
         [r for r in runs if r.status != "done"]
-    if not todo:
-        return campaign
     import queue
     import threading
     from collections import deque
@@ -235,11 +227,6 @@ def evaluate_campaign(campaign: Campaign,
         queued.clear()
         for worker in workers:
             worker.join()
-
-    if all(r.status == "failed" for r in todo):
-        raise EvaluatorError(f"all {len(todo)} attempted runs failed "
-                             f"(first diagnostic: {todo[0].error})")
-    return campaign
 
 
 # -- persistence -----------------------------------------------------------
@@ -467,6 +454,8 @@ class CommandEvaluator:
 
     The command receives ``{"index": n, "params": {...}, "condition": {...}}``
     on standard input and must print ``{"qoi": <JSON number>}`` and exit 0.
+    Output is decoded with replacement; a failure keeps stderr's last 200
+    characters.
     """
 
     argv: Sequence[str]
@@ -502,7 +491,7 @@ class CommandEvaluator:
         try:
             proc = subprocess.run(
                 list(self.argv), input=payload, capture_output=True,
-                text=True, timeout=self.timeout,
+                text=True, errors="replace", timeout=self.timeout,
             )
         except subprocess.TimeoutExpired as exc:
             raise EvaluatorError(
@@ -513,7 +502,7 @@ class CommandEvaluator:
         if proc.returncode != 0:
             raise EvaluatorError(
                 f"run {req.index}: evaluator exited {proc.returncode}: "
-                f"{proc.stderr.strip()[:200]}"
+                f"{proc.stderr.strip()[-200:]}"
             )
         # The qoi object may be preceded by solver chatter; use the last line
         # that parses as JSON.

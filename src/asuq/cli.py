@@ -120,7 +120,7 @@ class _FittedCampaign:
 
         A done corner run is reused; a failed one is evaluated again in
         place. Both corners are evaluated at once; each failed corner
-        reports the error a lone evaluation of it would raise.
+        reports its own run's error.
         """
         from .campaign import evaluate_campaign, save_campaign
         from .uq_analysis import corner_extrema, estimate_range
@@ -131,15 +131,12 @@ class _FittedCampaign:
             rec = next((r for r in campaign.runs if r.role == "corner"
                         and np.array_equal(r.x, x_corner)), None)
             recs.append(rec or campaign.append_point(x_corner, role="corner"))
-        try:
-            evaluate_campaign(campaign, self.evaluator, max_concurrency=2,
-                              runs=recs)
-        except EvaluatorError:
-            pass  # each failed corner reports its own diagnostic below
+        evaluate_campaign(campaign, self.evaluator, max_concurrency=2,
+                          runs=recs)
         rng = estimate_range(
-            self.asub.w, [r.f if r.status == "done" else None for r in recs],
-            self.f, discordant_pairs=self.summary.discordant_pairs,
-            errors=[None if r.status == "done" else "all 1 attempted runs "
+            self.asub.w, [r.f for r in recs], self.f,
+            discordant_pairs=self.summary.discordant_pairs,
+            errors=[None if r.error is None else "all 1 attempted runs "
                     f"failed (first diagnostic: {r.error})" for r in recs])
         save_campaign(campaign, self.args.campaign)
         write_json(self.out / "range.json", {
@@ -267,6 +264,9 @@ def cmd_run(args) -> int:
         # End by SIGINT, as an uncaught Ctrl-C would, so calling scripts stop.
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)
+    if all(rec.status == "failed" for rec in todo):
+        raise EvaluatorError(f"all {len(todo)} attempted runs failed "
+                             f"(first diagnostic: {todo[0].error})")
     print(f"{done} done, {failed} failed ({len(todo)} attempted this invocation)")
     return 0 if failed == 0 else EXIT_PARTIAL_FAILURE
 

@@ -4,6 +4,7 @@ import stat
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +72,20 @@ class TestEvaluate:
         assert "synthetic failure" in small_campaign.runs[2].error
         assert small_campaign.runs[2].f is None
 
-    def test_all_failures_raise(self, small_campaign):
+    @pytest.mark.parametrize("max_concurrency", [1, 4])
+    def test_all_failures_are_recorded(self, small_campaign, max_concurrency):
+        # A failure is an outcome: even when every run fails, each is
+        # recorded with its own error and checkpointed, and nothing raises.
         def boom(req):
-            raise RuntimeError("nope")
+            raise RuntimeError(f"nope {req.index}")
 
-        with pytest.raises(EvaluatorError):
-            evaluate_campaign(small_campaign, boom)
-        assert all(r.status == "failed" for r in small_campaign.runs)
+        checkpointed = []
+        assert evaluate_campaign(small_campaign, boom,
+                                 max_concurrency=max_concurrency,
+                                 checkpoint=checkpointed.append) is None
+        assert [(r.status, r.f, r.error) for r in small_campaign.runs] == [
+            ("failed", None, f"nope {i}") for i in range(5)]
+        assert sorted(r.index for r in checkpointed) == list(range(5))
 
     def test_concurrency_does_not_change_results(self, tmp_path):
         w = ridge_direction(3, 5)
@@ -552,6 +560,33 @@ class TestCommandEvaluator:
         assert rec.status == "done"
         assert rec.f == pytest.approx(3.0 * rec.p[0])
 
+    def test_chatter_that_is_not_utf8_fails_no_run(self, tmp_path):
+        script = tmp_path / "latin1.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stdout.buffer.write(b'T0 = 2742 \\xb0K\\n')\n"
+            "sys.stderr.buffer.write(b'\\xb0\\n')\n"
+            "print('{\"qoi\": 1.5}')\n"
+        )
+        campaign = new_campaign(unit_space(1), 1, seed=4)
+        evaluate_campaign(campaign, CommandEvaluator([sys.executable, str(script)]))
+        (rec,) = campaign.runs
+        assert (rec.status, rec.f, rec.error) == ("done", 1.5, None)
+
+    def test_failure_keeps_the_tail_of_stderr(self, tmp_path):
+        script = tmp_path / "fatal.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stderr.write('log line ' * 50 + 'FATAL: mesh not found\\n')\n"
+            "sys.exit(1)\n"
+        )
+        ev = CommandEvaluator([sys.executable, str(script)])
+        req = EvalRequest(7, np.zeros(1), {"x1": 0.0}, {})
+        with pytest.raises(EvaluatorError) as info:
+            ev(req)
+        tail = ("log line " * 50 + "FATAL: mesh not found")[-200:]
+        assert str(info.value) == f"run 7: evaluator exited 1: {tail}"
+
 
 def test_corner_runs_excluded_from_design():
     sp = hyshot_space()
@@ -564,11 +599,15 @@ def test_corner_runs_excluded_from_design():
     assert 9.0 not in f
 
 
-def test_undersampled_campaign_warns():
+def test_undersampled_campaign_returns_its_rows_without_warning():
+    # Fewer than m+1 rows are the direction fit's to refuse (DegeneracyError).
     campaign = new_campaign(hyshot_space(), 4, seed=1)
     evaluate_campaign(campaign, lambda req: float(req.x[0]))
-    with pytest.warns(UserWarning, match="m\\+1"):
-        campaign.design_arrays()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, f = campaign.design_arrays()
+    assert X.shape == (4, 7)
+    np.testing.assert_array_equal(f, X[:, 0])
 
 
 @pytest.mark.parametrize("call, error, message", [

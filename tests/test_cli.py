@@ -208,12 +208,20 @@ class TestRun:
         assert len(campaign.failed_runs()) == 1
         assert len(campaign.done_runs()) == 11
 
-    def test_total_failure_exit_code(self, tmp_path, sampled):
+    def test_total_failure_exit_code(self, tmp_path, sampled, capsys):
         script = tmp_path / "broken.py"
         script.write_text("import sys\nsys.exit(2)\n")
+        capsys.readouterr()
         code = run_cli("run", "--campaign", str(sampled),
                        "--evaluator", f"{sys.executable} {script}")
         assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: all 12 attempted runs failed (first "
+                       "diagnostic: run 0: evaluator exited 2: )\n")
+        campaign = load_campaign(sampled)
+        assert [(r.status, r.f) for r in campaign.runs] == [("failed", None)] * 12
+        assert not journal_path(sampled).exists()
 
     def test_retry_failed_reruns_failures(self, tmp_path, sampled):
         script = tmp_path / "flaky.py"
@@ -877,12 +885,14 @@ class TestAnalyze:
         run_cli("sample", "-M", "4", "--seed", "1", "--out", str(campaign))
         run_cli("run", "--campaign", str(campaign),
                 "--evaluator", "ridge:linear", "--wtrue-seed", "2")
-        with pytest.warns(UserWarning, match="only 4 usable runs"):
-            code = run_cli("analyze", "--campaign", str(campaign),
-                           "--out", str(tmp_path / "o"), "--seed", "1")
+        capsys.readouterr()
+        # The fit's DegeneracyError is the one report: no warning precedes it.
+        code = run_cli("analyze", "--campaign", str(campaign),
+                       "--out", str(tmp_path / "o"), "--seed", "1")
         assert code == 3
-        err = capsys.readouterr().err
-        assert "M >= 8" in err or "m+1" in err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: M=4 samples cannot determine ")
+        assert "M >= m+1 = 8" in line
 
 
 class TestStandaloneReports:

@@ -10,14 +10,21 @@ from asuq.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_python_api_example_runs():
+def run_python_api_example(evaluator) -> dict:
+    """Execute the README's Python API block; return its namespace."""
     text = README.read_text()
     api = text[text.index("## Python API"):]
     code = re.search(r"```python\n(.*?)```", api, re.S).group(1)
-    namespace = {"my_evaluator": asuq.synthetic_ridge(
-        asuq.ridge_direction(7, 3), "cubic-monotone")}
+    namespace = {"my_evaluator": evaluator}
     exec(compile(code, str(README), "exec"), namespace)
+    return namespace
 
+
+RIDGE = asuq.synthetic_ridge(asuq.ridge_direction(7, 3), "cubic-monotone")
+
+
+def test_python_api_example_runs():
+    namespace = run_python_api_example(RIDGE)
     campaign, rng, f = namespace["campaign"], namespace["rng"], namespace["f"]
     assert len(campaign.done_runs()) == 52
     assert [r.role for r in campaign.runs[50:]] == ["corner", "corner"]
@@ -26,6 +33,22 @@ def test_python_api_example_runs():
     assert np.all((rng.f_min <= f) & (f <= rng.f_max))
     assert namespace["safe"].feasible in ("empty", "partial", "full")
     assert len(namespace["cdf"].grid) == 513
+
+
+def test_python_api_example_records_failed_corners():
+    # The 50 design runs succeed; both corner runs (50 and 51) raise.
+    def evaluator(req):
+        if req.index >= 50:
+            raise RuntimeError(f"solver diverged at run {req.index}")
+        return RIDGE(req)
+
+    namespace = run_python_api_example(evaluator)
+    campaign, rng = namespace["campaign"], namespace["rng"]
+    assert [(r.role, r.status) for r in campaign.runs[50:]] == [
+        ("corner", "failed"), ("corner", "failed")]
+    assert rng.corner_errors == {"at_x_min": "solver diverged at run 50",
+                                 "at_x_max": "solver diverged at run 51"}
+    assert rng.f_min is None and rng.f_max is None and not rng.validated
 
 
 def test_command_line_example_runs(tmp_path, monkeypatch):
