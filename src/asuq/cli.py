@@ -334,13 +334,13 @@ def _bootstrap_reports(fitted: _FittedCampaign) -> None:
 def _summary_rows(ys, f, source: str) -> Iterator[str]:
     """Yield summary.csv rows ``y,f,source``, one string per row of ys.
 
-    Each row of ys runs through the M samples, so each sample's
-    ``,f,source`` suffix is formatted once, and only one row's
-    projections are held as Python floats at a time.
+    Each row of ys runs through the M samples, so the M ``,f,source``
+    suffixes are formatted once into one %-template, which each row's
+    projections fill in one call: one row is held at a time.
     """
-    suffixes = [f",{fv!r},{source}\n" for fv in f.tolist()]
+    template = "".join([f"%r,{fv!r},{source}\n" for fv in f.tolist()])
     for row in ys:
-        yield "".join([y + s for y, s in zip(map(repr, row.tolist()), suffixes)])
+        yield template % tuple(row.tolist())
 
 
 def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:

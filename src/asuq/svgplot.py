@@ -6,7 +6,6 @@ free convenience for eyeballing summary plots, bands, and CDFs.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -21,11 +20,11 @@ _MARGIN = 56
 _BIG = sys.float_info.max
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     """Multiples k * step of a 1-2-5 step within 1e-12 steps of lo < hi,
     each rounded to the step's decade, clamped into the limits, made +0.0
     if zero, and kept once where several k round to one float."""
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     # 10**-323 is the least power of ten that is a float (subnormal).
     mag = 10.0 ** max(math.floor(math.log10(max(raw, 5e-324))), -323)
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
@@ -74,33 +73,21 @@ def _limits(arrays) -> tuple[float, float]:
             float(np.max([a.max() for a in arrays])))
 
 
-# Most points of a scatter layer formatted per string written.
-_SCATTER_CHUNK = 4096
-
-
 def _circles(xs, ys, px, py, radius, color, opacity):
-    """Yield a scatter layer's circle lines, one row block a string.
+    """Yield a scatter layer's circle lines, one row of xs a string.
 
-    xs is (rows, C), drawn row by row against the C ys every row shares,
-    in blocks of at most _SCATTER_CHUNK columns. Each block's y pixels
-    are formatted once into %-templates that its x pixels fill. Only the
-    last block's templates are kept: when a row is one block, every row
-    reuses them, and the memory held stays one block's.
+    xs is (rows, C), drawn row by row against the C ys every row shares.
+    The ys' pixels are formatted once into one %-template for a row, which
+    each row's x pixels fill in one call, so one row is held at a time.
     """
-    # The style goes into the templates verbatim, its % escaped for the
+    # The style goes into the template verbatim, its % escaped for the
     # second formatting.
     tail = (f' r="{radius}" fill="{color}" fill-opacity="{opacity}"/>\n'
             .replace("%", "%%"))
-
-    @functools.lru_cache(maxsize=1)
-    def templates(i):
-        return ['<circle cx="%%.2f" cy="%.2f"%s' % (vy, tail)
-                for vy in py(ys[i:i + _SCATTER_CHUNK]).tolist()]
-
+    template = "".join(['<circle cx="%%.2f" cy="%.2f"%s' % (vy, tail)
+                        for vy in py(ys).tolist()])
     for row in xs:
-        for i in range(0, len(ys), _SCATTER_CHUNK):
-            cx = px(row[i:i + _SCATTER_CHUNK]).tolist()
-            yield "".join([t % vx for t, vx in zip(templates(i), cx)])
+        yield template % tuple(px(row).tolist())
 
 
 class SvgPlot:
@@ -125,10 +112,9 @@ class SvgPlot:
         xs = xs.reshape(xs.size // max(ys.size, 1), ys.size)
         self._layers.append(("scatter", xs, ys, radius, color, opacity))
 
-    def line(self, xs, ys, color: str = "#1166cc", width: float = 1.5,
-             dashed: bool = False):
+    def line(self, xs, ys, color: str = "#1166cc", dashed: bool = False):
         self._layers.append(("line", np.asarray(xs, dtype=float),
-                             np.asarray(ys, dtype=float), color, width, dashed))
+                             np.asarray(ys, dtype=float), color, dashed))
 
     def hline(self, y: float, color: str = "#aa3333", dashed: bool = True):
         self._layers.append(("hline", np.empty(0), np.array([float(y)]),
@@ -199,13 +185,13 @@ class SvgPlot:
             if kind == "scatter":
                 yield from _circles(lx, ly, px, py, *style)
             elif kind == "line":
-                color, width, dashed = style
+                color, dashed = style
                 pts = " ".join("%.2f,%.2f" % p for p in
                                zip(px(lx).tolist(), py(ly).tolist()))
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 yield (
                     f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                    f'stroke-width="{width}"{dash}/>\n'
+                    f'stroke-width="1.5"{dash}/>\n'
                 )
             elif kind == "hline":
                 color, dashed = style

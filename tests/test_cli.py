@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import openblas_thread_controls
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asuq
@@ -766,6 +766,40 @@ class TestAnalyze:
             tracemalloc.stop()
         assert rows == 1000
         assert peak < 2 ** 20
+
+    def test_summary_rows_peak_of_a_long_row(self):
+        # One row of 200 000 projections is formatted in one call: its
+        # floats, their tuple and the row's text, 23 MiB here. A repr and
+        # a concatenated string per point, with the joined row, took
+        # 46 MiB.
+        rng = np.random.default_rng(6)
+        ys, f = rng.normal(size=(1, 200_000)), rng.normal(size=200_000)
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in asuq.cli._summary_rows(ys, f, "bootstrap"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 1
+        assert peak < 32 * 2 ** 20
+
+    # A signed zero, the least subnormal, reprs in exponent form at 1e-05
+    # and 1e16, an even integer beyond 2**53 and a 17-digit fraction.
+    EDGE_ROW = [-0.0, 5e-324, 1e-05, 1e16, 2.0 ** 53 + 2, 1 / 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=m, max_size=m), min_size=2, max_size=4)))
+    @example(cloud=[EDGE_ROW, EDGE_ROW[::-1], EDGE_ROW])
+    def test_summary_rows_of_edge_floats_equal_the_per_point_text(self,
+                                                                  cloud):
+        f, ys = cloud[0], cloud[1:]
+        reference = "".join(f"{y!r},{fv!r},bootstrap\n"
+                            for row in ys for y, fv in zip(row, f))
+        text = "".join(asuq.cli._summary_rows(np.array(ys), np.array(f),
+                                              "bootstrap"))
+        assert text == reference
 
     @pytest.mark.parametrize("flags, module, first_stage", [
         (["--corners", "--threshold", "0.5", "--cdf", "--svg",

@@ -5,8 +5,8 @@ plot with no layers, a single point (degenerate x and y ranges, padded by
 one unit each way), a plot with only horizontal lines (x range falls back
 to [0, 1]) and a 10^4-point scatter under a dashed line. The streamed
 writer is also compared with the whole-text writer it replaced, on
-scatters that cross several chunks, and a 2-D scatter with the raveled
-one it stands for.
+scatters of rows of several thousand points and on rows of edge floats,
+and a 2-D scatter with the raveled one it stands for.
 """
 
 import hashlib
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from asuq import svgplot
 from asuq.svgplot import _H, _MARGIN, _W, SvgPlot, _limits, _separate, _ticks
 
 
@@ -143,12 +142,12 @@ def reference_svg(plot: SvgPlot) -> bytes:
             parts.extend('<circle cx="%.2f" cy="%.2f"%s' % (vx, vy, attrs)
                          for vx, vy in zip(cx, cy))
         elif kind == "line":
-            color, width, dashed = style
+            color, dashed = style
             pts = " ".join("%.2f,%.2f" % p for p in zip(cx, cy))
             dash = ' stroke-dasharray="6 4"' if dashed else ""
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash}/>'
+                f'stroke-width="1.5"{dash}/>'
             )
         elif kind == "hline":
             color, dashed = style
@@ -162,13 +161,13 @@ def reference_svg(plot: SvgPlot) -> bytes:
 
 
 def two_clouds():
-    """Two scatter layers of different styles, each across several chunks.
+    """Two scatter layers of different styles, each one long row.
 
     Each layer must keep its own style: a writer that bound a layer's
     style late would draw the first cloud in the second one's.
     """
     rng = np.random.default_rng(7)
-    n = 3 * svgplot._SCATTER_CHUNK + 17
+    n = 12_305
     plot = SvgPlot(xlabel="y", ylabel="f", title="clouds")
     plot.scatter(rng.normal(size=n), rng.normal(size=n), radius=1.5,
                  color="#999999", opacity=0.35)
@@ -187,9 +186,11 @@ def test_streamed_writer_equals_the_joined_text(build, tmp_path):
     assert (tmp_path / "plot.svg").read_bytes() == reference_svg(plot)
 
 
-def test_peak_memory_is_a_chunk_not_the_plot(tmp_path):
-    # The joined writer held 200 000 circle strings, their join and its
-    # encoded copy: 65 MiB here. The layer arrays exist before tracing.
+def test_peak_memory_of_a_long_row(tmp_path):
+    # One row of 200 000 points is formatted in one call: its pixels as
+    # Python floats, its template and its text, 43 MiB here. The joined
+    # writer that held every circle string, their join and its encoded
+    # copy took 65 MiB. The layer arrays exist before tracing.
     rng = np.random.default_rng(3)
     plot = SvgPlot()
     plot.scatter(rng.normal(size=200_000), rng.normal(size=200_000),
@@ -200,7 +201,7 @@ def test_peak_memory_is_a_chunk_not_the_plot(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 56 * 2 ** 20
 
 
 def test_two_dimensional_scatter_equals_its_raveled_form(tmp_path):
@@ -219,15 +220,14 @@ def test_two_dimensional_scatter_equals_its_raveled_form(tmp_path):
         plot.scatter(cloud[0], f)
         plot.save(tmp_path / "plot.svg")
         svgs.append((tmp_path / "plot.svg").read_bytes())
-    assert N * M > 2 * svgplot._SCATTER_CHUNK
     assert svgs[0] == svgs[1]
 
 
-@pytest.mark.parametrize("N, M", [(40, 250), (3, svgplot._SCATTER_CHUNK + 7)])
+@pytest.mark.parametrize("N, M", [(40, 250), (3, 4103)])
 def test_shared_ys_equal_the_broadcast_and_raveled_forms(tmp_path, N, M):
     # The cloud against its M ys, against them broadcast to (N, M) and
-    # as the raveled pair; at M > _SCATTER_CHUNK each row is several
-    # blocks, whose templates are made again for every row.
+    # as the raveled pair, on short rows and on rows of thousands of
+    # points; each row fills the one template made from the ys.
     rng = np.random.default_rng(12)
     cloud, f = rng.normal(size=(M, N)).T, rng.normal(size=M)
     svgs = []
@@ -243,9 +243,8 @@ def test_shared_ys_equal_the_broadcast_and_raveled_forms(tmp_path, N, M):
 
 def test_shared_ys_peak_memory_is_a_row(tmp_path):
     # A (1000, 200) cloud against its 200 ys, as summary.svg draws it: one
-    # row's templates and circles at a time, 84 KiB here, against 1.1 MiB
-    # for 4096-point chunks and about 5 MiB more for the whole cloud's
-    # pixels as Python floats.
+    # row's template and circles at a time, against about 5 MiB more for
+    # the whole cloud's pixels as Python floats.
     rng = np.random.default_rng(5)
     plot = SvgPlot()
     plot.scatter(rng.normal(size=(200, 1000)).T, rng.normal(size=200),
@@ -271,6 +270,30 @@ def test_percent_in_the_style_is_written_verbatim(tmp_path):
     assert text == reference_svg(plot)
     assert text.decode().count(f'fill="{style}"') == 6
     assert text.decode().count(' r="1%"') == 3
+
+
+# A signed zero, the least subnormal, reprs in exponent form at 1e-05 and
+# 1e16, an even integer beyond 2**53 and a 17-digit fraction.
+EDGE_ROW = [-0.0, 5e-324, 1e-05, 1e16, 2.0 ** 53 + 2, 1 / 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.floats(-1e300, 1e300), min_size=m, max_size=m),
+    min_size=2, max_size=4)))
+@example(cloud=[EDGE_ROW, EDGE_ROW[::-1], EDGE_ROW])
+def test_rows_of_edge_floats_equal_the_joined_text(tmp_path_factory, cloud):
+    # Each row fills the template made from the ys in one call; the
+    # reference formats point by point. Limits at most 2e300 apart, equal
+    # only below 2**52, are framed as the reference frames them.
+    ys, rows = cloud[0], cloud[1:]
+    for axis in (ys, [v for row in rows for v in row]):
+        assume(min(axis) < max(axis) or -2.0 ** 52 <= axis[0] < 2.0 ** 52 - 1)
+    plot = SvgPlot()
+    plot.scatter(rows, ys, radius=1.5, color="#999999", opacity=0.35)
+    path = tmp_path_factory.getbasetemp() / "edge_rows.svg"
+    plot.save(path)
+    assert path.read_bytes() == reference_svg(plot)
 
 
 # From 1e16 on, v - 1 == v + 1 divided by zero; just beyond +-2**52 the
