@@ -128,11 +128,10 @@ def _as_design(X, f) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 
 def _apply_sign_convention(w: np.ndarray) -> np.ndarray:
-    # Largest-magnitude component made positive; argmax takes the lowest
-    # index on ties.
-    if w[int(np.argmax(np.abs(w)))] < 0:
-        return -w
-    return w
+    # Along the last axis, the largest-magnitude component made positive;
+    # argmax takes the lowest index on ties, and a zero row stays as it is.
+    lead = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], -1)
+    return np.where(lead < 0, -w, w)
 
 
 def _solve_direction(X: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, LinearFit]:
@@ -232,8 +231,7 @@ def _replicate_rng(seed: int, k: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
-def _refit_replicate(X: np.ndarray, f: np.ndarray, w: np.ndarray,
-                     seed: int, k: int) -> np.ndarray:
+def _refit_replicate(X: np.ndarray, f: np.ndarray, seed: int, k: int) -> np.ndarray:
     """Replicate k by least squares on each resample of its stream in turn.
 
     Rank-deficient resamples are redrawn; _MAX_RETRIES of them in a row raise.
@@ -245,10 +243,9 @@ def _refit_replicate(X: np.ndarray, f: np.ndarray, w: np.ndarray,
         if np.count_nonzero(np.bincount(idx, minlength=M)) <= m:
             continue  # fewer than m + 1 distinct rows: rank < m + 1, no solve
         try:
-            w_k, _ = _solve_direction(X[idx], f[idx])
+            return _solve_direction(X[idx], f[idx])[0]
         except DegeneracyError:
             continue
-        return -w_k if np.dot(w_k, w) < 0 else w_k
     raise DegeneracyError(
         f"bootstrap replicate {k}: {_MAX_RETRIES} resamples "
         f"in a row were rank-deficient; the sample set is too degenerate "
@@ -306,15 +303,14 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
         f_scale = np.max(np.where(counts > 0, f_abs, 0.0), axis=1)
         f_scale[f_scale == 0] = 1.0
         ok &= norm >= _FLOOR_MARGIN * 1e-14 * f_scale
-
-        w_b = grad[ok] / norm[ok, None]
-        # Aligned to w; on an exact tie, _solve_direction's sign convention.
-        dots = w_b @ w
-        lead = w_b[np.arange(len(w_b)), np.argmax(np.abs(w_b), axis=1)]
-        flip = np.where(dots == 0, lead < 0, dots < 0)
-        replicates[start + np.flatnonzero(ok)] = np.where(flip[:, None], -w_b, w_b)
+        replicates[start + np.flatnonzero(ok)] = grad[ok] / norm[ok, None]
         for k in start + np.flatnonzero(~ok):
-            replicates[k] = _refit_replicate(X, f, w, seed, k)
+            replicates[k] = _refit_replicate(X, f, seed, k)
+    # Aligned to w, in place while `outer` is held; on an exact tie, the
+    # sign convention of fit_active_direction.
+    dots = replicates @ w
+    np.negative(replicates, out=replicates, where=(dots < 0)[:, None])
+    replicates[dots == 0] = _apply_sign_convention(replicates[dots == 0])
     return BootstrapEnsemble(replicates=replicates, N=N, seed=seed)
 
 
@@ -370,13 +366,12 @@ def estimate_c_gradient_oracle(grad_fn: Callable[[np.ndarray], np.ndarray],
         if not np.all(np.isfinite(g)):
             raise EvaluatorError(f"non-finite gradient at {x}")
         row[:] = g
+    # numpy forms G.T @ G by one symmetric rank-k update, so C is exactly
+    # symmetric, as eigh assumes.
     C = G.T @ G / n_mc
-    C = (C + C.T) / 2.0
 
     evals, evecs = np.linalg.eigh(C)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
-    evecs = evecs[:, order]
-    for i in range(m):
-        evecs[:, i] = _apply_sign_convention(evecs[:, i])
+    evecs = _apply_sign_convention(evecs[:, order].T).T
     return CMatrixEstimate(C=C, eigenvalues=evals, eigenvectors=evecs, n_mc=n_mc)

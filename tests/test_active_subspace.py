@@ -22,6 +22,7 @@ from asuq.active_subspace import (
     _GRAM_COND_MAX,
     _QUANTILES,
     BootstrapEnsemble,
+    _apply_sign_convention,
     _solve_direction,
     _well_conditioned,
 )
@@ -119,6 +120,88 @@ class TestFit:
         f2 = np.append(f, f[3])
         w1 = fit_active_direction(X2, f2).w
         np.testing.assert_allclose(w0, w1, atol=1e-12)
+
+
+def row_sign_convention(w):
+    """Reference: the 1-D rule the stack form replaced."""
+    if w[int(np.argmax(np.abs(w)))] < 0:
+        return -w
+    return w
+
+
+# Few distinct magnitudes, both zeros included, so rows tie in |w_i| and
+# some are all zero.
+tie_prone = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0]),
+                      st.floats(-1e3, 1e3))
+stacks = st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(tie_prone, min_size=m, max_size=m), min_size=1, max_size=8,
+)).map(np.array)
+
+
+class TestSignConvention:
+    @settings(max_examples=200, deadline=None)
+    @given(W=stacks)
+    @example(W=np.array([[-0.0, 0.0, -0.0], [0.0, -2.0, 2.0], [-0.5, 0.5, 0.0]]))
+    def test_stack_equals_the_row_rule(self, W):
+        got = _apply_sign_convention(W)
+        assert got.shape == W.shape
+        assert got.tobytes() == np.array([row_sign_convention(r) for r in W]).tobytes()
+        for row in W:
+            one = _apply_sign_convention(row)
+            assert one.shape == row.shape
+            assert one.tobytes() == row_sign_convention(row).tobytes()
+
+
+def linear_model_limit(w, a1, a3):
+    """The large-M limit of the linear fit's direction for f = a1 t + a3 t^3,
+    t = w . x, x uniform on [-1, 1]^m and |w| = 1: g = 3 E[x f], with
+    E[x_i t] = w_i / 3 and E[x_i t^3] = w_i^3 / 5 + w_i (1 - w_i^2) / 3.
+    Returned as a unit vector with the package's sign convention."""
+    g = a1 * w + 3 * a3 * (w ** 3 / 5 + w * (1 - w ** 2) / 3)
+    g /= np.linalg.norm(g)
+    return g if g[np.argmax(np.abs(g))] > 0 else -g
+
+
+def degrees(u, v):
+    return np.degrees(np.arccos(np.clip(u @ v, -1.0, 1.0)))
+
+
+class TestLinearModelLimit:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_sample_fit_reaches_the_limit_not_the_ridge(self, seed):
+        # For f = t^3 the limit g lies 8.84 degrees from w; fits on 2e5
+        # points sat 0.05-0.15 degrees from g, so 1 degree tells them apart.
+        w = np.array([0.9, 0.3, 0.3, 0.1]) / np.linalg.norm([0.9, 0.3, 0.3, 0.1])
+        g = linear_model_limit(w, 0.0, 1.0)
+        assert degrees(g, w) == pytest.approx(8.839, abs=1e-3)
+        X = sample_hypercube(4, 200_000, seed)
+        assert degrees(fit_active_direction(X, (X @ w) ** 3).w, g) < 1.0
+
+    def test_bootstrap_intervals_cover_the_limit(self):
+        # The bootstrap gauges the fit's spread around its own limit g, not
+        # its distance from w. On 100 independent campaigns each nominal
+        # 95 % interval covers g a Binomial(100, p) number of times; with
+        # p = 0.95, P(count <= 86) = 4.6e-4. g carries the replicates' sign
+        # convention; the opposite sign would be covered about 3 % of the time.
+        w = ridge_direction(7, seed=3)
+        g = linear_model_limit(w, 1.0, 1.0)
+        seeds = range(1000, 1100)
+        component_hits = np.zeros(7, dtype=int)
+        cone_hits = 0
+        for seed in seeds:
+            X = sample_hypercube(7, 50, seed)
+            t = X @ w
+            f = t + t ** 3
+            asub = fit_active_direction(X, f)
+            ens = bootstrap_direction(X, f, N=200, seed=seed, asub=asub)
+            q = ens.component_quantiles()
+            component_hits += (np.array(q["q0.025"]) <= g) & (g <= np.array(q["q0.975"]))
+            cone = np.quantile(degrees(ens.replicates, asub.w), 0.95)
+            cone_hits += degrees(asub.w, g) <= cone
+        print(f"95 % intervals cover the limit on {component_hits.tolist()} "
+              f"and the cone on {cone_hits} of {len(seeds)} campaigns")
+        assert component_hits.min() >= 87
+        assert cone_hits >= 87
 
 
 def first_draw(M, seed, k):
@@ -666,7 +749,7 @@ class TestCMatrixOracle:
             return A @ x
 
         est = estimate_c_gradient_oracle(grad, m=4, n_mc=200, seed=5)
-        np.testing.assert_allclose(est.C, est.C.T, atol=1e-12)
+        assert np.array_equal(est.C, est.C.T)
         assert np.all(est.eigenvalues >= -1e-10)
         W = est.eigenvectors
         np.testing.assert_allclose(W.T @ W, np.eye(4), atol=1e-10)
