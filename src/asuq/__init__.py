@@ -18,9 +18,10 @@ from .errors import (DataError, DegeneracyError, EvaluatorError, ToolkitError,
 # Public name -> the submodule that defines it.
 _LAZY = {name: module for module, names in {
     "active_subspace": (
-        "ActiveSubspace", "BootstrapEnsemble", "CMatrixEstimate", "LinearFit",
-        "SummaryData", "bootstrap_direction", "estimate_c_gradient_oracle",
-        "fit_active_direction", "sensitivity_ranking", "summary_data"),
+        "ActiveSubspace", "CMatrixEstimate", "SummaryData",
+        "bootstrap_direction", "bootstrap_quantiles",
+        "estimate_c_gradient_oracle", "fit_active_direction",
+        "sensitivity_ranking", "summary_data"),
     "campaign": (
         "Campaign", "CommandEvaluator", "EvalRequest", "RunRecord",
         "append_run", "evaluate_campaign", "load_campaign", "new_campaign",

@@ -21,13 +21,12 @@ from .errors import DataError, DegeneracyError, EvaluatorError
 from .param_space import sample_hypercube
 
 __all__ = [
-    "LinearFit",
     "ActiveSubspace",
-    "BootstrapEnsemble",
     "SummaryData",
     "CMatrixEstimate",
     "fit_active_direction",
     "bootstrap_direction",
+    "bootstrap_quantiles",
     "sensitivity_ranking",
     "summary_data",
     "estimate_c_gradient_oracle",
@@ -42,54 +41,13 @@ _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 
 
 @dataclass(frozen=True)
-class LinearFit:
-    """Least-squares solution of [1 | X] u = f with diagnostics."""
+class ActiveSubspace:
+    """Unit active direction w with the least-squares fit of [1 | X] u = f."""
 
+    w: np.ndarray
     u_hat: np.ndarray
     residual_norm: float
     cond_estimate: float
-
-
-@dataclass(frozen=True)
-class ActiveSubspace:
-    """Unit active direction w with the fit it came from."""
-
-    w: np.ndarray
-    fit: LinearFit
-    M: int
-
-
-@dataclass(frozen=True)
-class BootstrapEnsemble:
-    """Replicated directions from row resampling, sign-aligned to w."""
-
-    replicates: np.ndarray  # (N, m)
-    N: int
-    seed: int
-
-    def component_quantiles(self) -> dict:
-        """Per-component quantiles, bit for bit numpy's default "linear" ones.
-
-        Computed from one sort with numpy's own formulas, not with
-        ``np.quantile``, which loads ``numpy.ma``: the virtual index is
-        v = (N - 1) q, and at or past the last row numpy takes that row
-        at both ends with weight v + 1.
-        """
-        ordered = np.sort(self.replicates, axis=0)
-        last = len(ordered) - 1
-        out = {}
-        for q in _QUANTILES:
-            v = last * q
-            if v < last:
-                lo = math.floor(v)
-                hi, t = lo + 1, v - lo
-            else:
-                lo = hi = last
-                t = v + 1
-            a, b = ordered[lo], ordered[hi]
-            out[f"q{q}"] = (b - (b - a) * (1 - t) if t >= 0.5
-                            else a + (b - a) * t).tolist()
-        return out
 
 
 @dataclass(frozen=True)
@@ -102,7 +60,6 @@ class SummaryData:
     """
 
     y: np.ndarray
-    f: np.ndarray
     discordant_pairs: int
 
 
@@ -113,7 +70,6 @@ class CMatrixEstimate:
     C: np.ndarray
     eigenvalues: np.ndarray   # descending
     eigenvectors: np.ndarray  # orthonormal columns, matching order
-    n_mc: int
 
 
 def _as_design(X, f) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -134,7 +90,7 @@ def _apply_sign_convention(w: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -w, w)
 
 
-def _solve_direction(X: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, LinearFit]:
+def _solve_direction(X: np.ndarray, f: np.ndarray) -> ActiveSubspace:
     M, m = X.shape
     A = np.column_stack([np.ones(M), X])
     u_hat, _, rank, sv = np.linalg.lstsq(A, f, rcond=RANK_RTOL)
@@ -145,7 +101,6 @@ def _solve_direction(X: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, LinearFi
         )
     residual_norm = float(np.linalg.norm(A @ u_hat - f))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    fit = LinearFit(u_hat=u_hat, residual_norm=residual_norm, cond_estimate=cond)
 
     u_prime = u_hat[1:]
     grad_norm = float(np.linalg.norm(u_prime))
@@ -154,7 +109,9 @@ def _solve_direction(X: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, LinearFi
         raise DegeneracyError(
             "constant response: the fitted gradient is numerically zero"
         )
-    return _apply_sign_convention(u_prime / grad_norm), fit
+    return ActiveSubspace(w=_apply_sign_convention(u_prime / grad_norm),
+                          u_hat=u_hat, residual_norm=residual_norm,
+                          cond_estimate=cond)
 
 
 def fit_active_direction(X, f) -> ActiveSubspace:
@@ -176,8 +133,7 @@ def fit_active_direction(X, f) -> ActiveSubspace:
             f"need M >= m+1 = {m + 1}, practical floor 2m = {2 * m}, "
             f"recommended about m^2 = {m * m}"
         )
-    w, fit = _solve_direction(X, f)
-    return ActiveSubspace(w=w, fit=fit, M=M)
+    return _solve_direction(X, f)
 
 
 # Rank-deficient resamples bootstrap_direction redraws per replicate.
@@ -243,7 +199,7 @@ def _refit_replicate(X: np.ndarray, f: np.ndarray, seed: int, k: int) -> np.ndar
         if np.count_nonzero(np.bincount(idx, minlength=M)) <= m:
             continue  # fewer than m + 1 distinct rows: rank < m + 1, no solve
         try:
-            return _solve_direction(X[idx], f[idx])[0]
+            return _solve_direction(X[idx], f[idx]).w
         except DegeneracyError:
             continue
     raise DegeneracyError(
@@ -254,8 +210,8 @@ def _refit_replicate(X: np.ndarray, f: np.ndarray, seed: int, k: int) -> np.ndar
 
 
 def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
-                        asub: ActiveSubspace | None = None) -> BootstrapEnsemble:
-    """Row-resampling bootstrap of the active direction.
+                        asub: ActiveSubspace | None = None) -> np.ndarray:
+    """Row-resampling bootstrap of the active direction: the (N, m) replicates.
 
     Replicate k resamples M rows with replacement using the RNG stream
     keyed by (seed, k), refits, and sign-aligns the result to the
@@ -311,7 +267,32 @@ def bootstrap_direction(X, f, N: int = 100, seed: int = 0,
     dots = replicates @ w
     np.negative(replicates, out=replicates, where=(dots < 0)[:, None])
     replicates[dots == 0] = _apply_sign_convention(replicates[dots == 0])
-    return BootstrapEnsemble(replicates=replicates, N=N, seed=seed)
+    return replicates
+
+
+def bootstrap_quantiles(replicates: np.ndarray) -> dict:
+    """Per-component quantiles, bit for bit numpy's default "linear" ones.
+
+    Computed from one sort with numpy's own formulas, not with
+    ``np.quantile``, which loads ``numpy.ma``: the virtual index is
+    v = (N - 1) q, and at or past the last row numpy takes that row
+    at both ends with weight v + 1.
+    """
+    ordered = np.sort(replicates, axis=0)
+    last = len(ordered) - 1
+    out = {}
+    for q in _QUANTILES:
+        v = last * q
+        if v < last:
+            lo = math.floor(v)
+            hi, t = lo + 1, v - lo
+        else:
+            lo = hi = last
+            t = v + 1
+        a, b = ordered[lo], ordered[hi]
+        out[f"q{q}"] = (b - (b - a) * (1 - t) if t >= 0.5
+                        else a + (b - a) * t).tolist()
+    return out
 
 
 def sensitivity_ranking(asub: ActiveSubspace,
@@ -344,7 +325,7 @@ def summary_data(X, f, asub: ActiveSubspace) -> SummaryData:
     increasing_breaks = int(np.sum(fs[1:] < fs[:-1]))
     decreasing_breaks = int(np.sum(fs[1:] > fs[:-1]))
     discordant = min(increasing_breaks, decreasing_breaks)
-    return SummaryData(y=y, f=f, discordant_pairs=discordant)
+    return SummaryData(y=y, discordant_pairs=discordant)
 
 
 def estimate_c_gradient_oracle(grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -374,4 +355,4 @@ def estimate_c_gradient_oracle(grad_fn: Callable[[np.ndarray], np.ndarray],
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = _apply_sign_convention(evecs[:, order].T).T
-    return CMatrixEstimate(C=C, eigenvalues=evals, eigenvectors=evecs, n_mc=n_mc)
+    return CMatrixEstimate(C=C, eigenvalues=evals, eigenvectors=evecs)

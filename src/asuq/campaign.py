@@ -248,14 +248,16 @@ def _record_to_dict(rec: RunRecord) -> dict:
 
 
 def _point(rd: dict, key: str, m: int) -> np.ndarray:
-    """A run record's ``x`` or ``p``: a list of m finite JSON numbers."""
+    """A run record's ``x`` or ``p``: m finite JSON numbers, x in [-1, 1]."""
     values = rd[key]
+    bound, within = (1.0, " in [-1, 1]") if key == "x" else (math.inf, "")
     # type(), not isinstance(): a JSON true is a bool, not a number.
     if type(values) is list and len(values) == m and all(
-            type(v) in (int, float) and math.isfinite(v) for v in values):
+            type(v) in (int, float) and math.isfinite(v) and abs(v) <= bound
+            for v in values):
         return np.array(values, dtype=float)
-    raise DataError(f"run {rd['index']}: {key} must hold {m} finite numbers, "
-                    f"got {values!r}")
+    raise DataError(f"run {rd['index']}: {key} must hold {m} finite numbers"
+                    f"{within}, got {values!r}")
 
 
 def _record_from_dict(rd: dict, m: int) -> RunRecord:

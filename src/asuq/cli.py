@@ -2,8 +2,8 @@
 
 Subcommands: space validate, sample, run, analyze, range, safeset, cdf,
 and the scenario group (shots-fit, inflow, check). Exit codes: 0 success,
-1 usage, 2 data/schema, 3 numerical degeneracy, 4 evaluator failure,
-5 partial evaluator failure (some runs done, some failed).
+1 usage, 2 data/schema or unwritable file, 3 numerical degeneracy, 4 evaluator
+failure, 5 partial evaluator failure (some runs done, some failed).
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ class _FittedCampaign:
         from .surrogate import fit_quadratic
 
         l1 = float(np.abs(self.asub.w).sum())
-        return fit_quadratic(self.summary.y, self.summary.f,
-                             y_domain=(-l1, l1))
+        return fit_quadratic(self.summary.y, self.f, y_domain=(-l1, l1))
 
     def range(self) -> int:
         """Evaluate the two corners; write range.json and the campaign.
@@ -286,44 +285,45 @@ def cmd_analyze(fitted: _FittedCampaign) -> int:
 def _bootstrap_reports(fitted: _FittedCampaign) -> None:
     """Bootstrap the direction; write results.json, summary.csv, summary.svg.
 
-    Also prints the ranking and the discordant-pairs line. The ensemble,
-    its (N, M) cloud and the results lists are local here, so they are
+    Also prints the ranking and the discordant-pairs line. The replicates,
+    their (N, M) cloud and the results lists are local here, so they are
     freed before ``analyze`` runs its range, safe-set and CDF stages.
     """
-    from .active_subspace import bootstrap_direction, sensitivity_ranking
+    from .active_subspace import (bootstrap_direction, bootstrap_quantiles,
+                                  sensitivity_ranking)
 
     args, asub, summary = fitted.args, fitted.asub, fitted.summary
-    ensemble = bootstrap_direction(fitted.X, fitted.f, N=args.bootstrap,
-                                   seed=args.seed, asub=asub)
+    replicates = bootstrap_direction(fitted.X, fitted.f, N=args.bootstrap,
+                                     seed=args.seed, asub=asub)
     # Every sample projected onto every replicate direction: row k holds
     # the M points of replicate k.
-    cloud = (fitted.X @ ensemble.replicates.T).T
+    cloud = (fitted.X @ replicates.T).T
     ranking = sensitivity_ranking(asub, names=fitted.campaign.space.names)
 
     results = {
-        "M": asub.M,
+        "M": len(fitted.f),
         "m": fitted.campaign.m,
         "w": asub.w,
-        "u_hat": asub.fit.u_hat,
-        "residual_norm": asub.fit.residual_norm,
-        "cond_estimate": asub.fit.cond_estimate,
+        "u_hat": asub.u_hat,
+        "residual_norm": asub.residual_norm,
+        "cond_estimate": asub.cond_estimate,
         "ranking": [
             {"name": n, "w": wi, "abs_w": awi} for n, wi, awi in ranking
         ],
         "discordant_pairs": summary.discordant_pairs,
         "bootstrap": {
-            "N": ensemble.N,
-            "seed": ensemble.seed,
-            "quantiles": ensemble.component_quantiles(),
-            "replicates": ensemble.replicates,
+            "N": args.bootstrap,
+            "seed": args.seed,
+            "quantiles": bootstrap_quantiles(replicates),
+            "replicates": replicates,
         },
     }
     write_json(fitted.out / "results.json", results)
 
     with atomic_open(fitted.out / "summary.csv") as fh:
         fh.write("y,f,source\n")
-        fh.writelines(_summary_rows(summary.y[None], summary.f, "sample"))
-        fh.writelines(_summary_rows(cloud, summary.f, "bootstrap"))
+        fh.writelines(_summary_rows(summary.y[None], fitted.f, "sample"))
+        fh.writelines(_summary_rows(cloud, fitted.f, "bootstrap"))
 
     _print_ranking(ranking)
     print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")
@@ -350,13 +350,13 @@ def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
     summary, surr, args = fitted.summary, fitted.surrogate, fitted.args
     plot = SvgPlot(xlabel="active variable y = w . x",
                    ylabel="quantity of interest", title="summary plot")
-    plot.scatter(cloud, summary.f, radius=1.5, color="#999999", opacity=0.35)
+    plot.scatter(cloud, fitted.f, radius=1.5, color="#999999", opacity=0.35)
     ys = np.linspace(surr.y_domain[0], surr.y_domain[1], 200)
     plot.line(ys, surr.predict(ys), color="#1166cc")
     if surr.sigma2_hat is not None:
         plot.line(ys, surr.upper_confidence(ys, args.level),
                   color="#1166cc", dashed=True)
-    plot.scatter(summary.y, summary.f, radius=3.0, color="#111111")
+    plot.scatter(summary.y, fitted.f, radius=3.0, color="#111111")
     if args.threshold is not None:
         plot.hline(args.threshold)
     plot.save(fitted.out / "summary.svg")
@@ -402,7 +402,7 @@ def cmd_scenario_check(args) -> int:
           f"{L0 * 1000:.1f} mm")
 
     for label, x_t0 in (("ramp", 0.145), ("cowl", 0.050)):
-        lo, hi = hyshot.transition_range(hyshot.TransitionSpec(x_t0=x_t0))
+        lo, hi = hyshot.transition_range(x_t0)
         print(f"{label} transition range: [{lo:.3f}, {hi:.3f}] m")
 
     cond = hyshot.build_inflow(np.zeros(7), hyshot_space())
@@ -455,8 +455,9 @@ def _key_value(text: str):
 
 # A number must be finite: NaN and Infinity are not JSON.
 _condition = _flag_type(
-    _key_value, lambda kv: not isinstance(kv[1], float) or math.isfinite(kv[1]),
-    "must be KEY=VALUE, and a number must be finite")
+    _key_value,
+    lambda kv: kv[0] and (not isinstance(kv[1], float) or math.isfinite(kv[1])),
+    "must be KEY=VALUE with a non-empty KEY, and a number must be finite")
 _point = _flag_type(lambda text: [float(v) for v in text.split(",")],
                     lambda x: all(map(math.isfinite, x)),
                     "must be comma-separated finite numbers")
@@ -587,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--nominal", action="store_true",
                        help="use the nominal point x = 0")
     point.add_argument("--x", type=_point,
-                       help="comma-separated normalized coordinates")
+                       help="comma-separated normalized coordinates; "
+                       "write --x=-1,... when the first is negative")
     p_inflow.set_defaults(func=cmd_scenario_inflow)
 
     p_check = scen_sub.add_parser("check",
@@ -644,6 +646,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a report or campaign that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         sys.stdout.flush()
         sys.stdout = stdout

@@ -25,7 +25,6 @@ from .param_space import ParameterSpace, hyshot_space
 
 __all__ = [
     "ShotRecord",
-    "TransitionSpec",
     "InflowCondition",
     "C_MU",
     "load_shots",
@@ -76,21 +75,6 @@ class ShotRecord:
             raise DataError(f"shot {self.id}: P0, T0, H0 must be finite and positive")
         if not all(v is None or 0 <= v < math.inf for v in (self.PH2_bar, self.phi)):
             raise DataError(f"shot {self.id}: PH2 and phi must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class TransitionSpec:
-    """Transition-location nominal plus the criterion perturbation level."""
-
-    x_t0: float
-    varphi: float = 0.2
-
-    def __post_init__(self):
-        if not _finite_positive(self.x_t0):
-            raise DataError(f"nominal transition location must be finite and > 0, "
-                            f"got {self.x_t0}")
-        if not (0.0 <= self.varphi < 0.5):
-            raise DataError(f"varphi must lie in [0, 0.5), got {self.varphi}")
 
 
 @dataclass(frozen=True)
@@ -292,14 +276,19 @@ def nominal_dissipation_length() -> float:
 
 # -- transition -----------------------------------------------------------------
 
-def transition_range(spec: TransitionSpec) -> tuple[float, float]:
+def transition_range(x_t0: float, varphi: float = 0.2) -> tuple[float, float]:
     """Transition-location range from perturbing the onset criterion.
 
     Perturbing the criterion Re_theta/M_e = 200 by (1 +/- varphi), with
-    the momentum thickness growing as sqrt(x), moves the location by
-    (1 +/- 2 varphi).
+    the momentum thickness growing as sqrt(x), moves the nominal location
+    x_t0 by (1 +/- 2 varphi).
     """
-    return spec.x_t0 * (1.0 - 2.0 * spec.varphi), spec.x_t0 * (1.0 + 2.0 * spec.varphi)
+    if not _finite_positive(x_t0):
+        raise DataError(f"nominal transition location must be finite and > 0, "
+                        f"got {x_t0}")
+    if not (0.0 <= varphi < 0.5):
+        raise DataError(f"varphi must lie in [0, 0.5), got {varphi}")
+    return x_t0 * (1.0 - 2.0 * varphi), x_t0 * (1.0 + 2.0 * varphi)
 
 
 # -- assembling solver boundary conditions ----------------------------------------
@@ -325,9 +314,11 @@ def build_inflow(x, space: ParameterSpace) -> InflowCondition:
             f"schema; expected {list(expected)}, got {list(space.names)}"
         )
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"normalized point must be finite, got {x.tolist()}")
     p = space.denormalize(x)
+    for name, xi in zip(space.names, x.tolist()):
+        if not -1 <= xi <= 1:  # NaN fails too
+            raise DataError(f"normalized coordinate {name} = {xi} must lie "
+                            f"in [-1, 1]")
     P0_MPa, H0_MJ, alpha, I, L, xt_ramp, xt_cowl = (float(v) for v in p)
 
     P0 = P0_MPa * 1e6

@@ -29,7 +29,6 @@ from asuq import (
 )
 from asuq.cli import main as cli_main
 from asuq.hyshot import (
-    TransitionSpec,
     area_mach_ratio,
     build_inflow,
     eddy_growth_ratio,
@@ -92,10 +91,10 @@ def test_criterion_03_eddy_growth():
 
 def test_criterion_04_parameter_table():
     with criterion(4, "transition ranges and nominal inflow chain", 1.0):
-        lo, hi = transition_range(TransitionSpec(x_t0=0.145, varphi=0.2))
+        lo, hi = transition_range(0.145, varphi=0.2)
         assert lo == pytest.approx(0.087, rel=1e-12)
         assert hi == pytest.approx(0.203, rel=1e-12)
-        lo, hi = transition_range(TransitionSpec(x_t0=0.050, varphi=0.2))
+        lo, hi = transition_range(0.050, varphi=0.2)
         assert lo == pytest.approx(0.030, rel=1e-12)
         assert hi == pytest.approx(0.070, rel=1e-12)
 
@@ -161,14 +160,14 @@ def test_criterion_07_bootstrap():
         X_lin = rng.uniform(-1, 1, (20, 4))
         f_lin = 3.0 + X_lin @ np.array([1.0, -0.5, 2.0, 0.25])
         asub_lin = fit_active_direction(X_lin, f_lin)
-        ens_lin = bootstrap_direction(X_lin, f_lin, N=100, seed=5)
-        assert np.max(np.abs(ens_lin.replicates - asub_lin.w)) <= 1e-12
+        reps_lin = bootstrap_direction(X_lin, f_lin, N=100, seed=5)
+        assert np.max(np.abs(reps_lin - asub_lin.w)) <= 1e-12
 
         X, f, _ = ridge_50_7()
         asub = fit_active_direction(X, f)
-        ens = bootstrap_direction(X, f, N=100, seed=13)
-        q25 = np.quantile(ens.replicates, 0.25, axis=0)
-        q75 = np.quantile(ens.replicates, 0.75, axis=0)
+        reps = bootstrap_direction(X, f, N=100, seed=13)
+        q25 = np.quantile(reps, 0.25, axis=0)
+        q75 = np.quantile(reps, 0.75, axis=0)
         assert np.all(q25 <= asub.w) and np.all(asub.w <= q75)
 
 

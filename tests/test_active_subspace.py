@@ -10,6 +10,7 @@ from asuq import (
     DataError,
     DegeneracyError,
     bootstrap_direction,
+    bootstrap_quantiles,
     estimate_c_gradient_oracle,
     fit_active_direction,
     ridge_direction,
@@ -21,7 +22,6 @@ from asuq.active_subspace import (
     _CERTIFY_BATCH,
     _GRAM_COND_MAX,
     _QUANTILES,
-    BootstrapEnsemble,
     _apply_sign_convention,
     _solve_direction,
     _well_conditioned,
@@ -60,7 +60,7 @@ class TestFit:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
         f = 5.0 + 2.0 * X[:, 0] + 1.0 * X[:, 1]
         asub = fit_active_direction(X, f)
-        np.testing.assert_allclose(asub.fit.u_hat, [5.0, 2.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(asub.u_hat, [5.0, 2.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(asub.w, np.array([2.0, 1.0]) / np.sqrt(5),
                                    atol=1e-12)
         assert abs(np.linalg.norm(asub.w) - 1.0) <= 1e-12
@@ -91,7 +91,7 @@ class TestFit:
         X, f, _ = ridge_fixture
         asub = fit_active_direction(X, f)
         A = np.column_stack([np.ones(len(f)), X])
-        lhs = np.linalg.norm(A.T @ (A @ asub.fit.u_hat - f))
+        lhs = np.linalg.norm(A.T @ (A @ asub.u_hat - f))
         assert lhs <= 1e-8 * np.linalg.norm(A.T @ f)
 
     def test_sign_convention_largest_component_positive(self):
@@ -193,10 +193,10 @@ class TestLinearModelLimit:
             t = X @ w
             f = t + t ** 3
             asub = fit_active_direction(X, f)
-            ens = bootstrap_direction(X, f, N=200, seed=seed, asub=asub)
-            q = ens.component_quantiles()
+            reps = bootstrap_direction(X, f, N=200, seed=seed, asub=asub)
+            q = bootstrap_quantiles(reps)
             component_hits += (np.array(q["q0.025"]) <= g) & (g <= np.array(q["q0.975"]))
-            cone = np.quantile(degrees(ens.replicates, asub.w), 0.95)
+            cone = np.quantile(degrees(reps, asub.w), 0.95)
             cone_hits += degrees(asub.w, g) <= cone
         print(f"95 % intervals cover the limit on {component_hits.tolist()} "
               f"and the cone on {cone_hits} of {len(seeds)} campaigns")
@@ -221,7 +221,7 @@ def loop_bootstrap(X, f, N, seed):
         for _ in range(100):
             idx = rng.integers(0, M, size=M)
             try:
-                w_k, _ = _solve_direction(X[idx], f[idx])
+                w_k = _solve_direction(X[idx], f[idx]).w
             except DegeneracyError:
                 continue
             replicates[k] = -w_k if np.dot(w_k, w) < 0 else w_k
@@ -247,17 +247,16 @@ class TestBootstrap:
     def test_noiseless_linear_replicates_identical(self):
         X, f = linear_fixture(M=12)
         asub = fit_active_direction(X, f)
-        ens = bootstrap_direction(X, f, N=50, seed=2)
-        np.testing.assert_allclose(ens.replicates,
-                                   np.tile(asub.w, (50, 1)), atol=1e-12)
-        assert np.all(ens.replicates.std(axis=0) <= 1e-12)
+        reps = bootstrap_direction(X, f, N=50, seed=2)
+        np.testing.assert_allclose(reps, np.tile(asub.w, (50, 1)), atol=1e-12)
+        assert np.all(reps.std(axis=0) <= 1e-12)
 
     def test_support_contains_point_estimate(self, ridge_fixture):
         X, f, _ = ridge_fixture
         asub = fit_active_direction(X, f)
-        ens = bootstrap_direction(X, f, N=100, seed=4)
-        lo = ens.replicates.min(axis=0)
-        hi = ens.replicates.max(axis=0)
+        reps = bootstrap_direction(X, f, N=100, seed=4)
+        lo = reps.min(axis=0)
+        hi = reps.max(axis=0)
         assert np.all(lo <= asub.w + 1e-12)
         assert np.all(asub.w - 1e-12 <= hi)
 
@@ -274,15 +273,15 @@ class TestBootstrap:
         X, f, _ = ridge_fixture
         a = bootstrap_direction(X, f, N=30, seed=9)
         b = bootstrap_direction(X, f, N=30, seed=9)
-        assert np.array_equal(a.replicates, b.replicates)
+        assert np.array_equal(a, b)
 
     def test_replicates_unit_norm_and_aligned(self, ridge_fixture):
         X, f, _ = ridge_fixture
         asub = fit_active_direction(X, f)
-        ens = bootstrap_direction(X, f, N=40, seed=1)
-        norms = np.linalg.norm(ens.replicates, axis=1)
+        reps = bootstrap_direction(X, f, N=40, seed=1)
+        norms = np.linalg.norm(reps, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert np.all(ens.replicates @ asub.w >= 0)
+        assert np.all(reps @ asub.w >= 0)
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 8), extra=st.integers(1, 30),
@@ -296,7 +295,7 @@ class TestBootstrap:
             with pytest.raises(DegeneracyError, match=str(exc)):
                 bootstrap_direction(X, f, N=20, seed=seed)
             return
-        got = bootstrap_direction(X, f, N=20, seed=seed).replicates
+        got = bootstrap_direction(X, f, N=20, seed=seed)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -314,7 +313,7 @@ class TestBootstrap:
             with pytest.raises(DegeneracyError, match=str(exc)):
                 bootstrap_direction(X, f, N=20, seed=seed)
             return
-        got = bootstrap_direction(X, f, N=20, seed=seed).replicates
+        got = bootstrap_direction(X, f, N=20, seed=seed)
         short = [k for k in range(20)
                  if len(np.unique(X[first_draw(M, seed, k)], axis=0)) <= m]
         assert np.array_equal(got[short], ref[short])
@@ -330,7 +329,7 @@ class TestBootstrap:
         X, f, _ = noisy_ridge(m, m + 2, 0.1, 11)
         X, f = np.repeat(X, copies, axis=0), np.repeat(f, copies)
         ref = loop_bootstrap(X, f, N, seed)
-        got = bootstrap_direction(X, f, N=N, seed=seed).replicates
+        got = bootstrap_direction(X, f, N=N, seed=seed)
         short = [k for k in range(N)
                  if len(np.unique(X[first_draw(len(f), seed, k)], axis=0)) <= m]
         assert 0 < len(short) < N
@@ -343,7 +342,7 @@ class TestBootstrap:
         # normal equations would miss the loop by about 2e-12.
         X = np.array([[-0.8, -0.6], [0.7, 0.5], [-0.05, -0.049], [0.9, -0.9]])
         f = X @ np.array([1.0, 0.5]) + np.array([0.1, -0.2, 0.05, 0.3])
-        got = bootstrap_direction(X, f, N=200, seed=1).replicates
+        got = bootstrap_direction(X, f, N=200, seed=1)
         np.testing.assert_allclose(got, loop_bootstrap(X, f, 200, 1),
                                    rtol=0, atol=1e-12)
 
@@ -352,14 +351,14 @@ class TestBootstrap:
         # rounding noise; such replicates take the per-replicate path.
         X = sample_hypercube(3, 30, seed=4)
         f = 3.0 + 3e-12 * (X @ np.array([1.0, -2.0, 0.5]))
-        got = bootstrap_direction(X, f, N=40, seed=6).replicates
+        got = bootstrap_direction(X, f, N=40, seed=6)
         assert np.array_equal(got, loop_bootstrap(X, f, 40, 6))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_large_mean_response_leaves_replicates_unchanged(self, seed):
         X, f, _ = noisy_ridge(7, 50, 0.2, seed)
-        a = bootstrap_direction(X, f, N=100, seed=seed).replicates
-        b = bootstrap_direction(X, f + 1e4, N=100, seed=seed).replicates
+        a = bootstrap_direction(X, f, N=100, seed=seed)
+        b = bootstrap_direction(X, f + 1e4, N=100, seed=seed)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_given_direction_is_used_as_is(self, ridge_fixture):
@@ -367,7 +366,7 @@ class TestBootstrap:
         asub = fit_active_direction(X, f)
         a = bootstrap_direction(X, f, N=30, seed=9)
         b = bootstrap_direction(X, f, N=30, seed=9, asub=asub)
-        assert np.array_equal(a.replicates, b.replicates)
+        assert np.array_equal(a, b)
         with pytest.raises(DataError, match="components"):
             bootstrap_direction(X[:, :6], f, N=3, asub=asub)
 
@@ -379,8 +378,8 @@ class TestBootstrap:
         for seed in seeds:
             X, f, w_true = noisy_ridge(7, 50, 0.2, seed)
             asub = fit_active_direction(X, f)
-            ens = bootstrap_direction(X, f, N=200, seed=seed, asub=asub)
-            q95 = np.quantile(angles(ens.replicates, asub.w), 0.95)
+            reps = bootstrap_direction(X, f, N=200, seed=seed, asub=asub)
+            q95 = np.quantile(angles(reps, asub.w), 0.95)
             hits += angles(asub.w, w_true) <= q95
         rate = hits / len(seeds)
         print(f"bootstrap 95 % angle quantile covers w_true on {rate:.2f} "
@@ -401,9 +400,9 @@ class TestBootstrap:
             return matmul(a, b, out=out)
 
         with mock.patch.object(np, "matmul", recording):
-            got = bootstrap_direction(X, f, N=N, seed=4).replicates
+            got = bootstrap_direction(X, f, N=N, seed=4)
         with mock.patch.object(np, "matmul", lambda a, b, out: a @ b):
-            ref = bootstrap_direction(X, f, N=N, seed=4).replicates
+            ref = bootstrap_direction(X, f, N=N, seed=4)
         assert [rows for rows, _, _ in outs] == blocks
         assert {(base, data) for _, base, data in outs} == {
             ((min(N, _BOOTSTRAP_BLOCK), 8 * 8), outs[0][2])}
@@ -429,8 +428,8 @@ class TestBootstrap:
 
     def test_quantiles_shape(self, ridge_fixture):
         X, f, _ = ridge_fixture
-        ens = bootstrap_direction(X, f, N=25, seed=0)
-        q = ens.component_quantiles()
+        reps = bootstrap_direction(X, f, N=25, seed=0)
+        q = bootstrap_quantiles(reps)
         assert len(q["q0.5"]) == 7
 
     @settings(max_examples=60, deadline=None)
@@ -439,7 +438,7 @@ class TestBootstrap:
     @example(N=1, m=60, seed=0, repeated=False)
     @example(N=1001, m=60, seed=1, repeated=True)
     def test_quantiles_equal_numpys_bit_for_bit(self, N, m, seed, repeated):
-        # np.quantile is the reference; the ensemble computes the same
+        # np.quantile is the reference; bootstrap_quantiles computes the same
         # "linear" quantiles without it. Magnitudes span 1e-300..1e300,
         # and resampled rows repeat values within each column.
         rng = np.random.default_rng(seed)
@@ -447,7 +446,7 @@ class TestBootstrap:
              * 10.0 ** rng.uniform(-300.0, 300.0, (N, m)))
         if repeated:
             R = R[rng.integers(0, N, N)]
-        got = BootstrapEnsemble(R, N, seed).component_quantiles()
+        got = bootstrap_quantiles(R)
         assert list(got) == [f"q{q}" for q in _QUANTILES]
         for q in _QUANTILES:
             ref = np.quantile(R, q, axis=0)
@@ -571,7 +570,7 @@ class TestGramCertificate:
         unproven = sum(not proven[sub].all() for sub in subs)
         assert 0 < unproven < len(subs)
         with counting("eigvalsh") as eigvalsh, counting("cholesky") as chol:
-            got = bootstrap_direction(X, f, N=N, seed=seed).replicates
+            got = bootstrap_direction(X, f, N=N, seed=seed)
         assert chol.call_count == len(subs)
         assert eigvalsh.call_count == unproven
         ref = loop_bootstrap(X, f, N, seed)
@@ -597,7 +596,7 @@ class TestGramCertificate:
                 counting("eigvalsh") as eigvalsh:
             ref = bootstrap_direction(X, f, N=128, seed=3, asub=asub)
         assert eigvalsh.call_count == 128 // _CERTIFY_BATCH
-        assert np.array_equal(got.replicates, ref.replicates)
+        assert np.array_equal(got, ref)
 
     def test_short_campaign_eigensolves_only_candidates(self):
         # m = 7, M = 11, the paper's M of about 1.5 m: about half the first
@@ -613,7 +612,7 @@ class TestGramCertificate:
         candidate = np.array([len(np.unique(d)) > m for d in draws])
         assert N // 4 < (~candidate).sum() < 3 * N // 4
         with counting("eigvalsh") as eigvalsh:
-            got = bootstrap_direction(X, f, N=N, seed=seed).replicates
+            got = bootstrap_direction(X, f, N=N, seed=seed)
         seen = [g for call in eigvalsh.call_args_list for g in call.args[0]]
         assert seen
         for g in seen:
@@ -660,12 +659,11 @@ class TestSensitivityRanking:
 
 
 def _as_subspace(w):
-    from asuq.active_subspace import ActiveSubspace, LinearFit
+    from asuq.active_subspace import ActiveSubspace
 
     w = w / np.linalg.norm(w)
-    fit = LinearFit(u_hat=np.concatenate([[0.0], w]), residual_norm=0.0,
-                    cond_estimate=1.0)
-    return ActiveSubspace(w=w, fit=fit, M=0)
+    return ActiveSubspace(w=w, u_hat=np.concatenate([[0.0], w]),
+                          residual_norm=0.0, cond_estimate=1.0)
 
 
 class TestSummaryData:
@@ -673,8 +671,8 @@ class TestSummaryData:
         X, f = linear_fixture(M=30)
         asub = fit_active_direction(X, f)
         sd = summary_data(X, f, asub)
-        coeffs = np.polyfit(sd.y, sd.f, 1)
-        resid = sd.f - np.polyval(coeffs, sd.y)
+        coeffs = np.polyfit(sd.y, f, 1)
+        resid = f - np.polyval(coeffs, sd.y)
         assert np.max(np.abs(resid)) <= 1e-12
 
     def test_monotone_ridge_exact_direction_is_concordant(self):

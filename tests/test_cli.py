@@ -154,6 +154,17 @@ class TestSample:
         assert [json.loads(ln) for ln in seen.read_text().splitlines()] == \
             [{"P": 4.8, "fuel": "H2"}] * 2
 
+    def test_missing_output_directory_is_a_one_line_error(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "nodir" / "c.json"
+        assert run_cli("sample", "-M", "3", "--seed", "1",
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "nodir").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_condition_is_usage_error(self, tmp_path, capsys, value):
         # NaN and Infinity are not JSON; every evaluator reads the condition.
@@ -380,8 +391,9 @@ class TestRun:
 class TestMalformedRunPoints:
     """A run's x or p that is not m finite numbers is exit 2 on load.
 
-    In the manifest or in a journal line, the command stops before any
-    evaluator runs or any report or campaign file is written.
+    So is an x outside [-1, 1]. In the manifest or in a journal line, the
+    command stops before any evaluator runs or any report or campaign
+    file is written.
     """
 
     CASES = {
@@ -392,6 +404,8 @@ class TestMalformedRunPoints:
         "pending-p-nan": ("pending", "p", lambda v: [math.nan, *v[1:]]),
         "pending-x-string": ("pending", "x", lambda v: ["0.5", *v[1:]]),
         "pending-p-nested": ("pending", "p", lambda v: [v]),
+        "done-x-outside": ("done", "x", lambda v: [-1.5, *v[1:]]),
+        "pending-x-outside": ("pending", "x", lambda v: [*v[:6], 1.0001]),
     }
 
     @pytest.mark.parametrize("where", ["manifest", "journal"])
@@ -645,7 +659,7 @@ class TestJournal:
     @pytest.mark.parametrize("target", REPORTS)
     def test_failed_report_rename_keeps_the_old_report(self, evaluated,
                                                        tmp_path, monkeypatch,
-                                                       target):
+                                                       capsys, target):
         out = tmp_path / "out"
         argv = ["analyze", "--campaign", str(evaluated), "--out", str(out),
                 "--bootstrap", "5", "--threshold", "1", "--corners", "--cdf",
@@ -661,8 +675,9 @@ class TestJournal:
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        with pytest.raises(OSError, match="injected"):
-            run_cli(*argv, "--seed", "3")
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "3") == 2
+        assert capsys.readouterr().err == "error: injected rename failure\n"
         assert (out / target).read_bytes() == before[target]
         assert leftovers(out) == [] and leftovers(tmp_path) == []
 
@@ -723,6 +738,20 @@ class TestAnalyze:
         assert sum(1 for ln in lines if ln.endswith(",bootstrap")) == 20 * 12
         assert "Angle of Attack" in capsys.readouterr().out
 
+    def test_out_naming_a_file_is_a_one_line_error(self, evaluated, tmp_path,
+                                                   capsys):
+        out = tmp_path / "reports"
+        out.write_text("not a directory\n")
+        before = evaluated.read_bytes()
+        assert run_cli("analyze", "--campaign", str(evaluated),
+                       "--out", str(out), "--seed", "11") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 17] ")
+        assert captured.err.count("\n") == 1
+        assert out.read_text() == "not a directory\n"
+        assert evaluated.read_bytes() == before
+
     def test_summary_csv_equals_the_one_shot_writer(self, evaluated, tmp_path,
                                                     monkeypatch):
         # 40 replicates of 12 samples: the row writer against the loop over
@@ -739,13 +768,14 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert run_cli("analyze", "--campaign", str(evaluated), "--out",
                        str(out), "--seed", "4", "--bootstrap", "40") == 0
-        (ensemble,) = captured
+        (replicates,) = captured
         X, f = load_campaign(evaluated).design_arrays()
         summary = asuq.summary_data(X, f, asuq.fit_active_direction(X, f))
-        ys = X @ ensemble.replicates.T
-        cloud = np.column_stack([ys.ravel(order="F"), np.tile(f, ensemble.N)])
+        ys = X @ replicates.T
+        cloud = np.column_stack([ys.ravel(order="F"),
+                                 np.tile(f, len(replicates))])
         reference = ["y,f,source\n"]
-        for yv, fv in zip(summary.y.tolist(), summary.f.tolist()):
+        for yv, fv in zip(summary.y.tolist(), f.tolist()):
             reference.append(f"{yv!r},{fv!r},sample\n")
         for yv, fv in zip(cloud[:, 0].tolist(), cloud[:, 1].tolist()):
             reference.append(f"{yv!r},{fv!r},bootstrap\n")
@@ -1090,6 +1120,25 @@ class TestScenario:
         params = json.loads(capsys.readouterr().out)
         assert params["Uy_ms"] < 0
 
+    def test_negative_first_coordinate_takes_the_equals_form(self, capsys):
+        # "--x -1,..." reads as a flag; "--x=-1,..." is the point.
+        from asuq.hyshot import build_inflow
+
+        assert run_cli("scenario", "inflow", "--x=-1,0,0,0,0,0,0") == 0
+        params = json.loads(capsys.readouterr().out)
+        space = asuq.hyshot_space()
+        low = build_inflow([-1.0, 0, 0, 0, 0, 0, 0], space)
+        assert params == low.to_params()
+        assert params["P_Pa"] == pytest.approx(
+            1.16e-4 * space.params[0].min * 1e6, rel=1e-12)
+
+    def test_inflow_point_outside_the_cube_is_data_error(self, capsys):
+        assert run_cli("scenario", "inflow", "--x", "1.5,0,0,0,0,0,0") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: normalized coordinate Stagnation Pressure = "
+                       "1.5 must lie in [-1, 1]\n")
+
     def test_inflow_requires_point(self):
         assert run_cli("scenario", "inflow") == 1
 
@@ -1223,10 +1272,15 @@ class TestEndToEnd:
     @pytest.mark.parametrize("argv", [
         ["sample", "--space", "missing.json", "--condition", "bad", "-M", "2",
          "--seed", "1", "--out", "c.json"],
+        ["sample", "--condition", "=5", "-M", "2", "--seed", "1",
+         "--out", "c.json"],
+        ["sample", "--condition", "=", "-M", "2", "--seed", "1",
+         "--out", "c.json"],
         ["scenario", "inflow", "--x", "nan,0,0,0,0,0,0"],
         ["scenario", "inflow", "--nominal", "--x", "0,0,0,0,0,0,0"],
         ["scenario", "inflow", "--space", "missing.json", "--x", "a,b"],
-    ], ids=["condition", "x-nan", "nominal-and-x", "x-text"])
+    ], ids=["condition", "condition-empty-key", "condition-empty",
+            "x-nan", "nominal-and-x", "x-text"])
     def test_bad_point_or_condition_is_refused_while_parsing(
             self, tmp_path, monkeypatch, capsys, argv):
         # Exit 1 before any file is read: missing.json is never opened.
@@ -1480,7 +1534,7 @@ class TestOneBlasThread:
         results = json.loads((tmp_path / "results.json").read_text())
         got = np.array(results["bootstrap"]["replicates"])
         X, f = load_campaign(wide).design_arrays()
-        ref = asuq.bootstrap_direction(X, f, N=200, seed=5).replicates
+        ref = asuq.bootstrap_direction(X, f, N=200, seed=5)
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("argv, code", [

@@ -10,7 +10,6 @@ from asuq.hyshot import (
     P_RATIO,
     T_RATIO,
     ShotRecord,
-    TransitionSpec,
     area_mach_ratio,
     build_inflow,
     eddy_growth_ratio,
@@ -246,29 +245,28 @@ class TestEddyGrowth:
 
 class TestTransition:
     def test_ramp_table_row(self):
-        lo, hi = transition_range(TransitionSpec(x_t0=0.145, varphi=0.2))
+        lo, hi = transition_range(0.145, varphi=0.2)
         assert lo == pytest.approx(0.087, rel=1e-12)
         assert hi == pytest.approx(0.203, rel=1e-12)
 
     def test_cowl_table_row(self):
-        lo, hi = transition_range(TransitionSpec(x_t0=0.050, varphi=0.2))
+        lo, hi = transition_range(0.050, varphi=0.2)
         assert lo == pytest.approx(0.030, rel=1e-12)
         assert hi == pytest.approx(0.070, rel=1e-12)
 
     def test_zero_perturbation_collapses(self):
-        lo, hi = transition_range(TransitionSpec(x_t0=0.1, varphi=0.0))
+        lo, hi = transition_range(0.1, varphi=0.0)
         assert lo == hi == 0.1
 
     def test_midpoint_is_nominal(self):
-        spec = TransitionSpec(x_t0=0.145, varphi=0.2)
-        lo, hi = transition_range(spec)
+        lo, hi = transition_range(0.145)
         assert (lo + hi) / 2 == pytest.approx(0.145, rel=1e-14)
 
     def test_spec_validation(self):
         with pytest.raises(DataError):
-            TransitionSpec(x_t0=-0.1)
+            transition_range(-0.1)
         with pytest.raises(DataError):
-            TransitionSpec(x_t0=0.1, varphi=0.5)
+            transition_range(0.1, varphi=0.5)
 
 
 class TestBuildInflow:
@@ -309,6 +307,14 @@ class TestBuildInflow:
         with pytest.raises(DataError, match="schema|names"):
             build_inflow(np.zeros(7), ParameterSpace(space.params[::-1]))
 
+    @pytest.mark.parametrize("i, xi", [(0, 1.5), (6, -1.0000001)])
+    def test_coordinate_outside_the_cube_is_named(self, space, i, xi):
+        x = np.zeros(7)
+        x[i] = xi
+        with pytest.raises(DataError, match=f"{space.names[i]} = {xi} must "
+                                            r"lie in \[-1, 1\]"):
+            build_inflow(x, space)
+
     def test_params_object_keys(self, space):
         cond = build_inflow(np.zeros(7), space)
         assert set(cond.to_params()) == {
@@ -327,8 +333,8 @@ NAN, INF = math.nan, math.inf
     lambda: ShotRecord(1, 178.0, 2700.0, INF),
     lambda: ShotRecord(1, 178.0, 2700.0, 3.2, PH2_bar=NAN),
     lambda: ShotRecord(1, 178.0, 2700.0, 3.2, phi=INF),
-    lambda: TransitionSpec(x_t0=NAN),
-    lambda: TransitionSpec(x_t0=INF),
+    lambda: transition_range(NAN),
+    lambda: transition_range(INF),
     lambda: stagnation_to_static(NAN, 2735.0, 3.24e6, 0.0),
     lambda: stagnation_to_static(17.7e6, INF, 3.24e6, 0.0),
     lambda: stagnation_to_static(17.7e6, 2735.0, 3.24e6, NAN),
