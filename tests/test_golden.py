@@ -6,7 +6,11 @@ the standalone ``range``, ``safeset --threshold 0`` and ``cdf --n 2000
 --corners --cdf --svg``; the sha256 of every deterministic output file,
 and of each of these commands' stdout with the work directory masked, is
 pinned, as is the stdout of the ``scenario`` and ``space validate``
-commands, which read no campaign. A refactor that claims to change
+commands, which read no campaign. A second campaign, a quadratic ridge
+whose summary ordering is not monotone, pins ``range`` twice: first
+against an evaluator that fails both corners (``range.json`` and the
+stderr line, exit 4), then with the corners done (``range.json``, with
+``"monotone_caveat": true``, and stdout). A refactor that claims to change
 nothing must leave these hashes as they are. A change that alters
 outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves the last
 bits) regenerates them with ``python tests/test_golden.py`` and says why
@@ -17,6 +21,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -63,6 +68,14 @@ GOLDEN = {
         "720a456cb58de0b96b3340d60e5da785866ceff1e895e531975c84a6417427ec",
     "cdf.stdout":
         "b667c01bf7887d9333ee6dd3802184ea194b8bdc2165ec1e3b749c04415b01e2",
+    "dead/range.json":
+        "c6f1ad734596719508eafd8c60f0a0ed6f11d458509435b0ff5f4a07b7f74387",
+    "dead-range.stderr":
+        "7386e440994fb5751447ee8fcea66f1f34bca5ae9ba29dff634f04029f39b700",
+    "quadratic/range.json":
+        "46f492be7961e220d06710f17ffd992e1f3def7752a7f0519e0640a1214aad81",
+    "quadratic-range.stdout":
+        "5585a8eb409860d94f76364d41e1e1be84d2239c327dbc0c2d7ea71c86e6297f",
     "scenario-check.stdout":
         "67014fddf91a6a748e877a62d231d0918512fad0e3d783285b425e2c57c442b6",
     "scenario-shots-fit.stdout":
@@ -101,10 +114,16 @@ NO_CAMPAIGN = {
 
 def _stdout(argv: list[str]) -> str:
     """What ``main(argv)`` prints; it must exit 0."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(argv) == 0
-    return stdout.getvalue()
+    return _streams(argv)[0]
+
+
+def _streams(argv: list[str], code: int = 0) -> tuple[str, str]:
+    """What ``main(argv)`` prints to stdout and to stderr; it must exit
+    ``code``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(argv) == code, stderr.getvalue()
+    return stdout.getvalue(), stderr.getvalue()
 
 
 def run_pipeline(work: Path) -> dict[str, str]:
@@ -134,6 +153,23 @@ def run_pipeline(work: Path) -> dict[str, str]:
     files["campaign.final.json"] = campaign.read_bytes()
     files.update((f"{name}.stdout", _stdout(argv).encode())
                  for name, argv in NO_CAMPAIGN.items())
+
+    quadratic = work / "quadratic.json"
+    ridge = ["--evaluator", "ridge:quadratic", "--wtrue-seed", "1"]
+    dead = work / "dead.py"
+    dead.write_text("import sys\nsys.exit(1)\n")
+    _stdout(["sample", "-M", "30", "--seed", "2", "--out", str(quadratic)])
+    _stdout(["run", "--campaign", str(quadratic), *ridge])
+    _, stderr = _streams(["range", "--campaign", str(quadratic), "--evaluator",
+                          f"{sys.executable} {dead}",
+                          "--out", str(work / "dead")], code=4)
+    files["dead/range.json"] = (work / "dead" / "range.json").read_bytes()
+    files["dead-range.stderr"] = stderr.replace(str(work), "<work>").encode()
+    files["quadratic-range.stdout"] = _stdout(
+        ["range", "--campaign", str(quadratic), *ridge,
+         "--out", str(work / "quadratic")]).encode()
+    files["quadratic/range.json"] = (
+        work / "quadratic" / "range.json").read_bytes()
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in files.items()}
 
