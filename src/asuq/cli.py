@@ -97,15 +97,15 @@ class _FittedCampaign:
 
         self.args = args
         self.campaign = load_campaign(args.campaign)
-        # Built before anything is written, so that a bad evaluator flag
-        # leaves no report behind.
+        # Built, and the direction fitted, before anything is written, so
+        # that a bad evaluator flag or a failed fit leaves no report behind.
         self.evaluator = (_build_evaluator(args, self.campaign.m)
                           if args.corners else None)
-        self.out = Path(args.out or os.environ.get("ASUQ_OUTPUT_DIR", "."))
-        self.out.mkdir(parents=True, exist_ok=True)
         self.X, self.f = self.campaign.design_arrays()
         self.asub = fit_active_direction(self.X, self.f)
         self.summary = summary_data(self.X, self.f, self.asub)
+        self.out = Path(args.out or os.environ.get("ASUQ_OUTPUT_DIR", "."))
+        self.out.mkdir(parents=True, exist_ok=True)
 
     @cached_property
     def surrogate(self) -> QuadraticSurrogate:
@@ -125,33 +125,34 @@ class _FittedCampaign:
         from .uq_analysis import corner_extrema, estimate_range
 
         campaign = self.campaign
+        x_min, x_max = corner_extrema(self.asub.w)
         recs = []
-        for x_corner in corner_extrema(self.asub.w):
+        for x_corner in (x_min, x_max):
             rec = next((r for r in campaign.runs if r.role == "corner"
                         and np.array_equal(r.x, x_corner)), None)
             recs.append(rec or campaign.append_point(x_corner, role="corner"))
         evaluate_campaign(campaign, self.evaluator, max_concurrency=2,
                           runs=recs)
-        rng = estimate_range(
-            self.asub.w, [r.f for r in recs], self.f,
-            discordant_pairs=self.summary.discordant_pairs,
-            errors=[None if r.error is None else "all 1 attempted runs "
-                    f"failed (first diagnostic: {r.error})" for r in recs])
+        rng = estimate_range([r.f for r in recs], self.f)
+        caveat = self.summary.discordant_pairs > 0
+        errors = {key: "all 1 attempted runs failed (first diagnostic: "
+                       f"{r.error})"
+                  for key, r in zip(("at_x_min", "at_x_max"), recs)
+                  if r.error is not None} or None
         save_campaign(campaign, self.args.campaign)
         write_json(self.out / "range.json", {
-            "x_min": rng.x_min, "x_max": rng.x_max,
-            "p_min": campaign.space.denormalize(rng.x_min),
-            "p_max": campaign.space.denormalize(rng.x_max),
+            "x_min": x_min, "x_max": x_max,
+            "p_min": campaign.space.denormalize(x_min),
+            "p_max": campaign.space.denormalize(x_max),
             "f_min": rng.f_min, "f_max": rng.f_max,
             "validated": rng.validated, "inverted": rng.inverted,
-            "monotone_caveat": rng.monotone_caveat,
-            "corner_errors": rng.corner_errors,
+            "monotone_caveat": caveat, "corner_errors": errors,
         })
         print(f"range: [{rng.f_min}, {rng.f_max}] validated={rng.validated} "
-              f"monotone_caveat={rng.monotone_caveat}")
-        if not rng.corner_errors:
+              f"monotone_caveat={caveat}")
+        if errors is None:
             return 0
-        print(f"corner evaluation failed: {rng.corner_errors}", file=sys.stderr)
+        print(f"corner evaluation failed: {errors}", file=sys.stderr)
         return 4
 
     def safeset(self) -> int:
@@ -165,7 +166,7 @@ class _FittedCampaign:
               f"feasible={safe.feasible} y_max={safe.y_max}")
         for entry in safe.safe_ranges:
             if entry["restricted"]:
-                units = f" {entry['units']}" if entry.get("units") else ""
+                units = f" {entry['units']}" if entry["units"] else ""
                 print(f"  {entry['name']}: [{entry['min']:.6g}, "
                       f"{entry['max']:.6g}]{units}")
         return 0
@@ -175,9 +176,8 @@ class _FittedCampaign:
         from .uq_analysis import estimate_cdf
 
         args = self.args
-        cdf = estimate_cdf(self.surrogate, self.asub.w, self.campaign.m,
-                           n_samples=args.n, seed=args.seed,
-                           grid_size=args.grid_size)
+        cdf = estimate_cdf(self.surrogate, self.asub.w, n_samples=args.n,
+                           seed=args.seed, grid_size=args.grid_size)
         path = self.out / "cdf.csv"
         with atomic_open(path) as fh:
             fh.write("q,cdf\n")

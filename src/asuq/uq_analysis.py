@@ -43,19 +43,15 @@ def _check_unit(w) -> np.ndarray:
 class RangeEstimate:
     """Corner evaluations bracketing the output under the monotone heuristic.
 
-    ``x_min``/``x_max`` extremize w . x. The interval [f_min, f_max] is
-    ordered; when the trend is decreasing in the active variable the
-    minimum value occurs at ``x_max``, flagged by ``inverted``.
+    The interval [f_min, f_max] is ordered; when the trend is decreasing
+    in the active variable the minimum value occurs at the corner that
+    maximizes w . x, flagged by ``inverted``.
     """
 
-    x_min: np.ndarray
-    x_max: np.ndarray
     f_min: float | None
     f_max: float | None
     validated: bool
-    inverted: bool = False
-    monotone_caveat: bool = False
-    corner_errors: dict | None = None
+    inverted: bool
 
 
 def corner_extrema(w) -> tuple[np.ndarray, np.ndarray]:
@@ -70,24 +66,16 @@ def corner_extrema(w) -> tuple[np.ndarray, np.ndarray]:
     return -x_max, x_max
 
 
-def estimate_range(w, f_corners, f_samples, discordant_pairs: int = 0,
-                   errors=(None, None)) -> RangeEstimate:
+def estimate_range(f_corners, f_samples) -> RangeEstimate:
     """Bracket the output by its values at the two extremizing corners.
 
     ``f_corners`` holds f at the ``x_min`` and ``x_max`` of
-    :func:`corner_extrema`, None for a corner whose evaluation failed, and
-    ``errors`` the matching diagnostics, reported as ``corner_errors``.
+    :func:`corner_extrema`, None for a corner whose evaluation failed.
     ``f_samples`` are the already-computed sample outputs; ``validated``
-    reports whether they all fall inside [f_min, f_max]. A nonzero
-    ``discordant_pairs`` count from the summary data flags that the
-    monotone reasoning behind the heuristic is not fully supported.
+    reports whether they all fall inside [f_min, f_max].
     """
-    w = _check_unit(w)
     f_samples = np.asarray(f_samples, dtype=float).ravel()
-    x_min, x_max = corner_extrema(w)
     at_min, at_max = (None if v is None else float(v) for v in f_corners)
-    corner_errors = {key: error for key, error
-                     in zip(("at_x_min", "at_x_max"), errors) if error is not None}
 
     inverted = at_min is not None and at_max is not None and at_min > at_max
     if inverted:
@@ -98,19 +86,16 @@ def estimate_range(w, f_corners, f_samples, discordant_pairs: int = 0,
         f_min is not None and f_max is not None and len(f_samples) > 0
         and bool(np.all(f_samples >= f_min) and np.all(f_samples <= f_max))
     )
-    return RangeEstimate(
-        x_min=x_min, x_max=x_max, f_min=f_min, f_max=f_max,
-        validated=validated, inverted=inverted,
-        monotone_caveat=discordant_pairs > 0,
-        corner_errors=corner_errors or None,
-    )
+    return RangeEstimate(f_min=f_min, f_max=f_max, validated=validated,
+                         inverted=inverted)
 
 
 # -- safe set and inscribed box ----------------------------------------------
 
-def inscribed_box(w, y_max: float, x_min) -> np.ndarray:
-    """Side lengths of the largest axis-aligned box in {x : w.x <= y_max}
-    anchored at x_min, each in [0, 2].
+def inscribed_box(w, y_max: float) -> np.ndarray:
+    """Side lengths, each in [0, 2], of the largest axis-aligned box in
+    {x : w.x <= y_max} anchored at x_min, the corner of
+    :func:`corner_extrema` where w.x is smallest.
 
     Maximizes sum(log s_i) subject to sum(|w_i| s_i) <= y_max - w.x_min
     and 0 <= s_i <= 2. The KKT solution is water-filling,
@@ -121,7 +106,7 @@ def inscribed_box(w, y_max: float, x_min) -> np.ndarray:
     A negative budget gives all zeros; one that covers the cube, all 2.
     """
     w = _check_unit(w)
-    x_min = np.asarray(x_min, dtype=float).ravel()
+    x_min, _ = corner_extrema(w)
     budget = float(y_max - np.dot(w, x_min))
     absw = np.abs(w)
     m = len(w)
@@ -165,7 +150,7 @@ def _box_normalized_intervals(x_min: np.ndarray, sides: np.ndarray) -> np.ndarra
 
 
 def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
-                    level: float = 0.99, space: ParameterSpace | None = None
+                    level: float = 0.99, *, space: ParameterSpace
                     ) -> SafeSetResult:
     """Find the active-variable cap y_max and the inscribed safe box.
 
@@ -175,11 +160,11 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
     parts on [-||w||_1, +||w||_1], the two ends and the midpoints
     between; y_max ends the feasible interval anchored at the left end,
     refined by bisection so that ub(y_max) <= T. The box is
-    :func:`inscribed_box`'s closed form. With a space given, it is
-    reported as physical per-parameter intervals.
+    :func:`inscribed_box`'s closed form, reported both normalized and
+    as the physical per-parameter intervals of ``space``.
     """
     w = _check_unit(w)
-    if space is not None and space.m != len(w):
+    if space.m != len(w):
         raise DataError(f"space has m={space.m}, direction has {len(w)}")
     l1 = float(np.abs(w).sum())
     if not np.isfinite(threshold):
@@ -216,28 +201,22 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
                 else:
                     lo = mid
             y_max = float(lo)
-            sides = inscribed_box(w, y_max, x_min)
+            sides = inscribed_box(w, y_max)
 
     intervals = _box_normalized_intervals(x_min, sides)
-    if space is not None:
-        p_lo, p_hi = space.denormalize(intervals.T)
+    p_lo, p_hi = space.denormalize(intervals.T)
     safe_ranges = []
-    for i in range(len(w)):
-        entry = {
+    for i, spec in enumerate(space.params):
+        safe_ranges.append({
             "index": i,
             "normalized_min": float(intervals[i, 0]),
             "normalized_max": float(intervals[i, 1]),
             "restricted": bool(sides[i] < 2.0 - 1e-12),
-        }
-        if space is not None:
-            spec = space.params[i]
-            entry.update({
-                "name": spec.name,
-                "units": spec.units,
-                "min": float(p_lo[i]),
-                "max": float(p_hi[i]),
-            })
-        safe_ranges.append(entry)
+            "name": spec.name,
+            "units": spec.units,
+            "min": float(p_lo[i]),
+            "max": float(p_hi[i]),
+        })
 
     return SafeSetResult(
         threshold=float(threshold), level=float(level), y_max=y_max,
@@ -303,11 +282,11 @@ def _binned_kernel_cdf(grid: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 _GRID_MARGIN = 4.0
 
 
-def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
+def estimate_cdf(surr: QuadraticSurrogate, w, n_samples: int = 5000,
                  seed: int = 0, grid_size: int = 513) -> CdfEstimate:
     """Sample the surrogate over uniform inputs and smooth with a Gaussian KDE.
 
-    Draws n_samples points on [-1, 1]^m, the rows of
+    Draws n_samples points on [-1, 1]^m, m = len(w), the rows of
     :func:`~asuq.param_space.sample_hypercube` (counter-based, so the set
     is reproducible and parallel-safe), in row blocks, each projected
     onto w and dropped before the next is drawn, so memory grows with n
@@ -322,15 +301,13 @@ def estimate_cdf(surr: QuadraticSurrogate, w, m: int, n_samples: int = 5000,
     bandwidth.
     """
     w = _check_unit(w)
-    if len(w) != m:
-        raise DataError(f"direction has {len(w)} components, expected {m}")
     if n_samples < 2:
         raise DataError(f"n_samples must be >= 2, got {n_samples}")
     if grid_size < 2:
         raise DataError(f"grid_size must be >= 2, got {grid_size}")
     y = np.empty(n_samples)
     start = 0
-    for X in hypercube_blocks(m, n_samples, seed):
+    for X in hypercube_blocks(len(w), n_samples, seed):
         y[start:start + len(X)] = X @ w
         start += len(X)
         del X  # else X holds this block while the next is drawn

@@ -26,6 +26,7 @@ from asuq import (
     inscribed_box,
     invert_safe_set,
     ridge_direction,
+    unit_space,
 )
 from asuq.cli import main as cli_main
 from asuq.hyshot import (
@@ -189,7 +190,7 @@ def test_criterion_08_corner_range():
             return t ** 3 + t
 
         w = fit_active_direction(X, f).w
-        est = estimate_range(w, [black_box(x) for x in corner_extrema(w)], f)
+        est = estimate_range([black_box(x) for x in corner_extrema(w)], f)
         assert est.validated
         assert np.all(f >= est.f_min) and np.all(f <= est.f_max)
 
@@ -204,7 +205,7 @@ def test_criterion_09_safe_set_and_box():
         f = f + 0.01 * (f.max() - f.min()) * rng.standard_normal(50)
         surr = fit_quadratic(y, f, y_domain=(-l1, l1))
 
-        result = invert_safe_set(surr, w, threshold=2.5)
+        result = invert_safe_set(surr, w, threshold=2.5, space=unit_space(3))
         assert result.feasible == "partial"
         assert abs(surr.upper_confidence(result.y_max) - 2.5) <= 1e-9
 
@@ -215,13 +216,14 @@ def test_criterion_09_safe_set_and_box():
             x_min = corner_extrema(wv)[0]
             lw = float(np.abs(wv).sum())
             y_max = float(grid_rng.uniform(-0.9 * lw, 0.9 * lw))
-            sides = inscribed_box(wv, y_max, x_min)
+            sides = inscribed_box(wv, y_max)
             want = _grid_box_product(wv, y_max, x_min)
             assert abs(float(np.prod(sides)) - want) <= 1e-3
 
         prev = -np.inf
         for threshold in np.linspace(1.0, 4.0, 20):
-            res = invert_safe_set(surr, w, threshold=float(threshold))
+            res = invert_safe_set(surr, w, threshold=float(threshold),
+                                  space=unit_space(3))
             y_val = -np.inf if res.y_max is None else res.y_max
             assert y_val >= prev - 1e-12
             prev = y_val
@@ -268,11 +270,11 @@ def test_criterion_11_cdf():
         y = np.linspace(-1, 1, 20)
         surr = fit_quadratic(y, y, y_domain=(-1.0, 1.0))
         w = np.array([1.0])
-        cdf = estimate_cdf(surr, w, m=1, n_samples=5000, seed=42)
+        cdf = estimate_cdf(surr, w, n_samples=5000, seed=42)
         median = np.interp(0.0, cdf.grid, cdf.cdf)
         assert median == pytest.approx(0.5, abs=0.02)
         assert np.all(np.diff(cdf.cdf) >= -1e-15)
-        again = estimate_cdf(surr, w, m=1, n_samples=5000, seed=42)
+        again = estimate_cdf(surr, w, n_samples=5000, seed=42)
         assert np.array_equal(cdf.cdf, again.cdf)
         assert np.array_equal(cdf.grid, again.grid)
 

@@ -942,7 +942,7 @@ class TestAnalyze:
         assert run_cli("analyze", "--campaign", str(sampled),
                        "--out", str(out), "--seed", "1") == 2
         assert "campaign has no completed runs" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_insufficient_runs_is_degeneracy(self, tmp_path, capsys):
         campaign = tmp_path / "small.json"
@@ -950,10 +950,13 @@ class TestAnalyze:
         run_cli("run", "--campaign", str(campaign),
                 "--evaluator", "ridge:linear", "--wtrue-seed", "2")
         capsys.readouterr()
-        # The fit's DegeneracyError is the one report: no warning precedes it.
+        # The fit's DegeneracyError is the one report: no warning precedes
+        # it, and no output directory is left behind.
+        out = tmp_path / "o"
         code = run_cli("analyze", "--campaign", str(campaign),
-                       "--out", str(tmp_path / "o"), "--seed", "1")
+                       "--out", str(out), "--seed", "1")
         assert code == 3
+        assert not out.exists()
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: M=4 samples cannot determine ")
         assert "M >= m+1 = 8" in line
@@ -966,6 +969,23 @@ class TestStandaloneReports:
                        "--evaluator", "ridge:cubic-monotone",
                        "--wtrue-seed", "3") == 0
         assert (out / "range.json").exists()
+
+    def test_range_command_reports_a_discordant_ordering(self, tmp_path,
+                                                        capsys):
+        # A quadratic ridge is not monotone in the active variable, so its
+        # summary ordering has discordant pairs.
+        campaign = tmp_path / "quadratic.json"
+        ridge = ["--evaluator", "ridge:quadratic", "--wtrue-seed", "1"]
+        run_cli("sample", "-M", "30", "--seed", "2", "--out", str(campaign))
+        run_cli("run", "--campaign", str(campaign), *ridge)
+        capsys.readouterr()
+        out = tmp_path / "rq"
+        assert run_cli("range", "--campaign", str(campaign), *ridge,
+                       "--out", str(out)) == 0
+        report = json.loads((out / "range.json").read_text())
+        assert report["monotone_caveat"] is True
+        assert report["corner_errors"] is None
+        assert "monotone_caveat=True" in capsys.readouterr().out
 
     def test_range_command_corner_failure(self, evaluated, tmp_path):
         script = tmp_path / "dead.py"

@@ -27,8 +27,8 @@ def test_python_api_example_runs():
     namespace = run_python_api_example(RIDGE)
     campaign, rng, f = namespace["campaign"], namespace["rng"], namespace["f"]
     assert len(campaign.done_runs()) == 52
-    assert [r.role for r in campaign.runs[50:]] == ["corner", "corner"]
-    assert rng.corner_errors is None
+    assert [(r.role, r.error) for r in campaign.runs[50:]] == [
+        ("corner", None), ("corner", None)]
     assert rng.f_min < rng.f_max and rng.validated
     assert np.all((rng.f_min <= f) & (f <= rng.f_max))
     assert namespace["safe"].feasible in ("empty", "partial", "full")
@@ -44,10 +44,9 @@ def test_python_api_example_records_failed_corners():
 
     namespace = run_python_api_example(evaluator)
     campaign, rng = namespace["campaign"], namespace["rng"]
-    assert [(r.role, r.status) for r in campaign.runs[50:]] == [
-        ("corner", "failed"), ("corner", "failed")]
-    assert rng.corner_errors == {"at_x_min": "solver diverged at run 50",
-                                 "at_x_max": "solver diverged at run 51"}
+    assert [(r.role, r.status, r.error) for r in campaign.runs[50:]] == [
+        ("corner", "failed", "solver diverged at run 50"),
+        ("corner", "failed", "solver diverged at run 51")]
     assert rng.f_min is None and rng.f_max is None and not rng.validated
 
 
