@@ -10,7 +10,11 @@ commands, which read no campaign. A second campaign, a quadratic ridge
 whose summary ordering is not monotone, pins ``range`` twice: first
 against an evaluator that fails both corners (``range.json`` and the
 stderr line, exit 4), then with the corners done (``range.json``, with
-``"monotone_caveat": true``, and stdout). A refactor that claims to change
+``"monotone_caveat": true``, and stdout). The run journal is pinned
+through the API: four runs of the sampled campaign (one failing, one a
+corner) are evaluated with each appended by ``append_run``, by an
+evaluator that reads the physical ``params`` it is sent; then the manifest
+that ``save_campaign`` folds the journal into. A refactor that claims to change
 nothing must leave these hashes as they are. A change that alters
 outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves the last
 bits) regenerates them with ``python tests/test_golden.py`` and says why
@@ -21,6 +25,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -88,6 +93,10 @@ GOLDEN = {
         "a94ca36d1fec5b28ae14b5929a51b498943446998168c0532ba8e3348509eca6",
     "space-validate.stdout":
         "88d8d693b7e5ade4c7c63a7655839b733b56cdc618ba0e359b7e205834af1594",
+    "api/campaign.json.journal":
+        "be577aaf51f8c5dad3d80fa84dcaaeaf0991655b501f8dfe2cbacd43c54c220f",
+    "api/campaign.json":
+        "8b07fb468e8ee8fd39e231b5af2cece60f3cf35a931eefba8ac21c8960d08de6",
 }
 
 # The three standalone commands, run before ``analyze``; each writes one
@@ -126,6 +135,38 @@ def _streams(argv: list[str], code: int = 0) -> tuple[str, str]:
     return stdout.getvalue(), stderr.getvalue()
 
 
+def journal_files(work: Path, sampled: Path) -> dict[str, bytes]:
+    """Evaluate four runs of a copy of the sampled campaign through the API,
+    appending each to the journal; the journal's bytes, then the bytes of
+    the manifest that ``save_campaign`` folds it into."""
+    import numpy as np
+
+    from asuq import (EvaluatorError, append_run, evaluate_campaign,
+                      load_campaign, ridge_direction, save_campaign,
+                      synthetic_ridge)
+    from asuq.campaign import journal_path
+
+    path = work / "api" / "campaign.json"
+    path.parent.mkdir()
+    shutil.copyfile(sampled, path)
+    campaign = load_campaign(path)
+    ridge = synthetic_ridge(ridge_direction(campaign.m, 7), "cubic-monotone")
+
+    def evaluator(req):
+        if req.index == 1:
+            raise EvaluatorError(f"run {req.index}: designed failure")
+        return ridge(req) + 1e-3 * sum(req.params.values())
+
+    runs = campaign.runs[:3] + [
+        campaign.append_point(np.ones(campaign.m), role="corner")]
+    evaluate_campaign(campaign, evaluator, runs=runs,
+                      checkpoint=lambda r: append_run(path, r))
+    journal = journal_path(path).read_bytes()
+    save_campaign(campaign, path)
+    return {"api/campaign.json.journal": journal,
+            "api/campaign.json": path.read_bytes()}
+
+
 def run_pipeline(work: Path) -> dict[str, str]:
     """Run the fixed pipeline in ``work``; return sha256 per output file."""
     campaign = work / "campaign.json"
@@ -139,6 +180,7 @@ def run_pipeline(work: Path) -> dict[str, str]:
 
     pin_stdout(["sample", "-M", "40", "--seed", "11", "--out", str(campaign)])
     files["campaign.sampled.json"] = campaign.read_bytes()
+    files.update(journal_files(work, campaign))
     pin_stdout(["run", "--campaign", str(campaign), *evaluator])
     for command, flags in STANDALONE.items():
         pin_stdout([command, "--campaign", str(campaign), *flags,
