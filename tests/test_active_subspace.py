@@ -283,6 +283,18 @@ class TestBootstrap:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert np.all(reps @ asub.w >= 0)
 
+    def test_replicate_orthogonal_to_w_takes_the_sign_convention(self):
+        # f = -x2 on a repeated 2^2 factorial: most replicates come out as
+        # exactly (0, -1), orthogonal to the given w = (1, 0), so no
+        # alignment to w fixes their sign and the convention flips them.
+        X = np.array([[a, b] for a in (-1.0, 1.0) for b in (-1.0, 1.0)] * 3)
+        asub = _as_subspace(np.array([1.0, 0.0]))
+        reps = bootstrap_direction(X, -X[:, 1], N=20, seed=0, asub=asub)
+        tied = reps[reps @ asub.w == 0]
+        assert len(tied) > 0
+        np.testing.assert_array_equal(np.abs(tied), [[0.0, 1.0]] * len(tied))
+        assert np.all(tied[:, 1] == 1.0)
+
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 8), extra=st.integers(1, 30),
            log_noise=st.floats(-8.0, 0.5), seed=st.integers(0, 2**20))

@@ -234,6 +234,21 @@ class TestRun:
         assert [(r.status, r.f) for r in campaign.runs] == [("failed", None)] * 12
         assert not journal_path(sampled).exists()
 
+    @pytest.mark.parametrize("qoi", ["Infinity", "-Infinity"])
+    def test_infinite_qoi_is_a_failed_run(self, tmp_path, sampled, qoi,
+                                          capsys):
+        # Python's json reads the bare tokens as floats, so the command
+        # evaluator returns them and the finiteness check must catch them.
+        script = tmp_path / "infinite.py"
+        script.write_text(f"print('{{\"qoi\": {qoi}}}')\n")
+        code = run_cli("run", "--campaign", str(sampled),
+                       "--evaluator", f"{sys.executable} {script}")
+        assert code == 4
+        value = float(qoi)
+        assert f"run 0: non-finite result {value}" in capsys.readouterr().err
+        assert [(r.status, r.error) for r in load_campaign(sampled).runs] == [
+            ("failed", f"run {i}: non-finite result {value}") for i in range(12)]
+
     def test_retry_failed_reruns_failures(self, tmp_path, sampled):
         script = tmp_path / "flaky.py"
         script.write_text(

@@ -468,6 +468,10 @@ class TestCornerExtrema:
             _, x_max = corner_extrema(w)
             np.testing.assert_array_equal(x_max, brute_force_corner(w))
 
+    def test_norm_off_by_1e_6_rejected(self):
+        with pytest.raises(DataError, match="unit vector"):
+            corner_extrema([1.0 + 1e-6, 0.0])
+
 
 class TestEstimateRange:
     def test_monotone_ridge_attains_corner_extrema(self):
@@ -557,6 +561,12 @@ class TestInscribedBox:
         sides = inscribed_box(w, -1.5)
         assert not sides.any()
         np.testing.assert_array_equal(sides, 0.0)
+
+    def test_zero_budget_keeps_the_zero_weight_side(self):
+        # y_max = w.x_min = -1: a budget of exactly 0 is not negative, so
+        # the zero-weight coordinate still gets the full side.
+        np.testing.assert_array_equal(inscribed_box([1.0, 0.0], -1.0),
+                                      [0.0, 2.0])
 
     def test_kkt_stationarity_and_binding_budget(self):
         rng = np.random.default_rng(23)
@@ -809,6 +819,19 @@ class TestInvertSafeSet:
             assert entry["min"] >= -1.0 - 1e-12
             assert entry["max"] <= 1.0 + 1e-12
 
+    def test_side_within_1e_12_of_2_is_not_restricted(self):
+        # The cap sits 5e-13 below ||w||_1, so the heavier coordinate's
+        # side falls short of 2 by less than 1e-12.
+        w = np.array([0.8, 0.6])
+        y = np.linspace(-1.4, 1.4, 50)
+        surr = fit_quadratic(y, y + 1e-3 * np.sin(7 * y), y_domain=(-1.4, 1.4))
+        threshold = float(surr.upper_confidence(1.4 - 5e-13, 0.99))
+        result = invert_safe_set(surr, w, threshold, space=unit_space(2))
+        assert result.feasible == "partial"
+        assert 0.0 < 2.0 - result.box_sides[0] < 1e-12
+        assert result.box_sides[1] == 2.0
+        assert [e["restricted"] for e in result.safe_ranges] == [False, False]
+
 
 class TestEstimateCdf:
     def test_constant_surrogate_step_cdf(self):
@@ -821,6 +844,18 @@ class TestEstimateCdf:
         np.testing.assert_array_equal(cdf.grid,
                                       [3.0 - margin, 3.0, 3.0 + margin])
         np.testing.assert_array_equal(cdf.cdf, [0.0, 0.5, 1.0])
+
+    def test_relative_spread_of_1e_12_is_not_degenerate(self):
+        # Far above the 1e-14 float-fuzz floor, so the kernel estimate
+        # runs, with a bandwidth near 1.5e-13.
+        y = np.linspace(-1, 1, 20)
+        surr = fit_quadratic(y, 1.0 + 1e-12 * y, y_domain=(-1.0, 1.0))
+        cdf = estimate_cdf(surr, np.array([1.0]), n_samples=1000, seed=0,
+                           grid_size=33)
+        assert not cdf.degenerate
+        assert len(cdf.grid) == 33
+        assert cdf.bandwidth == pytest.approx(1.5e-13, rel=0.05)
+        assert cdf.cdf[0] < 1e-3 and cdf.cdf[-1] > 1 - 1e-3
 
     def test_linear_surrogate_median(self):
         y = np.linspace(-1, 1, 20)
