@@ -1,10 +1,9 @@
 """Evaluation campaigns: sampled points, black-box results, persistence.
 
-A campaign records the normalized sample points, their physical
-counterparts, and the scalar quantity of interest returned by an
-evaluator. Evaluators are callables taking an :class:`EvalRequest`;
-built-in synthetic ridges and external subprocess commands are
-supported.
+A campaign records normalized sample points (their physical values are
+their image under its parameter space) and the scalar an evaluator
+returns at each. Evaluators take an :class:`EvalRequest`; synthetic
+ridges and external subprocess commands are built in.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class RunRecord:
 
     index: int
     x: np.ndarray
-    p: np.ndarray
     status: str = "pending"  # pending | done | failed
     f: float | None = None
     error: str | None = None
@@ -55,7 +53,6 @@ class RunRecord:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,7 @@ class Campaign:
 
     def append_point(self, x: np.ndarray, role: str = "sample") -> RunRecord:
         """Add one pending run at a caller-chosen normalized point."""
-        x = np.asarray(x, dtype=float)
-        rec = RunRecord(index=len(self.runs), x=x, p=self.space.denormalize(x),
-                        role=role)
+        rec = RunRecord(index=len(self.runs), x=x, role=role)
         self.runs.append(rec)
         return rec
 
@@ -141,10 +136,7 @@ def new_campaign(space: ParameterSpace, M: int, seed: int,
     if M < 1:
         raise DataError(f"sample count must be >= 1, got {M}")
     X = sample_hypercube(space.m, M, seed)
-    runs = [
-        RunRecord(index=j, x=X[j], p=space.denormalize(X[j]))
-        for j in range(M)
-    ]
+    runs = [RunRecord(index=j, x=X[j]) for j in range(M)]
     return Campaign(space, seed, condition, runs, sampler=SAMPLER_VERSION)
 
 
@@ -180,7 +172,8 @@ def evaluate_campaign(campaign: Campaign,
         req = EvalRequest(
             index=rec.index,
             x=rec.x.copy(),
-            params={n: float(v) for n, v in zip(campaign.space.names, rec.p)},
+            params=dict(zip(campaign.space.names,
+                            campaign.space.denormalize(rec.x).tolist())),
             condition=dict(campaign.condition),
         )
         try:
@@ -231,11 +224,11 @@ def evaluate_campaign(campaign: Campaign,
 
 # -- persistence -----------------------------------------------------------
 
-def _record_to_dict(rec: RunRecord) -> dict:
+def _record_to_dict(rec: RunRecord, space: ParameterSpace) -> dict:
     d = {
         "index": rec.index,
         "x": rec.x,
-        "p": rec.p,
+        "p": space.denormalize(rec.x),
         "status": rec.status,
     }
     if rec.f is not None:
@@ -247,20 +240,19 @@ def _record_to_dict(rec: RunRecord) -> dict:
     return d
 
 
-def _point(rd: dict, key: str, m: int) -> np.ndarray:
-    """A run record's ``x`` or ``p``: m finite JSON numbers, x in [-1, 1]."""
-    values = rd[key]
-    bound, within = (1.0, " in [-1, 1]") if key == "x" else (math.inf, "")
+def _point(rd: dict, m: int) -> np.ndarray:
+    """A run record's ``x``: m finite JSON numbers in [-1, 1]."""
+    values = rd["x"]
     # type(), not isinstance(): a JSON true is a bool, not a number.
     if type(values) is list and len(values) == m and all(
-            type(v) in (int, float) and math.isfinite(v) and abs(v) <= bound
+            type(v) in (int, float) and math.isfinite(v) and abs(v) <= 1.0
             for v in values):
         return np.array(values, dtype=float)
-    raise DataError(f"run {rd['index']}: {key} must hold {m} finite numbers"
-                    f"{within}, got {values!r}")
+    raise DataError(f"run {rd['index']}: x must hold {m} finite numbers "
+                    f"in [-1, 1], got {values!r}")
 
 
-def _record_from_dict(rd: dict, m: int) -> RunRecord:
+def _record_from_dict(rd: dict, space: ParameterSpace) -> RunRecord:
     # Unknown keys, such as the run times older versions stored, are ignored.
     try:
         index, f, error = rd["index"], rd.get("f"), rd.get("error")
@@ -274,10 +266,19 @@ def _record_from_dict(rd: dict, m: int) -> RunRecord:
         if error is not None and type(error) is not str:
             raise DataError(f"run {index}: error must be a string or null, "
                             f"got {error!r}")
+        # asuq derives p from x, so a stored p must be exactly the space's
+        # image of x: the writer forms it so, and repr round-trips floats.
+        x, p, m = _point(rd, space.m), rd["p"], space.m
+        rule = f"run {index}: p must hold {m} finite numbers, the space's image of x"
+        if type(p) is not list or len(p) != m:
+            raise DataError(f"{rule}, got {p!r}")
+        for i, (v, image) in enumerate(zip(p, space.denormalize(x).tolist())):
+            if not (type(v) in (int, float) and math.isfinite(v) and v == image):
+                raise DataError(f"{rule}; parameter {i} ({space.names[i]}) "
+                                f"holds {v!r}, the space maps x to {image!r}")
         rec = RunRecord(
             index=index,
-            x=_point(rd, "x", m),
-            p=_point(rd, "p", m),
+            x=x,
             status=str(rd["status"]),
             f=None if f is None else float(f),
             error=error,
@@ -302,7 +303,7 @@ def journal_path(path) -> Path:
     return path.with_name(path.name + ".journal")
 
 
-def append_run(path, rec: RunRecord) -> None:
+def append_run(path, rec: RunRecord, space: ParameterSpace) -> None:
     """Append one finished run to the journal of the manifest at ``path``.
 
     One compact JSON line per call, not fsynced: a kill can at worst tear
@@ -313,7 +314,7 @@ def append_run(path, rec: RunRecord) -> None:
     :func:`save_campaign` before appending again.
     """
     with open(journal_path(path), "a") as fh:
-        fh.write(json.dumps(_record_to_dict(rec), default=jsonable) + "\n")
+        fh.write(json.dumps(_record_to_dict(rec, space), default=jsonable) + "\n")
 
 
 def save_campaign(campaign: Campaign, path) -> None:
@@ -328,13 +329,13 @@ def save_campaign(campaign: Campaign, path) -> None:
         "seed": campaign.seed,
         "sampler": campaign.sampler,
         "condition": {k: campaign.condition[k] for k in sorted(campaign.condition)},
-        "runs": [_record_to_dict(r) for r in campaign.runs],
+        "runs": [_record_to_dict(r, campaign.space) for r in campaign.runs],
     }
     write_json(path, manifest)
     journal_path(path).unlink(missing_ok=True)
 
 
-def _fold_journal(runs: list[RunRecord], path: Path, m: int) -> None:
+def _fold_journal(runs: list[RunRecord], path: Path, space: ParameterSpace) -> None:
     """Replace manifest records by their journal lines; the last line wins."""
     try:
         text = path.read_text()
@@ -346,7 +347,7 @@ def _fold_journal(runs: list[RunRecord], path: Path, m: int) -> None:
     # a kill mid-write; either way it carries no finished run.
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         try:
-            rec = _record_from_dict(json.loads(line), m)
+            rec = _record_from_dict(json.loads(line), space)
         except (json.JSONDecodeError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: bad journal line: {exc}") from exc
         if not 0 <= rec.index < len(runs):
@@ -388,10 +389,10 @@ def load_campaign(path) -> Campaign:
                         f"{manifest['condition']!r}") from None
     space = ParameterSpace.from_dict(manifest["space"])
     campaign = Campaign(space, manifest["seed"], manifest["condition"],
-                        [_record_from_dict(rd, space.m)
+                        [_record_from_dict(rd, space)
                          for rd in manifest["runs"]],
                         sampler=manifest["sampler"])
-    _fold_journal(campaign.runs, journal_path(path), space.m)
+    _fold_journal(campaign.runs, journal_path(path), space)
     return campaign
 
 

@@ -247,7 +247,7 @@ def cmd_run(args) -> int:
         evaluate_campaign(
             campaign, evaluator,
             max_concurrency=args.max_concurrency,
-            checkpoint=lambda rec: append_run(args.campaign, rec),
+            checkpoint=lambda rec: append_run(args.campaign, rec, campaign.space),
             runs=todo,
         )
     except KeyboardInterrupt:

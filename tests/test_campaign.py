@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -9,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asuq import (
     Campaign,
     CommandEvaluator,
     DataError,
     EvaluatorError,
+    ParameterSpace,
     UsageError,
     append_run,
     evaluate_campaign,
@@ -119,13 +123,14 @@ class TestEvaluate:
         path_a = tmp_path / "a.json"
         campaign = new_campaign(unit_space(2), 6, seed=1)
         save_campaign(campaign, path_a)
-        checkpoint = lambda r: append_run(path_a, r)
+        checkpoint = lambda r: append_run(path_a, r, campaign.space)
         with pytest.raises(KeyboardInterrupt):
             evaluate_campaign(campaign, flaky_factory(3), checkpoint=checkpoint)
         resumed = load_campaign(path_a)
         assert len(resumed.done_runs()) == 3
         evaluate_campaign(resumed, lambda req: float(req.x[0]),
-                          checkpoint=lambda r: append_run(path_a, r))
+                          checkpoint=lambda r: append_run(path_a, r,
+                                                          resumed.space))
         save_campaign(resumed, path_a)
 
         fresh = new_campaign(unit_space(2), 6, seed=1)
@@ -275,7 +280,7 @@ class TestPersistence:
 
     def test_noncontiguous_indices_rejected(self):
         sp = unit_space(1)
-        recs = [RunRecord(index=1, x=np.zeros(1), p=np.zeros(1))]
+        recs = [RunRecord(index=1, x=np.zeros(1))]
         with pytest.raises(DataError):
             Campaign(sp, 0, None, recs)
 
@@ -305,6 +310,56 @@ class TestPersistence:
         evaluate_campaign(campaign, constant_evaluator(1.0))
         assert [r.status for r in campaign.runs] == ["done"] * 5
 
+    def test_infinite_p_refused_where_the_space_maps_x_to_it(self, tmp_path):
+        # A span max - min that overflows maps x to inf; p stays finite.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "space": [{"name": "a", "min": -1e308, "nominal": 0.0,
+                       "max": 1e308}],
+            "seed": 0,
+            "runs": [{"index": 0, "x": [0.5], "p": [float("inf")],
+                      "status": "pending"}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow
+            with pytest.raises(DataError, match="run 0: p must hold 1 finite "
+                               "numbers.* holds inf, the space maps x to inf"):
+                load_campaign(path)
+
+    # Ranges within 1e300 of 0, so that every span max - min is finite.
+    @settings(max_examples=200, deadline=None)
+    @given(ranges=st.lists(st.lists(st.floats(-1e300, 1e300), min_size=2,
+                                    max_size=2, unique=True).map(sorted),
+                           min_size=1, max_size=5),
+           data=st.data())
+    @example(ranges=[[-1e300, 1e300], [0.1, 0.3], [-5e-324, 5e-324]],
+             data=None)
+    def test_every_written_p_reloads_and_resaves_the_same_bytes(self, ranges,
+                                                                data):
+        # The stored p must equal the space's image of x exactly; the repr
+        # round trip of x, min and max keeps that true of every file asuq
+        # writes, manifest or journal.
+        space = ParameterSpace([ParameterSpec(f"q{i}", lo, lo, hi)
+                                for i, (lo, hi) in enumerate(ranges)])
+        coordinate = st.floats(-1.0, 1.0)
+        X = ([[-0.0, 5e-324, 1.0], [-1.0, 1 / 3, -5e-324]] if data is None
+             else data.draw(st.lists(st.lists(coordinate, min_size=space.m,
+                                              max_size=space.m),
+                                     min_size=1, max_size=4)))
+        campaign = Campaign(space, 0, None,
+                            [RunRecord(index=j, x=x) for j, x in enumerate(X)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path, direct = Path(tmp) / "c.json", Path(tmp) / "direct.json"
+            save_campaign(campaign, path)
+            written = path.read_bytes()
+            save_campaign(load_campaign(path), path)
+            assert path.read_bytes() == written
+            rec = campaign.runs[-1]
+            rec.status, rec.f = "done", 1.0
+            append_run(path, rec, space)
+            save_campaign(load_campaign(path), path)
+            save_campaign(campaign, direct)
+            assert path.read_bytes() == direct.read_bytes()
+
 
 class TestJournal:
     @pytest.fixture
@@ -316,20 +371,21 @@ class TestJournal:
     def test_journal_folds_over_manifest(self, saved):
         campaign = load_campaign(saved)
         evaluate_campaign(campaign, lambda req: float(req.index),
-                          checkpoint=lambda r: append_run(saved, r))
+                          checkpoint=lambda r: append_run(saved, r,
+                                                          campaign.space))
         assert len(journal_path(saved).read_text().splitlines()) == 5
         reloaded = load_campaign(saved)
         assert [r.f for r in reloaded.runs] == [0.0, 1.0, 2.0, 3.0, 4.0]
         for a, b in zip(reloaded.runs, campaign.runs):
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
+            assert np.array_equal(a.x, b.x)
 
     def test_last_line_for_an_index_wins(self, saved):
         campaign = load_campaign(saved)
         rec = campaign.runs[1]
         rec.status, rec.error = "failed", "first try"
-        append_run(saved, rec)
+        append_run(saved, rec, campaign.space)
         rec.status, rec.error, rec.f = "done", None, 7.5
-        append_run(saved, rec)
+        append_run(saved, rec, campaign.space)
         reloaded = load_campaign(saved)
         assert reloaded.runs[1].status == "done"
         assert reloaded.runs[1].f == 7.5
@@ -339,7 +395,8 @@ class TestJournal:
         campaign = load_campaign(saved)
         evaluate_campaign(campaign, constant_evaluator(1.5),
                           runs=campaign.runs[:3],
-                          checkpoint=lambda r: append_run(saved, r))
+                          checkpoint=lambda r: append_run(saved, r,
+                                                          campaign.space))
         journal = journal_path(saved)
         text = journal.read_text()
         journal.write_text(text[:len(text) - 40])  # kill inside the third line
@@ -351,7 +408,8 @@ class TestJournal:
         campaign = load_campaign(saved)
         evaluate_campaign(campaign, constant_evaluator(2.0),
                           runs=campaign.runs[:1],
-                          checkpoint=lambda r: append_run(saved, r))
+                          checkpoint=lambda r: append_run(saved, r,
+                                                          campaign.space))
         journal = journal_path(saved)
         journal.write_text(journal.read_text().rstrip("\n"))
         assert load_campaign(saved).runs[0].status == "pending"
@@ -387,16 +445,16 @@ class TestJournal:
 
     @pytest.mark.parametrize("index", [5, -1])
     def test_out_of_range_index_rejected(self, saved, index):
-        rec = RunRecord(index=index, x=np.zeros(2), p=np.zeros(2),
-                        status="done", f=1.0)
-        append_run(saved, rec)
+        rec = RunRecord(index=index, x=np.zeros(2), status="done", f=1.0)
+        append_run(saved, rec, unit_space(2))
         with pytest.raises(DataError, match="outside"):
             load_campaign(saved)
 
     def test_save_compacts_and_removes_journal(self, saved, tmp_path):
         campaign = load_campaign(saved)
         evaluate_campaign(campaign, constant_evaluator(3.0),
-                          checkpoint=lambda r: append_run(saved, r))
+                          checkpoint=lambda r: append_run(saved, r,
+                                                          campaign.space))
         save_campaign(load_campaign(saved), saved)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
         direct = tmp_path / "direct.json"
@@ -408,7 +466,8 @@ class TestJournal:
         # Power loss cannot be simulated here, so this checks the order of
         # the calls that make the save durable: the directory is fsynced
         # after the rename, before the journal is unlinked.
-        append_run(saved, load_campaign(saved).runs[0])
+        campaign = load_campaign(saved)
+        append_run(saved, campaign.runs[0], campaign.space)
         calls = []
         real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
 
@@ -498,7 +557,7 @@ class TestCommandEvaluator:
         ev = CommandEvaluator([sys.executable, str(script)])
         evaluate_campaign(campaign, ev)
         for rec in campaign.done_runs():
-            assert rec.f == pytest.approx(10.0 + rec.p[0])
+            assert rec.f == pytest.approx(10.0 + rec.x[0])  # unit space
 
     def test_unparseable_output_is_failure(self, tmp_path):
         script = tmp_path / "junk.py"
@@ -558,7 +617,7 @@ class TestCommandEvaluator:
         evaluate_campaign(campaign, CommandEvaluator([sys.executable, str(script)]))
         (rec,) = campaign.runs
         assert rec.status == "done"
-        assert rec.f == pytest.approx(3.0 * rec.p[0])
+        assert rec.f == pytest.approx(3.0 * rec.x[0])  # unit space
 
     def test_chatter_that_is_not_utf8_fails_no_run(self, tmp_path):
         script = tmp_path / "latin1.py"

@@ -461,6 +461,88 @@ class TestMalformedRunPoints:
         assert sorted(p.name for p in work.iterdir()) == ["mark.py"]
 
 
+class TestPhysicalPointMismatch:
+    """A run's stored p must be exactly its space's image of x.
+
+    asuq derives p from x through the manifest's space. A manifest or
+    journal run whose p differs, by an edited p or an edited space, is
+    exit 2 naming the run and the first parameter that differs, before
+    any evaluator runs or any file is written.
+    """
+
+    SPACE = [{"name": "T0", "min": 15.0, "nominal": 16.0, "max": 18.0},
+             {"name": "p0", "min": 2.0, "nominal": 3.0, "max": 4.0}]
+
+    @pytest.fixture
+    def work(self, tmp_path):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(self.SPACE))
+        campaign = tmp_path / "campaign.json"
+        assert run_cli("sample", "--space", str(space), "-M", "10",
+                       "--seed", "4", "--out", str(campaign)) == 0
+        script = tmp_path / "mark.py"
+        script.write_text(f"open({str(tmp_path / 'evaluated')!r}, 'w')"
+                          ".close()\nprint('{\"qoi\": 1.0}')\n")
+        return campaign, ["--evaluator", f"{sys.executable} {script}"]
+
+    def refused(self, campaign, evaluator, capsys):
+        files = {p: p.read_bytes() for p in campaign.parent.iterdir()}
+        assert run_cli("run", "--campaign", str(campaign), *evaluator) == 2
+        assert {p: p.read_bytes() for p in campaign.parent.iterdir()} == files
+        return capsys.readouterr().err
+
+    def test_edited_space_and_p_exit_2_naming_run_0(self, work, capsys):
+        campaign, evaluator = work
+        manifest = json.loads(campaign.read_text())
+        manifest["space"][0]["max"] *= 2
+        manifest["runs"][0]["p"][1] += 1e3
+        campaign.write_text(json.dumps(manifest))
+        err = self.refused(campaign, evaluator, capsys)
+        assert "run 0: p must hold 2 finite numbers, the space's image of x" \
+            in err
+        assert "parameter 0 (T0)" in err
+
+    def test_edited_space_alone_is_refused(self, work, capsys):
+        campaign, evaluator = work
+        manifest = json.loads(campaign.read_text())
+        manifest["space"][1]["min"] = 1.0
+        campaign.write_text(json.dumps(manifest))
+        err = self.refused(campaign, evaluator, capsys)
+        assert "run 0: p must hold 2 finite numbers, the space's image of x; " \
+            "parameter 1 (p0) holds" in err
+
+    def test_edited_p_alone_is_refused(self, work, capsys):
+        campaign, evaluator = work
+        manifest = json.loads(campaign.read_text())
+        p = manifest["runs"][6]["p"]
+        p[1] = math.nextafter(p[1], math.inf)
+        campaign.write_text(json.dumps(manifest))
+        err = self.refused(campaign, evaluator, capsys)
+        assert f"run 6: p must hold 2 finite numbers, the space's image of " \
+            f"x; parameter 1 (p0) holds {p[1]!r}, the space maps x to " \
+            f"{math.nextafter(p[1], -math.inf)!r}" in err
+
+    def test_journal_line_with_another_p_names_its_line(self, work, capsys):
+        campaign, evaluator = work
+        record = json.loads(campaign.read_text())["runs"][2]
+        good = json.dumps(dict(record, status="failed", error="e"))
+        record["p"] = [record["p"][0] + 1.0, record["p"][1]]
+        journal_path(campaign).write_text(f"{good}\n{json.dumps(record)}\n")
+        err = self.refused(campaign, evaluator, capsys)
+        assert f"{journal_path(campaign)}:2: bad journal line: run 2: p must " \
+            f"hold 2 finite numbers, the space's image of x; parameter 0 " \
+            f"(T0)" in err
+
+    def test_p_written_as_integers_that_equal_the_image_loads(self, work):
+        campaign, _ = work
+        manifest = json.loads(campaign.read_text())
+        manifest["runs"][0]["x"] = [-1, 1]
+        manifest["runs"][0]["p"] = [15, 4]
+        campaign.write_text(json.dumps(manifest))
+        np.testing.assert_array_equal(load_campaign(campaign).runs[0].x,
+                                      [-1.0, 1.0])
+
+
 # Evaluator for the kill-and-resume tests: the first time it sees the run
 # named by argv[1] (guarded by the marker file argv[2]) it either SIGKILLs
 # its parent, the `asuq run` process, or, like a terminal Ctrl-C, sends
@@ -585,7 +667,8 @@ class TestJournal:
         campaign = load_campaign(sampled)
         asuq.evaluate_campaign(campaign, same_as_killer,
                                runs=campaign.runs[:4],
-                               checkpoint=lambda r: asuq.append_run(sampled, r))
+                               checkpoint=lambda r: asuq.append_run(
+                                   sampled, r, campaign.space))
         journal = journal_path(sampled)
         text = journal.read_text()
         journal.write_text(text[:len(text) - 30])
@@ -614,7 +697,7 @@ class TestJournal:
         campaign = load_campaign(sampled)
         rec = campaign.runs[0]
         rec.status, rec.f = "done", 1.0
-        asuq.campaign.append_run(sampled, rec)
+        asuq.campaign.append_run(sampled, rec, campaign.space)
         files = {p: p.read_bytes() for p in sampled.parent.iterdir()}
         assert run_cli("run", "--campaign", str(sampled)) == 1
         assert "an --evaluator is required" in capsys.readouterr().err
@@ -639,7 +722,8 @@ class TestJournal:
         partial = load_campaign(campaign)
         asuq.evaluate_campaign(partial, lambda req: 1.0,
                                runs=partial.runs[:2],
-                               checkpoint=lambda r: asuq.append_run(campaign, r))
+                               checkpoint=lambda r: asuq.append_run(
+                                   campaign, r, partial.space))
         calls = []
         save = asuq.campaign.save_campaign
         monkeypatch.setattr(asuq.campaign, "save_campaign",

@@ -160,7 +160,7 @@ def journal_files(work: Path, sampled: Path) -> dict[str, bytes]:
     runs = campaign.runs[:3] + [
         campaign.append_point(np.ones(campaign.m), role="corner")]
     evaluate_campaign(campaign, evaluator, runs=runs,
-                      checkpoint=lambda r: append_run(path, r))
+                      checkpoint=lambda r: append_run(path, r, campaign.space))
     journal = journal_path(path).read_bytes()
     save_campaign(campaign, path)
     return {"api/campaign.json.journal": journal,
