@@ -35,7 +35,7 @@ finally:
         os.environ["OPENBLAS_NUM_THREADS"] = _user_blas_threads
 
 from ._fileio import atomic_open, write_json
-from .errors import EvaluatorError, ToolkitError, UsageError
+from .errors import DataError, EvaluatorError, ToolkitError, UsageError
 
 # Each command imports the layers it runs, so `sample` loads and compiles
 # no analysis code.
@@ -153,7 +153,7 @@ class _FittedCampaign:
         if errors is None:
             return 0
         print(f"corner evaluation failed: {errors}", file=sys.stderr)
-        return 4
+        return EvaluatorError.exit_code
 
     def safeset(self) -> int:
         """Invert ``args.threshold`` at ``args.level``; write safeset.json."""
@@ -648,7 +648,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:  # a report or campaign that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return DataError.exit_code
     finally:
         sys.stdout.flush()
         sys.stdout = stdout
