@@ -406,9 +406,9 @@ class TestRun:
 class TestMalformedRunPoints:
     """A run's x or p that is not m finite numbers is exit 2 on load.
 
-    So is an x outside [-1, 1]. In the manifest or in a journal line, the
-    command stops before any evaluator runs or any report or campaign
-    file is written.
+    So is an x outside [-1, 1], and a p one ulp off the space's image of
+    x. In the manifest or in a journal line, the command stops before any
+    evaluator runs or any report or campaign file is written.
     """
 
     CASES = {
@@ -419,6 +419,10 @@ class TestMalformedRunPoints:
         "pending-p-nan": ("pending", "p", lambda v: [math.nan, *v[1:]]),
         "pending-x-string": ("pending", "x", lambda v: ["0.5", *v[1:]]),
         "pending-p-nested": ("pending", "p", lambda v: [v]),
+        "pending-p-ulp": ("pending", "p",
+                          lambda v: [*v[:6], math.nextafter(v[6], math.inf)]),
+        "done-p-ulp": ("done", "p",
+                       lambda v: [math.nextafter(v[0], -math.inf), *v[1:]]),
         "done-x-outside": ("done", "x", lambda v: [-1.5, *v[1:]]),
         "pending-x-outside": ("pending", "x", lambda v: [*v[:6], 1.0001]),
     }
@@ -464,10 +468,11 @@ class TestMalformedRunPoints:
 class TestPhysicalPointMismatch:
     """A run's stored p must be exactly its space's image of x.
 
-    asuq derives p from x through the manifest's space. A manifest or
-    journal run whose p differs, by an edited p or an edited space, is
-    exit 2 naming the run and the first parameter that differs, before
-    any evaluator runs or any file is written.
+    asuq derives p from x through the manifest's space, so a manifest
+    whose space was edited, with or without its p, is exit 2 naming the
+    run and the first parameter that differs, before any evaluator runs
+    or any file is written. (A p edited alone, in a manifest or a journal
+    line, is a case of TestMalformedRunPoints.)
     """
 
     SPACE = [{"name": "T0", "min": 15.0, "nominal": 16.0, "max": 18.0},
@@ -510,28 +515,6 @@ class TestPhysicalPointMismatch:
         err = self.refused(campaign, evaluator, capsys)
         assert "run 0: p must hold 2 finite numbers, the space's image of x; " \
             "parameter 1 (p0) holds" in err
-
-    def test_edited_p_alone_is_refused(self, work, capsys):
-        campaign, evaluator = work
-        manifest = json.loads(campaign.read_text())
-        p = manifest["runs"][6]["p"]
-        p[1] = math.nextafter(p[1], math.inf)
-        campaign.write_text(json.dumps(manifest))
-        err = self.refused(campaign, evaluator, capsys)
-        assert f"run 6: p must hold 2 finite numbers, the space's image of " \
-            f"x; parameter 1 (p0) holds {p[1]!r}, the space maps x to " \
-            f"{math.nextafter(p[1], -math.inf)!r}" in err
-
-    def test_journal_line_with_another_p_names_its_line(self, work, capsys):
-        campaign, evaluator = work
-        record = json.loads(campaign.read_text())["runs"][2]
-        good = json.dumps(dict(record, status="failed", error="e"))
-        record["p"] = [record["p"][0] + 1.0, record["p"][1]]
-        journal_path(campaign).write_text(f"{good}\n{json.dumps(record)}\n")
-        err = self.refused(campaign, evaluator, capsys)
-        assert f"{journal_path(campaign)}:2: bad journal line: run 2: p must " \
-            f"hold 2 finite numbers, the space's image of x; parameter 0 " \
-            f"(T0)" in err
 
     def test_p_written_as_integers_that_equal_the_image_loads(self, work):
         campaign, _ = work
