@@ -145,9 +145,8 @@ def new_campaign(space: ParameterSpace, M: int, seed: int,
 def evaluate_campaign(campaign: Campaign,
                       evaluator: Callable[[EvalRequest], float],
                       max_concurrency: int = 1,
-                      checkpoint: Callable[[RunRecord], None] | None = None,
                       runs: Sequence[RunRecord] | None = None,
-                      ) -> None:
+                      *, path=None) -> None:
     """Run the evaluator on every pending run, or on the given runs.
 
     Given ``runs`` are attempted unless already done (resume semantics).
@@ -155,15 +154,21 @@ def evaluate_campaign(campaign: Campaign,
     independent of ``max_concurrency`` and of completion order. The
     evaluator runs on a worker thread at every concurrency; the calling
     thread alone records each outcome as it completes, a failure (even of
-    every run) in the run's ``status`` and ``error``, and passes the run
-    to ``checkpoint`` (see :func:`append_run`). After an interrupt, or any
-    other ``BaseException`` from the evaluator, it records nothing more
-    and re-raises it once the evaluations in flight return.
+    every run) in the run's ``status`` and ``error``. After an interrupt,
+    or any other ``BaseException`` from the evaluator, it records nothing
+    more and re-raises it once the evaluations in flight return.
+
+    Given the ``path`` of its manifest, it first folds a leftover journal
+    in (:func:`save_campaign`), so no append follows a torn line, appends
+    each recorded run (:func:`append_run`), and saves the manifest once the
+    workers return, after an interrupt too, if it attempted any run.
     """
     if max_concurrency < 1:
         raise UsageError(f"max_concurrency must be >= 1, got {max_concurrency}")
     todo = campaign.pending_runs() if runs is None else \
         [r for r in runs if r.status != "done"]
+    if path is not None and journal_path(path).exists():
+        save_campaign(campaign, path)
     import queue
     import threading
     from collections import deque
@@ -214,12 +219,14 @@ def evaluate_campaign(campaign: Campaign,
                 raise result
             rec.f, rec.error = result
             rec.status = "done" if rec.error is None else "failed"
-            if checkpoint is not None:
-                checkpoint(rec)
+            if path is not None:
+                append_run(path, rec, campaign.space)
     finally:
         queued.clear()
         for worker in workers:
             worker.join()
+        if path is not None and todo:
+            save_campaign(campaign, path)
 
 
 # -- persistence -----------------------------------------------------------
@@ -307,11 +314,10 @@ def append_run(path, rec: RunRecord, space: ParameterSpace) -> None:
     """Append one finished run to the journal of the manifest at ``path``.
 
     One compact JSON line per call, not fsynced: a kill can at worst tear
-    the last line, which :func:`load_campaign` ignores. Callers writing
-    from several threads must serialise the calls; ``evaluate_campaign``
-    makes them all from its calling thread. After loading a campaign
-    whose journal may end in a torn line, compact it with
-    :func:`save_campaign` before appending again.
+    the last line, which :func:`load_campaign` ignores. Callers must
+    serialise the calls, and compact a journal that may end in a torn line
+    (:func:`save_campaign`) before appending to it, as
+    ``evaluate_campaign`` does.
     """
     with open(journal_path(path), "a") as fh:
         fh.write(json.dumps(_record_to_dict(rec, space), default=jsonable) + "\n")

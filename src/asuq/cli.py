@@ -228,32 +228,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .campaign import (append_run, evaluate_campaign, journal_path,
-                           load_campaign, save_campaign)
+    from .campaign import evaluate_campaign, load_campaign
 
     campaign = load_campaign(args.campaign)
     evaluator = _build_evaluator(args, campaign.m)
-    if journal_path(args.campaign).exists():
-        # Fold the journal into the manifest so that new appends never
-        # follow a torn line left by a killed run.
-        save_campaign(campaign, args.campaign)
     wanted = ("pending", "failed") if args.retry_failed else ("pending",)
     todo = [rec for rec in campaign.runs if rec.status in wanted]
-    if not todo:
-        print("no pending runs; nothing to do")
-        return 0
     interrupted = False
     try:
-        evaluate_campaign(
-            campaign, evaluator,
-            max_concurrency=args.max_concurrency,
-            checkpoint=lambda rec: append_run(args.campaign, rec, campaign.space),
-            runs=todo,
-        )
+        # Also with nothing to do, so that a leftover journal is folded.
+        evaluate_campaign(campaign, evaluator, args.max_concurrency, todo,
+                          path=args.campaign)
     except KeyboardInterrupt:
         interrupted = True
-    finally:
-        save_campaign(campaign, args.campaign)
     done = len(campaign.done_runs())
     failed = len(campaign.failed_runs())
     if interrupted:
@@ -263,6 +250,9 @@ def cmd_run(args) -> int:
         # End by SIGINT, as an uncaught Ctrl-C would, so calling scripts stop.
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)
+    if not todo:
+        print("no pending runs; nothing to do")
+        return 0
     if all(rec.status == "failed" for rec in todo):
         raise EvaluatorError(f"all {len(todo)} attempted runs failed "
                              f"(first diagnostic: {todo[0].error})")

@@ -58,6 +58,12 @@ class ParameterSpec:
             raise DataError(
                 f"{self.name}: nominal {self.nominal} outside [{self.min}, {self.max}]"
             )
+        # ParameterSpace.denormalize forms min + (x + 1) (max - min) / 2,
+        # whose largest intermediate, 2 (max - min) at x = 1, bounds the
+        # rest: the image of every x in [-1, 1] is finite iff it is.
+        if not math.isfinite(2.0 * (self.max - self.min)):
+            raise DataError(f"{self.name}: the range [{self.min}, {self.max}] "
+                            f"maps x = 1 to inf; its physical image must be finite")
 
 
 class ParameterSpace:

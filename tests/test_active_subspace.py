@@ -94,6 +94,13 @@ class TestFit:
         lhs = np.linalg.norm(A.T @ (A @ asub.u_hat - f))
         assert lhs <= 1e-8 * np.linalg.norm(A.T @ f)
 
+    def test_cond_estimate_is_the_design_condition_number(self):
+        X = np.random.default_rng(4).uniform(-1, 1, (20, 7))
+        f = X @ np.arange(1.0, 8.0) + 0.1 * X[:, 0] ** 2
+        sv = np.linalg.svd(np.column_stack([np.ones(20), X]), compute_uv=False)
+        assert fit_active_direction(X, f).cond_estimate == pytest.approx(
+            sv[0] / sv[-1], rel=1e-12)
+
     def test_sign_convention_largest_component_positive(self):
         X, f = linear_fixture(coeffs=(0.0, -3.0, 1.0))
         asub = fit_active_direction(X, f)

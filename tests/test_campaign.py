@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asuq.campaign
 from asuq import (
     Campaign,
     CommandEvaluator,
@@ -77,19 +78,28 @@ class TestEvaluate:
         assert small_campaign.runs[2].f is None
 
     @pytest.mark.parametrize("max_concurrency", [1, 4])
-    def test_all_failures_are_recorded(self, small_campaign, max_concurrency):
+    def test_all_failures_are_recorded(self, small_campaign, max_concurrency,
+                                       tmp_path, monkeypatch):
         # A failure is an outcome: even when every run fails, each is
-        # recorded with its own error and checkpointed, and nothing raises.
+        # recorded with its own error, journaled and saved, and nothing
+        # raises.
         def boom(req):
             raise RuntimeError(f"nope {req.index}")
 
-        checkpointed = []
+        path = tmp_path / "c.json"
+        save_campaign(small_campaign, path)
+        journaled, append = [], asuq.campaign.append_run
+        monkeypatch.setattr(asuq.campaign, "append_run", lambda *a:
+                            journaled.append(a[1].index) or append(*a))
         assert evaluate_campaign(small_campaign, boom,
                                  max_concurrency=max_concurrency,
-                                 checkpoint=checkpointed.append) is None
-        assert [(r.status, r.f, r.error) for r in small_campaign.runs] == [
-            ("failed", None, f"nope {i}") for i in range(5)]
-        assert sorted(r.index for r in checkpointed) == list(range(5))
+                                 path=path) is None
+        expected = [("failed", None, f"nope {i}") for i in range(5)]
+        assert [(r.status, r.f, r.error) for r in small_campaign.runs] == expected
+        assert sorted(journaled) == list(range(5))
+        assert [(r.status, r.f, r.error)
+                for r in load_campaign(path).runs] == expected
+        assert not journal_path(path).exists()
 
     def test_concurrency_does_not_change_results(self, tmp_path):
         w = ridge_direction(3, 5)
@@ -121,17 +131,13 @@ class TestEvaluate:
             return ev
 
         path_a = tmp_path / "a.json"
-        campaign = new_campaign(unit_space(2), 6, seed=1)
-        save_campaign(campaign, path_a)
-        checkpoint = lambda r: append_run(path_a, r, campaign.space)
+        save_campaign(new_campaign(unit_space(2), 6, seed=1), path_a)
         with pytest.raises(KeyboardInterrupt):
-            evaluate_campaign(campaign, flaky_factory(3), checkpoint=checkpoint)
+            evaluate_campaign(load_campaign(path_a), flaky_factory(3),
+                              path=path_a)
         resumed = load_campaign(path_a)
         assert len(resumed.done_runs()) == 3
-        evaluate_campaign(resumed, lambda req: float(req.x[0]),
-                          checkpoint=lambda r: append_run(path_a, r,
-                                                          resumed.space))
-        save_campaign(resumed, path_a)
+        evaluate_campaign(resumed, lambda req: float(req.x[0]), path=path_a)
 
         fresh = new_campaign(unit_space(2), 6, seed=1)
         evaluate_campaign(fresh, lambda req: float(req.x[0]))
@@ -310,8 +316,9 @@ class TestPersistence:
         evaluate_campaign(campaign, constant_evaluator(1.0))
         assert [r.status for r in campaign.runs] == ["done"] * 5
 
-    def test_infinite_p_refused_where_the_space_maps_x_to_it(self, tmp_path):
-        # A span max - min that overflows maps x to inf; p stays finite.
+    def test_space_whose_image_overflows_is_refused_on_load(self, tmp_path):
+        # A span max - min that overflows would map x to inf, so no run's
+        # p could be finite; the space itself is refused, with no warning.
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "space": [{"name": "a", "min": -1e308, "nominal": 0.0,
@@ -319,11 +326,9 @@ class TestPersistence:
             "seed": 0,
             "runs": [{"index": 0, "x": [0.5], "p": [float("inf")],
                       "status": "pending"}]}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow
-            with pytest.raises(DataError, match="run 0: p must hold 1 finite "
-                               "numbers.* holds inf, the space maps x to inf"):
-                load_campaign(path)
+        with pytest.raises(DataError, match=r"^a: the range \[-1e\+308, "
+                           r"1e\+308\] maps x = 1 to inf"):
+            load_campaign(path)
 
     # Ranges within 1e300 of 0, so that every span max - min is finite.
     @settings(max_examples=200, deadline=None)
@@ -368,11 +373,20 @@ class TestJournal:
         save_campaign(small_campaign, path)
         return path
 
+    @staticmethod
+    def journaled(path, evaluator, n=None):
+        """Evaluate the first ``n`` runs of the campaign at ``path`` in
+        memory, then append each to its journal in completion order (index
+        order at concurrency 1), as a run killed before its save leaves it."""
+        campaign = load_campaign(path)
+        runs = campaign.runs[:n]
+        evaluate_campaign(campaign, evaluator, runs=runs)
+        for rec in runs:
+            append_run(path, rec, campaign.space)
+        return campaign
+
     def test_journal_folds_over_manifest(self, saved):
-        campaign = load_campaign(saved)
-        evaluate_campaign(campaign, lambda req: float(req.index),
-                          checkpoint=lambda r: append_run(saved, r,
-                                                          campaign.space))
+        campaign = self.journaled(saved, lambda req: float(req.index))
         assert len(journal_path(saved).read_text().splitlines()) == 5
         reloaded = load_campaign(saved)
         assert [r.f for r in reloaded.runs] == [0.0, 1.0, 2.0, 3.0, 4.0]
@@ -392,11 +406,7 @@ class TestJournal:
         assert reloaded.runs[1].error is None
 
     def test_torn_last_line_is_ignored(self, saved):
-        campaign = load_campaign(saved)
-        evaluate_campaign(campaign, constant_evaluator(1.5),
-                          runs=campaign.runs[:3],
-                          checkpoint=lambda r: append_run(saved, r,
-                                                          campaign.space))
+        self.journaled(saved, constant_evaluator(1.5), 3)
         journal = journal_path(saved)
         text = journal.read_text()
         journal.write_text(text[:len(text) - 40])  # kill inside the third line
@@ -405,11 +415,7 @@ class TestJournal:
             ["done", "done", "pending", "pending", "pending"]
 
     def test_whole_line_without_newline_is_still_torn(self, saved):
-        campaign = load_campaign(saved)
-        evaluate_campaign(campaign, constant_evaluator(2.0),
-                          runs=campaign.runs[:1],
-                          checkpoint=lambda r: append_run(saved, r,
-                                                          campaign.space))
+        self.journaled(saved, constant_evaluator(2.0), 1)
         journal = journal_path(saved)
         journal.write_text(journal.read_text().rstrip("\n"))
         assert load_campaign(saved).runs[0].status == "pending"
@@ -452,10 +458,7 @@ class TestJournal:
 
     def test_save_compacts_and_removes_journal(self, saved, tmp_path):
         campaign = load_campaign(saved)
-        evaluate_campaign(campaign, constant_evaluator(3.0),
-                          checkpoint=lambda r: append_run(saved, r,
-                                                          campaign.space))
-        save_campaign(load_campaign(saved), saved)
+        evaluate_campaign(campaign, constant_evaluator(3.0), path=saved)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
         direct = tmp_path / "direct.json"
         save_campaign(campaign, direct)
@@ -514,6 +517,52 @@ class TestJournal:
         direct = tmp_path / "direct.json"
         save_campaign(small_campaign, direct)
         assert saved.read_bytes() == direct.read_bytes()
+
+    def test_torn_leftover_journal_is_folded_before_the_first_append(
+            self, saved, tmp_path, monkeypatch):
+        self.journaled(saved, lambda req: float(req.index), 2)
+        journal = journal_path(saved)
+        journal.write_text(journal.read_text()[:-20])  # torn inside run 1
+        # A kill after any append must leave files that load; an append
+        # after the torn line would merge the two into one bad line.
+        loads = []
+        append = asuq.campaign.append_run
+
+        def append_and_load(*args):
+            append(*args)
+            loads.append([r.status for r in load_campaign(saved).runs])
+
+        monkeypatch.setattr(asuq.campaign, "append_run", append_and_load)
+        campaign = load_campaign(saved)
+        evaluate_campaign(campaign, lambda req: float(req.index), path=saved)
+        assert loads == [["done"] * k + ["pending"] * (5 - k)
+                         for k in range(2, 6)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert [r.f for r in load_campaign(saved).runs] == [0.0, 1.0, 2.0,
+                                                            3.0, 4.0]
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_interrupt_saves_exactly_the_runs_recorded_before_it(
+            self, saved, tmp_path, k):
+        def ev(req):
+            if req.index == k:
+                raise KeyboardInterrupt
+            return float(req.index)
+
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_campaign(load_campaign(saved), ev, path=saved)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert [(r.status, r.f) for r in load_campaign(saved).runs] == \
+            [("done", float(i)) for i in range(k)] + [("pending", None)] * (5 - k)
+
+    def test_no_runs_and_no_journal_write_nothing(self, saved, tmp_path):
+        def never(req):
+            raise AssertionError("evaluated")
+
+        files = {p: (p.read_bytes(), p.stat().st_ino) for p in tmp_path.iterdir()}
+        evaluate_campaign(load_campaign(saved), never, runs=[], path=saved)
+        assert {p: (p.read_bytes(), p.stat().st_ino)
+                for p in tmp_path.iterdir()} == files
 
 
 class TestSyntheticRidge:

@@ -92,6 +92,24 @@ class TestSpace:
         assert run_cli("space", "validate", "--space", str(bad)) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-5e307, 5e307)])
+    def test_range_whose_image_overflows_exits_2(self, tmp_path, lo, hi,
+                                                 capsys):
+        # Once accepted with a RuntimeWarning: `sample` wrote Infinity into
+        # p, and the next `run` refused the manifest it had just written.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"name": "wide", "min": lo,
+                                    "nominal": 0.0, "max": hi}]))
+        campaign = tmp_path / "campaign.json"
+        assert run_cli("space", "validate", "--space", str(bad)) == 2
+        assert run_cli("sample", "--space", str(bad), "-M", "3", "--seed", "1",
+                       "--out", str(campaign)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == 2 * (f"error: wide: the range [{lo}, {hi}] maps x = 1 "
+                           f"to inf; its physical image must be finite\n")
+        assert not campaign.exists()
+
     @pytest.mark.parametrize("key, value", BAD_SPACE_ENTRIES,
                              ids=BAD_SPACE_ENTRY_IDS)
     def test_malformed_entry_exits_2(self, tmp_path, key, value, capsys):
@@ -649,9 +667,9 @@ class TestJournal:
 
         campaign = load_campaign(sampled)
         asuq.evaluate_campaign(campaign, same_as_killer,
-                               runs=campaign.runs[:4],
-                               checkpoint=lambda r: asuq.append_run(
-                                   sampled, r, campaign.space))
+                               runs=campaign.runs[:4])
+        for rec in campaign.runs[:4]:
+            asuq.append_run(sampled, rec, campaign.space)
         journal = journal_path(sampled)
         text = journal.read_text()
         journal.write_text(text[:len(text) - 30])
@@ -686,6 +704,17 @@ class TestJournal:
         assert "an --evaluator is required" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in sampled.parent.iterdir()} == files
 
+    def test_nothing_to_do_still_folds_the_journal(self, evaluated, tmp_path,
+                                                    capsys):
+        campaign = load_campaign(evaluated)
+        asuq.append_run(evaluated, campaign.runs[0], campaign.space)
+        manifest = evaluated.read_bytes()
+        capsys.readouterr()
+        assert run_cli("run", "--campaign", str(evaluated), *self.RIDGE) == 0
+        assert capsys.readouterr().out == "no pending runs; nothing to do\n"
+        assert leftovers(tmp_path) == []
+        assert evaluated.read_bytes() == manifest
+
     def test_no_journal_or_temp_file_left(self, evaluated, tmp_path):
         assert leftovers(tmp_path) == []
         assert run_cli("range", "--campaign", str(evaluated),
@@ -703,10 +732,9 @@ class TestJournal:
                        "--out", str(campaign)) == 0
         # A killed earlier invocation left two journaled runs behind.
         partial = load_campaign(campaign)
-        asuq.evaluate_campaign(partial, lambda req: 1.0,
-                               runs=partial.runs[:2],
-                               checkpoint=lambda r: asuq.append_run(
-                                   campaign, r, partial.space))
+        asuq.evaluate_campaign(partial, lambda req: 1.0, runs=partial.runs[:2])
+        for rec in partial.runs[:2]:
+            asuq.append_run(campaign, rec, partial.space)
         calls = []
         save = asuq.campaign.save_campaign
         monkeypatch.setattr(asuq.campaign, "save_campaign",

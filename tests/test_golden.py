@@ -12,9 +12,9 @@ against an evaluator that fails both corners (``range.json`` and the
 stderr line, exit 4), then with the corners done (``range.json``, with
 ``"monotone_caveat": true``, and stdout). The run journal is pinned
 through the API: four runs of the sampled campaign (one failing, one a
-corner) are evaluated with each appended by ``append_run``, by an
-evaluator that reads the physical ``params`` it is sent; then the manifest
-that ``save_campaign`` folds the journal into. A refactor that claims to change
+corner) are evaluated in memory, by an evaluator that reads the physical
+``params`` it is sent, and then each is appended by ``append_run``; then
+the manifest that ``save_campaign`` folds the journal into. A refactor that claims to change
 nothing must leave these hashes as they are. A change that alters
 outputs on purpose (or a NumPy/SciPy/BLAS upgrade that moves the last
 bits) regenerates them with ``python tests/test_golden.py`` and says why
@@ -137,7 +137,7 @@ def _streams(argv: list[str], code: int = 0) -> tuple[str, str]:
 
 def journal_files(work: Path, sampled: Path) -> dict[str, bytes]:
     """Evaluate four runs of a copy of the sampled campaign through the API,
-    appending each to the journal; the journal's bytes, then the bytes of
+    then append each to the journal; the journal's bytes, then the bytes of
     the manifest that ``save_campaign`` folds it into."""
     import numpy as np
 
@@ -159,8 +159,9 @@ def journal_files(work: Path, sampled: Path) -> dict[str, bytes]:
 
     runs = campaign.runs[:3] + [
         campaign.append_point(np.ones(campaign.m), role="corner")]
-    evaluate_campaign(campaign, evaluator, runs=runs,
-                      checkpoint=lambda r: append_run(path, r, campaign.space))
+    evaluate_campaign(campaign, evaluator, runs=runs)
+    for rec in runs:  # the completion order at concurrency 1
+        append_run(path, rec, campaign.space)
     journal = journal_path(path).read_bytes()
     save_campaign(campaign, path)
     return {"api/campaign.json.journal": journal,

@@ -258,6 +258,11 @@ class TestTransition:
         lo, hi = transition_range(0.1, varphi=0.0)
         assert lo == hi == 0.1
 
+    def test_default_varphi_is_0_2(self):
+        lo, hi = transition_range(0.1)
+        assert lo == pytest.approx(0.06, rel=1e-12)
+        assert hi == pytest.approx(0.14, rel=1e-12)
+
     def test_midpoint_is_nominal(self):
         lo, hi = transition_range(0.145)
         assert (lo + hi) / 2 == pytest.approx(0.145, rel=1e-14)

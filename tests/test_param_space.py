@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,39 @@ class TestSpecValidation:
     def test_empty_space_rejected(self):
         with pytest.raises(DataError):
             ParameterSpace([])
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-1e308, 1e308),  # max - min overflows
+        (-5e307, 5e307),  # max - min is finite, x = 1 maps to inf
+    ])
+    def test_range_whose_image_overflows_rejected(self, lo, hi):
+        # Refused with no overflow warning (warnings are errors here).
+        with pytest.raises(DataError) as info:
+            ParameterSpace.from_dict([
+                {"name": "ok", "min": 0, "nominal": 0, "max": 1},
+                {"name": "wide", "min": lo, "nominal": 0, "max": hi}])
+        assert str(info.value) == (f"wide: the range [{lo}, {hi}] maps x = 1 "
+                                   f"to inf; its physical image must be finite")
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounds=st.lists(st.floats(-1.7e308, 1.7e308), min_size=2,
+                           max_size=2, unique=True).map(sorted),
+           x=st.floats(-1.0, 1.0))
+    @example(bounds=[-8.98e307, 8.98e307], x=1.0)
+    @example(bounds=[-5e307, 5e307], x=1.0)
+    def test_a_range_is_refused_exactly_when_its_image_overflows(
+            self, bounds, x):
+        # The image of x = -1 and 1, as denormalize forms it.
+        lo, hi = bounds
+        overflows = not all(math.isfinite(lo + (e + 1.0) * (hi - lo) / 2.0)
+                            for e in (-1.0, 1.0))
+        try:
+            space = ParameterSpace([ParameterSpec("p", lo, lo, hi)])
+        except DataError:
+            assert overflows
+            return
+        assert not overflows
+        assert np.isfinite(space.denormalize([x])).all()
 
 
 class TestDenormalize:

@@ -74,10 +74,18 @@ class TestFit:
             surr.upper_confidence(0.0)
 
     def test_gram_inverse_symmetric_positive_definite(self, noisy_fixture):
-        surr = fit_quadratic(*noisy_fixture)
-        G = surr.gram_inverse
-        np.testing.assert_allclose(G, G.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(G) > 0)
+        # Exactly symmetric: the raw LU inverse is not, for most designs.
+        rng = np.random.default_rng(0)
+        for y in [noisy_fixture[0], *rng.uniform(-1.0, 1.0, (5, 20))]:
+            G = fit_quadratic(y, y ** 2).gram_inverse
+            assert np.array_equal(G, G.T)
+            assert np.all(np.linalg.eigvalsh(G) > 0)
+
+    def test_sigma2_hat_is_rss_over_m_minus_3(self, noisy_fixture):
+        y, f = noisy_fixture
+        surr = fit_quadratic(y, f)
+        rss = float(np.sum((surr.predict(y) - f) ** 2))
+        assert surr.sigma2_hat == pytest.approx(rss / (len(y) - 3), rel=1e-12)
 
     def test_domain_defaults_to_data_range(self):
         y, f = quadratic_data(lo=-1.5, hi=2.5)

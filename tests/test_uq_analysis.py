@@ -522,6 +522,7 @@ class TestEstimateRange:
         est = estimate_range([7.0, 7.0], np.full(5, 7.0))
         assert est.f_min == est.f_max == 7.0
         assert est.validated
+        assert not est.inverted  # equal corners are in order
 
     def test_corner_failure_yields_partial_result(self):
         est = estimate_range([-1.0, None], np.array([-0.5]))
