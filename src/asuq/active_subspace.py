@@ -196,8 +196,11 @@ def _refit_replicate(X: np.ndarray, f: np.ndarray, seed: int, k: int) -> np.ndar
     rng = _replicate_rng(seed, k)
     for _ in range(_MAX_RETRIES):
         idx = rng.integers(0, M, size=M)
+        # Fewer than m + 1 distinct rows: rank < m + 1, so no solve. With
+        # `< m` the m-row case would reach the solve and raise
+        # DegeneracyError there: this check only saves that solve.
         if np.count_nonzero(np.bincount(idx, minlength=M)) <= m:
-            continue  # fewer than m + 1 distinct rows: rank < m + 1, no solve
+            continue
         try:
             return _solve_direction(X[idx], f[idx]).w
         except DegeneracyError:

@@ -12,10 +12,12 @@ import argparse
 import json
 import math
 import os
+import pickle
 import shutil
 import signal
 import sys
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable, Iterator
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -35,13 +37,15 @@ finally:
         os.environ["OPENBLAS_NUM_THREADS"] = _user_blas_threads
 
 from ._fileio import atomic_open, write_json
-from .errors import DataError, EvaluatorError, ToolkitError, UsageError
+from .errors import (DataError, DegeneracyError, EvaluatorError, ToolkitError,
+                     UsageError)
 
 # Each command imports the layers it runs, so `sample` loads and compiles
 # no analysis code.
 if TYPE_CHECKING:
     from .param_space import ParameterSpace
     from .surrogate import QuadraticSurrogate
+    from .svgplot import SvgPlot
 
 EXIT_PARTIAL_FAILURE = 5
 
@@ -196,7 +200,7 @@ class _FittedCampaign:
 
 
 def _print_ranking(ranking) -> None:
-    width = max(len(name) for name, _, _ in ranking)
+    width = max(len("parameter"), *(len(name) for name, _, _ in ranking))
     print(f"{'rank':>4}  {'parameter':<{width}}  {'w_i':>10}  {'|w_i|':>10}")
     for i, (name, wi, awi) in enumerate(ranking, start=1):
         print(f"{i:>4}  {name:<{width}}  {wi:>10.4f}  {awi:>10.4f}")
@@ -262,22 +266,33 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(fitted: _FittedCampaign) -> int:
     args = fitted.args
-    _bootstrap_reports(fitted)
-    if args.threshold is not None or args.cdf or args.svg:
-        write_json(fitted.out / "surrogate.json", fitted.surrogate)
+    wait = _bootstrap_reports(fitted)
+    try:
+        if args.threshold is not None or args.cdf or args.svg:
+            write_json(fitted.out / "surrogate.json", fitted.surrogate)
 
-    stages = ((args.corners, fitted.range),
-              (args.threshold is not None, fitted.safeset),
-              (args.cdf, fitted.cdf))
-    return max((stage() for wanted, stage in stages if wanted), default=0)
+        stages = ((args.corners, fitted.range),
+                  (args.threshold is not None, fitted.safeset),
+                  (args.cdf, fitted.cdf))
+        return max((stage() for wanted, stage in stages if wanted), default=0)
+    finally:
+        # The cloud's reports come before every stage in program order, so
+        # their failure is the one reported.
+        error = wait()
+        if error is not None:
+            raise error
 
 
-def _bootstrap_reports(fitted: _FittedCampaign) -> None:
+def _bootstrap_reports(fitted: _FittedCampaign
+                       ) -> Callable[[], BaseException | None]:
     """Bootstrap the direction; write results.json, summary.csv, summary.svg.
 
-    Also prints the ranking and the discordant-pairs line. The replicates,
-    their (N, M) cloud and the results lists are local here, so they are
-    freed before ``analyze`` runs its range, safe-set and CDF stages.
+    Also prints the ranking and the discordant-pairs line. The cloud's
+    reports, summary.csv and summary.svg, are written by
+    :func:`_start_writer` while this process goes on; the function
+    returned waits for them. The replicates, their (N, M) cloud and the
+    results lists are local here, so this process frees them before
+    ``analyze`` runs its range, safe-set and CDF stages.
     """
     from .active_subspace import (bootstrap_direction, bootstrap_quantiles,
                                   sensitivity_ranking)
@@ -308,17 +323,87 @@ def _bootstrap_reports(fitted: _FittedCampaign) -> None:
             "replicates": replicates,
         },
     }
-    write_json(fitted.out / "results.json", results)
 
-    with atomic_open(fitted.out / "summary.csv") as fh:
-        fh.write("y,f,source\n")
-        fh.writelines(_summary_rows(summary.y[None], fitted.f, "sample"))
-        fh.writelines(_summary_rows(cloud, fitted.f, "bootstrap"))
-
-    _print_ranking(ranking)
-    print(f"discordant pairs in summary ordering: {summary.discordant_pairs}")
+    # The surrogate is fitted and its curves drawn here, so the writer
+    # makes no BLAS or LAPACK call: it formats text. A surrogate that
+    # cannot be fitted is fitted again, and its error raised, where
+    # analyze writes surrogate.json: after results.json and summary.csv.
+    plot = None
     if args.svg:
-        _render_summary_svg(fitted, cloud)
+        try:
+            plot = _summary_plot(fitted, cloud)
+        except DegeneracyError:
+            pass
+
+    def write_cloud_reports() -> None:
+        with atomic_open(fitted.out / "summary.csv") as fh:
+            fh.write("y,f,source\n")
+            fh.writelines(_summary_rows(summary.y[None], fitted.f, "sample"))
+            fh.writelines(_summary_rows(cloud, fitted.f, "bootstrap"))
+        if plot is not None:
+            plot.save(fitted.out / "summary.svg")
+
+    wait = _start_writer(write_cloud_reports)
+    try:
+        write_json(fitted.out / "results.json", results)
+        _print_ranking(ranking)
+        print(f"discordant pairs in summary ordering: "
+              f"{summary.discordant_pairs}")
+    except BaseException:
+        wait()  # results.json comes first: its failure is the one reported
+        raise
+    return wait
+
+
+def _start_writer(write: Callable[[], None]
+                  ) -> Callable[[], BaseException | None]:
+    """Run ``write()`` in a forked child; return a function that waits for it.
+
+    That function reaps the child and returns the exception ``write``
+    raised there, pickled back through a pipe, or None. The streams are
+    flushed before the fork and the child leaves by ``os._exit``, so no
+    buffered line is written twice. Without os.fork, or with another
+    thread running (a fork copies only the calling thread), ``write()``
+    runs here at once, its exception returned all the same.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        error = None
+        try:
+            write()
+        except Exception as exc:
+            error = exc
+        return lambda: error
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            write()
+            code = 0
+        except BaseException as exc:
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+
+    def wait() -> BaseException | None:
+        try:
+            with open(read_fd, "rb") as pipe:
+                error = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if error:
+            return pickle.loads(error)
+        if status:
+            return ChildProcessError(
+                f"the summary report writer ended with status {status}")
+        return None
+    return wait
 
 
 def _summary_rows(ys, f, source: str) -> Iterator[str]:
@@ -333,8 +418,8 @@ def _summary_rows(ys, f, source: str) -> Iterator[str]:
         yield template % tuple(row.tolist())
 
 
-def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
-    """Write summary.svg: the bootstrap cloud, the samples and the surrogate."""
+def _summary_plot(fitted: _FittedCampaign, cloud) -> SvgPlot:
+    """summary.svg's plot: the bootstrap cloud, the samples and the surrogate."""
     from .svgplot import SvgPlot
 
     summary, surr, args = fitted.summary, fitted.surrogate, fitted.args
@@ -349,7 +434,7 @@ def _render_summary_svg(fitted: _FittedCampaign, cloud) -> None:
     plot.scatter(summary.y, fitted.f, radius=3.0, color="#111111")
     if args.threshold is not None:
         plot.hline(args.threshold)
-    plot.save(fitted.out / "summary.svg")
+    return plot
 
 
 def cmd_scenario_shots_fit(args) -> int:

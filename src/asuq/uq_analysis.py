@@ -113,6 +113,8 @@ def inscribed_box(w, y_max: float) -> np.ndarray:
 
     if budget < 0:
         return np.zeros(m)
+    # `<` would give the same sides up to rounding: at equality the
+    # water-filling below sets every side to 2.
     if 2.0 * absw.sum() <= budget:
         return np.full(m, 2.0)
 

@@ -803,6 +803,8 @@ class TestJournal:
             fails):
         # The streamed reports are formatted inside atomic_open: a formatter
         # that fails after its first chunk leaves the old file and no .tmp.
+        # The formatter runs in analyze's forked report writer, so the chunk
+        # it wrote is recorded in a file, not in this process's memory.
         out = tmp_path / "out"
         argv = ["analyze", "--campaign", str(evaluated), "--out", str(out),
                 "--bootstrap", "5", "--svg", *self.RIDGE]
@@ -810,21 +812,23 @@ class TestJournal:
         before = {name: (out / name).read_bytes()
                   for name in ("summary.csv", "summary.svg")}
         real = getattr(module, formatter)
-        written = []
+        written = tmp_path / "first-chunk"
 
         def fails_after_one_chunk(*args, **kwargs):
             chunks = real(*args, **kwargs)
             if not fails(*args, **kwargs):
                 yield from chunks
                 return
-            written.append(next(chunks))
-            yield written[-1]
+            chunk = next(chunks)
+            written.write_text(chunk)
+            yield chunk
             raise RuntimeError("injected formatter failure")
 
         monkeypatch.setattr(module, formatter, fails_after_one_chunk)
         with pytest.raises(RuntimeError, match="injected"):
             run_cli(*argv, "--seed", "3")
-        assert written and written[0] not in before[target].decode()
+        chunk = written.read_text()
+        assert chunk and chunk not in before[target].decode()
         assert (out / target).read_bytes() == before[target]
         if target == "summary.csv":  # the plot comes after the table
             assert (out / "summary.svg").read_bytes() == before["summary.svg"]
@@ -952,8 +956,9 @@ class TestAnalyze:
                                                monkeypatch, flags, module,
                                                first_stage):
         # No gc.collect(): reference counting alone must have freed the
-        # ensemble (and the cloud and results built from it) once its
-        # reports are written, before the first stage runs.
+        # ensemble (and the cloud and results built from it) in this
+        # process before the first stage runs. summary.svg is written by
+        # the forked report writer, and is there once analyze returns.
         ensembles = []
         bootstrap = asuq.active_subspace.bootstrap_direction
 
@@ -967,8 +972,7 @@ class TestAnalyze:
         stage = getattr(module, first_stage)
 
         def check_freed(*args, **kwargs):
-            seen.append((ensembles[0]() is None,
-                         (out / "summary.svg").exists()))
+            seen.append(ensembles[0]() is None)
             return stage(*args, **kwargs)
 
         monkeypatch.setattr(asuq.active_subspace, "bootstrap_direction",
@@ -978,7 +982,22 @@ class TestAnalyze:
                        str(out), "--seed", "4", "--bootstrap", "40",
                        "--n", "300", *flags) == 0
         assert len(ensembles) == 1
-        assert seen[0] == (True, "--svg" in flags)
+        assert seen[0] is True
+        assert (out / "summary.svg").exists() == ("--svg" in flags)
+
+    def test_ranking_columns_align_with_short_names(self, wide, tmp_path,
+                                                    capsys):
+        # unit-space names (x1 ... x20) are shorter than "parameter".
+        assert run_cli("analyze", "--campaign", str(wide), "--out",
+                       str(tmp_path / "out"), "--seed", "1",
+                       "--bootstrap", "5") == 0
+        header, *rows = capsys.readouterr().out.splitlines()[:21]
+        assert header.split() == ["rank", "parameter", "w_i", "|w_i|"]
+        assert len(rows) == 20 and {row.split()[1] for row in rows} == {
+            f"x{i}" for i in range(1, 21)}
+        assert {len(row) for row in rows} == {len(header)}
+        end = header.index("w_i") + len("w_i")
+        assert all(row[end - 1] != " " and row[end] == " " for row in rows)
 
     def test_output_dir_from_environment(self, evaluated, tmp_path,
                                          monkeypatch):
@@ -1070,6 +1089,189 @@ class TestAnalyze:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: M=4 samples cannot determine ")
         assert "M >= m+1 = 8" in line
+
+
+def raise_in_writer(exc):
+    """A writer that raises ``exc``."""
+    def write():
+        raise exc
+    return write
+
+
+class TestReportWriter:
+    """summary.csv and summary.svg, written by a forked child of analyze."""
+
+    FLAGS = ["--seed", "5", "--bootstrap", "20", "--threshold", "0", "--cdf",
+             "--n", "300", "--svg", "--corners", "--evaluator",
+             "ridge:cubic-monotone", "--wtrue-seed", "3"]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children os.fork starts in this process."""
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    def reports(self, evaluated, out):
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), *self.FLAGS) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_piped_stdout_holds_each_line_once_in_order(self, evaluated,
+                                                        tmp_path, capsys,
+                                                        monkeypatch, forks):
+        # Relative paths, so the lines that name a report are equal.
+        for name in ("forked", "piped"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "c.json").write_bytes(evaluated.read_bytes())
+        argv = ["analyze", "--campaign", "c.json", "--out", "out",
+                *self.FLAGS]
+        monkeypatch.chdir(tmp_path / "forked")
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        expected = capsys.readouterr().out
+        assert len(forks) == 1
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(asuq.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "asuq.cli", *argv],
+                              cwd=tmp_path / "piped", stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == expected
+        assert expected.count("\n") > 10
+        assert expected.count("discordant pairs") == 1
+
+    def test_unwritable_svg_is_one_error_and_leaves_no_child(
+            self, evaluated, tmp_path, capsys, forks):
+        out = tmp_path / "out"
+        (out / "summary.svg").mkdir(parents=True)
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), *self.FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
+        assert "summary.svg" in err
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert leftovers(out) == [] and leftovers(tmp_path) == []
+        # The failure is reported after the later stages have run.
+        assert (out / "summary.csv").exists() and (out / "cdf.csv").exists()
+        assert (out / "summary.svg").is_dir()
+
+    def test_writer_failure_keeps_its_type_and_message(self, evaluated,
+                                                       tmp_path, capsys,
+                                                       monkeypatch, forks):
+        def fails(ys, f, source):
+            raise asuq.DegeneracyError("injected writer failure")
+
+        monkeypatch.setattr(asuq.cli, "_summary_rows", fails)
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(tmp_path / "out"), *self.FLAGS) == 3
+        assert capsys.readouterr().err == "error: injected writer failure\n"
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("bad value"), RuntimeError(),
+        OSError(28, "No space left on device", "summary.csv.tmp"),
+        KeyboardInterrupt()], ids=["value", "runtime", "oserror", "interrupt"])
+    def test_the_childs_exception_reaches_the_caller(self, exc, forks):
+        error = asuq.cli._start_writer(raise_in_writer(exc))()
+        assert len(forks) == 1
+        assert type(error) is type(exc)
+        assert error.args == exc.args and str(error) == str(exc)
+
+    def test_a_writer_that_returns_gives_none(self, forks):
+        assert asuq.cli._start_writer(lambda: None)() is None
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_killed_writer_is_an_error(self, forks):
+        error = asuq.cli._start_writer(
+            lambda: os.kill(os.getpid(), signal.SIGKILL))()
+        assert isinstance(error, ChildProcessError)
+        assert str(error) == "the summary report writer ended with status -9"
+
+    @pytest.mark.parametrize("inline", ["no-fork", "threads"])
+    def test_inline_writer_gives_the_same_bytes(self, evaluated, tmp_path,
+                                                monkeypatch, forks, inline):
+        forked = self.reports(evaluated, tmp_path / "forked")
+        assert len(forks) == 1
+        if inline == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(asuq.cli.threading, "active_count",
+                                lambda: 2)
+        assert self.reports(evaluated, tmp_path / "inline") == forked
+        assert len(forks) == 1
+        assert len(forked) == 8
+
+    def test_inline_writer_failure_is_reported_after_the_stages(
+            self, evaluated, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), *self.FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
+        assert "summary.csv" in err
+        assert (out / "cdf.csv").exists() and leftovers(out) == []
+
+    def test_surrogate_failure_comes_after_the_bootstrap_reports(
+            self, tmp_path, capsys, forks):
+        # --svg fits the surrogate before the fork. Two runs cannot fit a
+        # quadratic: that error is still raised after results.json,
+        # summary.csv and the ranking, where surrogate.json is written.
+        write_json(tmp_path / "space.json", unit_space(1).params)
+        campaign = tmp_path / "c.json"
+        assert run_cli("sample", "--space", str(tmp_path / "space.json"),
+                       "-M", "2", "--seed", "3", "--out", str(campaign)) == 0
+        assert run_cli("run", "--campaign", str(campaign), "--evaluator",
+                       "ridge:linear", "--wtrue-seed", "3") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--campaign", str(campaign), "--out",
+                       str(out), "--seed", "4", "--bootstrap", "5",
+                       "--svg") == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: M=2 points cannot determine a "
+                                "quadratic\n")
+        assert captured.out.startswith("rank  parameter ")
+        assert sorted(p.name for p in out.iterdir()) == ["results.json",
+                                                         "summary.csv"]
+        assert len(forks) == 1
+
+    def test_results_json_failure_comes_first(self, evaluated, tmp_path,
+                                              capsys, monkeypatch, forks):
+        # Both results.json and summary.csv fail: the parent's report comes
+        # first in program order, so its error is the one printed.
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name in ("results.json", "summary.csv"):
+                raise OSError(f"injected {Path(dst).name} failure")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--campaign", str(evaluated), "--out",
+                       str(out), *self.FLAGS) == 2
+        assert capsys.readouterr() == ("", "error: injected results.json "
+                                           "failure\n")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert leftovers(out) == []
 
 
 class TestStandaloneReports:
