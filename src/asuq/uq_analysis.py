@@ -151,6 +151,43 @@ def _box_normalized_intervals(x_min: np.ndarray, sides: np.ndarray) -> np.ndarra
     return np.column_stack([lo, hi])
 
 
+def _with_crossing_peaks(surr: QuadraticSurrogate, level: float,
+                         threshold: float, ys: np.ndarray, ub: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, ub) with any local maximum of the bound that crosses T added.
+
+    Near a tangency the quartic's two close roots are ill-conditioned,
+    and a gap narrower than their error can fall between the samples.
+    The gap then sits at a local maximum of the bound, which a search on
+    the bound itself finds to rounding: each sampled local maximum left
+    of the first sampled crossing is narrowed sixteenfold per step.
+    """
+    above = np.nonzero(ub > threshold)[0]
+    n = int(above[0]) if len(above) else len(ys)
+    distinct = np.r_[True, np.diff(ys[:n]) > 0]
+    y, v = ys[:n][distinct], ub[:n][distinct]
+    rising = np.r_[True, v[1:] >= v[:-1]]
+    falling = np.r_[v[:-1] >= v[1:], n == len(ys)]
+    peaks = []
+    for k in np.nonzero(rising & falling)[0]:
+        a, c = y[max(k - 1, 0)], y[min(k + 1, len(y) - 1)]
+        while True:
+            grid = np.linspace(a, c, 33)
+            vals = surr.upper_confidence(grid, level)
+            j = int(np.argmax(vals))
+            if vals[j] > threshold:
+                peaks.append(grid[j])
+                break
+            a_next, c_next = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
+            if a_next == a and c_next == c:
+                break  # down to adjacent floats
+            a, c = a_next, c_next
+    if not peaks:
+        return ys, ub
+    ys = np.sort(np.r_[ys, peaks])
+    return ys, surr.upper_confidence(ys, level)
+
+
 def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
                     level: float = 0.99, *, space: ParameterSpace
                     ) -> SafeSetResult:
@@ -159,9 +196,10 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
     The upper confidence bound ub = g + b stays <= T exactly where
     (T - g)^2 >= b^2, and b^2 is a quartic in y, so every crossing of T
     is a root of one quartic. The bound is tested at the roots' real
-    parts on [-||w||_1, +||w||_1], the two ends and the midpoints
-    between; y_max ends the feasible interval anchored at the left end,
-    refined by bisection so that ub(y_max) <= T. The box is
+    parts on [-||w||_1, +||w||_1], the two ends, the midpoints between
+    and the crossing maxima of :func:`_with_crossing_peaks`; y_max ends
+    the feasible interval anchored at the left end, refined by
+    bisection so that ub(y_max) <= T. The box is
     :func:`inscribed_box`'s closed form, reported both normalized and
     as the physical per-parameter intervals of ``space``.
     """
@@ -188,6 +226,7 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
         y_max = None
         sides = np.zeros(len(w))
     else:
+        ys, ub = _with_crossing_peaks(surr, level, threshold, ys, ub)
         crossing = np.nonzero(ub > threshold)[0]
         if len(crossing) == 0:
             feasible = "full"

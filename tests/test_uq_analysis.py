@@ -708,6 +708,9 @@ class TestInvertSafeSet:
     # The bound is flat to rounding past the scan's crossing here.
     @example(m=1, M=48, coeffs=(3.0, 0.0, 0.0), log_noise=-8.0, seed=49,
              tangent=True, u=0.0, log_gap=-12.0)
+    # The quartic's roots miss a gap about 1e-6 wide at the bound's peak.
+    @example(m=1, M=52, coeffs=(0.0, -3.0, -2.0), log_noise=-5.5, seed=0,
+             tangent=True, u=0.0, log_gap=-12.0)
     def test_matches_the_scan_and_never_passes_an_unsafe_point(
             self, m, M, coeffs, log_noise, seed, tangent, u, log_gap):
         rng = np.random.default_rng(seed)
