@@ -151,55 +151,22 @@ def _box_normalized_intervals(x_min: np.ndarray, sides: np.ndarray) -> np.ndarra
     return np.column_stack([lo, hi])
 
 
-def _with_crossing_peaks(surr: QuadraticSurrogate, level: float,
-                         threshold: float, ys: np.ndarray, ub: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(ys, ub) with any local maximum of the bound that crosses T added.
-
-    Near a tangency the quartic's two close roots are ill-conditioned,
-    and a gap narrower than their error can fall between the samples.
-    The gap then sits at a local maximum of the bound, which a search on
-    the bound itself finds to rounding: each sampled local maximum left
-    of the first sampled crossing is narrowed sixteenfold per step.
-    """
-    above = np.nonzero(ub > threshold)[0]
-    n = int(above[0]) if len(above) else len(ys)
-    distinct = np.r_[True, np.diff(ys[:n]) > 0]
-    y, v = ys[:n][distinct], ub[:n][distinct]
-    rising = np.r_[True, v[1:] >= v[:-1]]
-    falling = np.r_[v[:-1] >= v[1:], n == len(ys)]
-    peaks = []
-    for k in np.nonzero(rising & falling)[0]:
-        a, c = y[max(k - 1, 0)], y[min(k + 1, len(y) - 1)]
-        while True:
-            grid = np.linspace(a, c, 33)
-            vals = surr.upper_confidence(grid, level)
-            j = int(np.argmax(vals))
-            if vals[j] > threshold:
-                peaks.append(grid[j])
-                break
-            a_next, c_next = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
-            if a_next == a and c_next == c:
-                break  # down to adjacent floats
-            a, c = a_next, c_next
-    if not peaks:
-        return ys, ub
-    ys = np.sort(np.r_[ys, peaks])
-    return ys, surr.upper_confidence(ys, level)
-
-
 def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
                     level: float = 0.99, *, space: ParameterSpace
                     ) -> SafeSetResult:
     """Find the active-variable cap y_max and the inscribed safe box.
 
-    The upper confidence bound ub = g + b stays <= T exactly where
-    (T - g)^2 >= b^2, and b^2 is a quartic in y, so every crossing of T
-    is a root of one quartic. The bound is tested at the roots' real
-    parts on [-||w||_1, +||w||_1], the two ends, the midpoints between
-    and the crossing maxima of :func:`_with_crossing_peaks`; y_max ends
-    the feasible interval anchored at the left end, refined by
-    bisection so that ub(y_max) <= T. The box is
+    The upper confidence bound ub = g + b is smooth, so it is monotone
+    between consecutive stationary points. These are closed forms: ub
+    is stationary where 2 b g' = -(b^2)', and b^2 is a quartic in y, so
+    squaring gives the sextic 4 b^2 g'^2 - ((b^2)')^2, whose roots hold
+    every stationary point. When sigma2_hat is 0 the sextic vanishes and
+    ub = g is stationary only at g's vertex. The bound is tested at the
+    sextic's real root parts and the vertex, clipped to
+    [-||w||_1, +||w||_1], and at the two ends; none depends on T. The
+    first sample above T brackets the only crossing of its monotone
+    piece, and y_max ends the feasible interval anchored at the left
+    end, refined by bisection so that ub(y_max) <= T. The box is
     :func:`inscribed_box`'s closed form, reported both normalized and
     as the physical per-parameter intervals of ``space``.
     """
@@ -211,38 +178,38 @@ def invert_safe_set(surr: QuadraticSurrogate, w, threshold: float,
         raise DataError(f"threshold must be finite, got {threshold}")
     x_min, _ = corner_extrema(w)
 
-    # b^2 is fixed exactly by five samples. Two close crossings may come
-    # back as a complex pair; its real part still lies between them.
+    # b^2 is fixed exactly by five samples. A stationary point that comes
+    # back as part of a complex pair keeps its real part.
     nodes = np.linspace(-l1, l1, 5)
     b2 = np.polyfit(nodes, surr.band_halfwidth(nodes, level) ** 2, 4)
-    h = np.polysub([threshold], surr.coeffs[::-1])  # T - g
-    roots = np.roots(np.polysub(np.polymul(h, h), b2)).real
-    edges = np.sort(np.r_[-l1, l1, np.clip(roots, -l1, l1)])
-    ys = np.sort(np.r_[edges, (edges[:-1] + edges[1:]) / 2])
+    dg = np.polyder(surr.coeffs[::-1])  # g'
+    db2 = np.polyder(b2)
+    sextic = np.polysub(4.0 * np.polymul(b2, np.polymul(dg, dg)),
+                        np.polymul(db2, db2))
+    stationary = np.r_[np.roots(sextic).real, np.roots(dg).real]
+    ys = np.sort(np.r_[-l1, l1, np.clip(stationary, -l1, l1)])
     ub = surr.upper_confidence(ys, level)
+    crossing = np.nonzero(ub > threshold)[0]
 
     if ub[0] > threshold:
         feasible = "empty"
         y_max = None
         sides = np.zeros(len(w))
+    elif len(crossing) == 0:
+        feasible = "full"
+        y_max = l1
+        sides = np.full(len(w), 2.0)
     else:
-        ys, ub = _with_crossing_peaks(surr, level, threshold, ys, ub)
-        crossing = np.nonzero(ub > threshold)[0]
-        if len(crossing) == 0:
-            feasible = "full"
-            y_max = l1
-            sides = np.full(len(w), 2.0)
-        else:
-            feasible = "partial"
-            i = int(crossing[0])
-            lo, hi = ys[i - 1], ys[i]
-            while lo < (mid := 0.5 * (lo + hi)) < hi:  # until adjacent floats
-                if surr.upper_confidence(mid, level) > threshold:
-                    hi = mid
-                else:
-                    lo = mid
-            y_max = float(lo)
-            sides = inscribed_box(w, y_max)
+        feasible = "partial"
+        i = int(crossing[0])
+        lo, hi = ys[i - 1], ys[i]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # until adjacent floats
+            if surr.upper_confidence(mid, level) > threshold:
+                hi = mid
+            else:
+                lo = mid
+        y_max = float(lo)
+        sides = inscribed_box(w, y_max)
 
     intervals = _box_normalized_intervals(x_min, sides)
     p_lo, p_hi = space.denormalize(intervals.T)

@@ -64,8 +64,8 @@ def bisection_box_sides(w, y_max, x_min):
 def scan_safe_set(surr, w, threshold, level=0.99):
     """(feasible, y_max) from a 2048-point scan of the bound and bisection.
 
-    Reference for the root-based inversion in ``invert_safe_set``; it
-    misses any infeasible gap narrower than one scan step.
+    Reference for the stationary-point inversion in ``invert_safe_set``;
+    it misses any infeasible gap narrower than one scan step.
     """
     l1 = float(np.abs(w).sum())
     ys = np.linspace(-l1, l1, 2048)
@@ -86,24 +86,55 @@ def scan_safe_set(surr, w, threshold, level=0.99):
     return "partial", float(lo)
 
 
-def fixed_count_y_max(surr, w, threshold, level=0.99):
-    """y_max from the quartic-root bracket and exactly 100 halvings.
+def stationary_points(surr, l1, threshold, level):
+    """The bound's sample points in ``invert_safe_set``.
 
-    The earlier form of ``invert_safe_set``'s bisection, kept as the
-    reference for the loop that stops once ``lo`` and ``hi`` are adjacent
-    floats. None unless the safe set is partial.
+    The real parts of the roots of the sextic 4 b^2 g'^2 - ((b^2)')^2
+    and g's vertex, clipped to [-l1, l1], and the two ends. T is unused.
     """
-    l1 = float(np.abs(w).sum())
+    nodes = np.linspace(-l1, l1, 5)
+    b2 = np.polyfit(nodes, surr.band_halfwidth(nodes, level) ** 2, 4)
+    dg = np.polyder(surr.coeffs[::-1])
+    db2 = np.polyder(b2)
+    sextic = np.polysub(4.0 * np.polymul(b2, np.polymul(dg, dg)),
+                        np.polymul(db2, db2))
+    stationary = np.r_[np.roots(sextic).real, np.roots(dg).real]
+    return np.sort(np.r_[-l1, l1, np.clip(stationary, -l1, l1)])
+
+
+def quartic_points(surr, l1, threshold, level):
+    """The earlier sample points of ``invert_safe_set``.
+
+    The real parts of the roots of the quartic (T - g)^2 - b^2, whose
+    real roots are the crossings of T, clipped to [-l1, l1], the two
+    ends, and the midpoints between neighbours. Close roots near a
+    tangency are ill-conditioned, so these can miss a narrow gap.
+    """
     nodes = np.linspace(-l1, l1, 5)
     b2 = np.polyfit(nodes, surr.band_halfwidth(nodes, level) ** 2, 4)
     h = np.polysub([threshold], surr.coeffs[::-1])
     roots = np.roots(np.polysub(np.polymul(h, h), b2)).real
     edges = np.sort(np.r_[-l1, l1, np.clip(roots, -l1, l1)])
-    ys = np.sort(np.r_[edges, (edges[:-1] + edges[1:]) / 2])
+    return np.sort(np.r_[edges, (edges[:-1] + edges[1:]) / 2])
+
+
+def fixed_count_y_max(surr, w, threshold, level=0.99,
+                      points=stationary_points):
+    """(feasible, y_max) from the bracket of ``points`` and exactly 100
+    halvings.
+
+    The earlier form of ``invert_safe_set``'s bisection, kept as the
+    reference for the loop that stops once ``lo`` and ``hi`` are adjacent
+    floats. y_max is None when the safe set is empty.
+    """
+    l1 = float(np.abs(w).sum())
+    ys = points(surr, l1, threshold, level)
     ub = surr.upper_confidence(ys, level)
+    if ub[0] > threshold:
+        return "empty", None
     crossing = np.nonzero(ub > threshold)[0]
-    if ub[0] > threshold or len(crossing) == 0:
-        return None
+    if len(crossing) == 0:
+        return "full", l1
     i = int(crossing[0])
     lo, hi = ys[i - 1], ys[i]
     for _ in range(100):
@@ -112,7 +143,7 @@ def fixed_count_y_max(surr, w, threshold, level=0.99):
             hi = mid
         else:
             lo = mid
-    return float(lo)
+    return "partial", float(lo)
 
 
 def brute_force_corner(w):
@@ -682,16 +713,32 @@ class TestInvertSafeSet:
             assert entry["min"] == pytest.approx(spec.min, abs=1e-12)
             assert entry["max"] == pytest.approx(spec.max, abs=1e-12)
 
-    def test_narrow_infeasible_gap_is_found(self):
+    @pytest.mark.parametrize("depth", [1e-7, 1e-11, 1e-14])
+    def test_narrow_infeasible_gap_is_found(self, depth):
         w = np.array([0.6, 0.8])
         y = np.linspace(-1.4, 1.4, 60)
         f = 1.0 - 4.0 * (y - 0.3) ** 2 + 1e-9 * np.sin(37.0 * y)
         surr = fit_quadratic(y, f, y_domain=(-1.4, 1.4))
-        threshold = surr.upper_confidence(0.3) - 1e-7
-        # The bound exceeds the threshold on y in about [0.29984, 0.30016].
+        threshold = surr.upper_confidence(0.3) - depth
+        # With g'' = -8 and a band flat to about 1e-9, the bound exceeds
+        # the threshold from about 0.3 - sqrt(depth / 4): at depth 1e-7 on
+        # y in about [0.29984, 0.30016], at 1e-14 on a gap 1e-7 wide.
         result = invert_safe_set(surr, w, threshold, space=unit_space(2))
         assert result.feasible == "partial"
-        assert result.y_max <= 0.29985
+        assert result.y_max <= 0.3 - 0.95 * math.sqrt(depth / 4)
+        assert surr.upper_confidence(result.y_max) <= threshold
+
+    def test_exact_fit_crosses_at_the_vertex_side(self):
+        # sigma2_hat is exactly 0, so the bound is g and its sextic
+        # vanishes: the vertex y = 0 is the only interior sample.
+        y = np.arange(9.0) - 4.0
+        surr = fit_quadratic(y, -2.0 - y ** 2)
+        assert surr.sigma2_hat == 0.0
+        result = invert_safe_set(surr, np.array([0.6, 0.8]), -2.5,
+                                 space=unit_space(2))
+        assert result.feasible == "partial"
+        assert result.y_max == pytest.approx(-math.sqrt(0.5), rel=1e-15)
+        assert surr.upper_confidence(result.y_max) <= -2.5
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
     def test_non_finite_threshold_rejected(self, safe_fixture, threshold):
@@ -708,9 +755,13 @@ class TestInvertSafeSet:
     # The bound is flat to rounding past the scan's crossing here.
     @example(m=1, M=48, coeffs=(3.0, 0.0, 0.0), log_noise=-8.0, seed=49,
              tangent=True, u=0.0, log_gap=-12.0)
-    # The quartic's roots miss a gap about 1e-6 wide at the bound's peak.
+    # A gap about 1e-6 wide at the bound's peak, a stationary point, which
+    # the quartic (T - g)^2 - b^2's close roots missed.
     @example(m=1, M=52, coeffs=(0.0, -3.0, -2.0), log_noise=-5.5, seed=0,
              tangent=True, u=0.0, log_gap=-12.0)
+    # A slip in the stationary points' sextic misplaces the peak here.
+    @example(m=1, M=4, coeffs=(0.0, 0.0, -1.0), log_noise=0.0, seed=0,
+             tangent=True, u=0.0, log_gap=-4.0)
     def test_matches_the_scan_and_never_passes_an_unsafe_point(
             self, m, M, coeffs, log_noise, seed, tangent, u, log_gap):
         rng = np.random.default_rng(seed)
@@ -753,6 +804,10 @@ class TestInvertSafeSet:
            coeffs=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
            log_noise=st.floats(-6.0, 0.0), seed=st.integers(0, 2**32 - 1),
            u=st.floats(0.01, 0.99), level=st.floats(0.6, 0.999999))
+    # The bound's slope at the crossing is 0.014, so the two brackets end
+    # 38 ulps apart.
+    @example(m=8, M=23, coeffs=(-1.0, 0.0, 0.0), log_noise=-1.0, seed=365,
+             u=0.0625, level=0.75)
     def test_bisection_to_adjacent_floats_equals_100_halvings(
             self, m, M, coeffs, log_noise, seed, u, level):
         rng = np.random.default_rng(seed)
@@ -765,8 +820,8 @@ class TestInvertSafeSet:
         surr = fit_quadratic(y, f, y_domain=(-l1, l1))
         ub = surr.upper_confidence(np.linspace(-l1, l1, 201), level)
         threshold = float(ub.min() + u * (ub.max() - ub.min()))
-        want = fixed_count_y_max(surr, w, threshold, level)
-        assume(want is not None)
+        feasible, want = fixed_count_y_max(surr, w, threshold, level)
+        assume(feasible == "partial")
         # 100 halvings reach adjacent floats unless the crossing is this
         # close to 0, where the floats are denser.
         assume(abs(want) > 1e-13 * l1)
@@ -774,6 +829,18 @@ class TestInvertSafeSet:
                                  space=unit_space(m))
         assert result.feasible == "partial"
         assert result.y_max == want
+        # The float bound is not monotone at ulp scale near the crossing,
+        # so the earlier quartic-root bracket may end the halvings on
+        # another float, but not on another feasibility. Where the bound
+        # is flat that float can be tens of ulps away; between the two
+        # the bound equals T to rounding.
+        feasible, old = fixed_count_y_max(surr, w, threshold, level,
+                                          points=quartic_points)
+        assert feasible == "partial"
+        between = surr.upper_confidence(np.linspace(old, want, 101), level)
+        noise = 4e-15 * (np.abs(surr.coeffs) @ [1.0, l1, l1 * l1]
+                         + abs(threshold) + 1.0)
+        assert np.all(np.abs(between - threshold) <= noise)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(1e-3, 1e3), b=st.floats(-100.0, 100.0),
